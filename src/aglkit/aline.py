@@ -1,10 +1,13 @@
 """ALine-S and ALine-D: OOD performance estimation from agreement.
 
-Both methods fit an OLS line to probit-transformed (ID, OOD) pairwise
-agreements. ALine-S applies the fitted slope/bias to each model's probit
-ID performance. ALine-D solves a least-squares system whose row for pair
-(i, j) constrains the average of the two models' probit OOD performances
-by their OOD agreement plus a slope-corrected ID term.
+Both methods fit an OLS line to probit-transformed (ID, OOD) agreements
+of the upper-triangle model pairs (i < j). ALine-S applies the fitted
+slope/bias to each model's probit ID performance. ALine-D solves a
+least-squares system whose row for pair (i, j) constrains the average of
+the two models' probit OOD performances by their OOD agreement plus a
+slope-corrected ID term. With every pair present the normal matrix is
+A^T A = ((n-2) I + 1 1^T) / 4, so the system is solved in closed form by
+Sherman-Morrison, without building A.
 """
 
 from __future__ import annotations
@@ -12,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import InsufficientModels, RankDeficient
+from .errors import InsufficientModels
 from .metrics import AgreementMatrix
-from .probit import CLAMP_EPS, LineFit, agreement_point, clamp_rate, fit_line, normal_cdf, probit
+from .probit import CLAMP_EPS, LineFit, clamp_rate, fit_line, normal_cdf, probit
 
 METHOD_ALINE_S = "aline_s"
 METHOD_ALINE_D = "aline_d"
@@ -59,47 +61,30 @@ def gate(fit: LineFit, threshold: float) -> bool:
     return fit.r_squared > threshold
 
 
-def _pair_points(inp: AlineInput):
-    eps = inp.clamp_eps
-    ids = inp.agr_id.model_ids
-    points = []
-    for i in range(inp.n):
-        for j in range(i + 1, inp.n):
-            x = probit(clamp_rate(inp.agr_id.pair(i, j), eps))
-            y = probit(clamp_rate(inp.agr_ood.pair(i, j), eps))
-            points.append(agreement_point(x, y, ids[i], ids[j]))
-    return points
+def _pair_probits(inp: AlineInput):
+    """Pair indices (i < j, row-major) and their probit ID and OOD agreements."""
+    i, j = np.triu_indices(inp.n, k=1)
+    x = probit(clamp_rate(inp.agr_id.values[i, j], inp.clamp_eps))
+    y = probit(clamp_rate(inp.agr_ood.values[i, j], inp.clamp_eps))
+    return i, j, x, y
 
 
 def agreement_line(inp: AlineInput) -> LineFit:
     """OLS fit over the upper-triangle probit agreement pairs."""
-    return fit_line(_pair_points(inp))
+    _, _, x, y = _pair_probits(inp)
+    return fit_line(x, y)
+
+
+def _output(inp: AlineInput, probit_est, fit: LineFit, method: str) -> AlineOutput:
+    return AlineOutput(estimates=normal_cdf(probit_est), agreement_fit=fit,
+                       gated=gate(fit, inp.gate_threshold), method=method,
+                       model_ids=list(inp.agr_id.model_ids))
 
 
 def aline_s(inp: AlineInput) -> AlineOutput:
     fit = agreement_line(inp)
-    eps = inp.clamp_eps
-    est = np.array([normal_cdf(fit.slope * probit(clamp_rate(p, eps)) + fit.bias)
-                    for p in inp.id_perf])
-    assert np.all((est >= 0.0) & (est <= 1.0))
-    return AlineOutput(estimates=est, agreement_fit=fit,
-                       gated=gate(fit, inp.gate_threshold), method=METHOD_ALINE_S,
-                       model_ids=list(inp.agr_id.model_ids))
-
-
-def _solve_least_squares(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Normal equations with Cholesky; rank-revealing lstsq fallback."""
-    AtA = A.T @ A
-    Atb = A.T @ rhs
-    try:
-        c, low = scipy.linalg.cho_factor(AtA)
-        return scipy.linalg.cho_solve((c, low), Atb)
-    except np.linalg.LinAlgError:
-        pass
-    sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < A.shape[1]:
-        raise RankDeficient(f"system rank {rank} < {A.shape[1]} unknowns")
-    return sol
+    id_probit = probit(clamp_rate(inp.id_perf, inp.clamp_eps))
+    return _output(inp, fit.slope * id_probit + fit.bias, fit, METHOD_ALINE_S)
 
 
 def aline_d(inp: AlineInput) -> AlineOutput:
@@ -107,23 +92,10 @@ def aline_d(inp: AlineInput) -> AlineOutput:
     if n < 3:
         raise InsufficientModels(f"ALine-D needs at least 3 models, got {n}")
     fit = agreement_line(inp)
-    eps = inp.clamp_eps
-    id_probit = np.array([probit(clamp_rate(p, eps)) for p in inp.id_perf])
-    n_pairs = n * (n - 1) // 2
-    A = np.zeros((n_pairs, n))
-    rhs = np.zeros(n_pairs)
-    row = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            A[row, i] = 0.5
-            A[row, j] = 0.5
-            agr_id = probit(clamp_rate(inp.agr_id.pair(i, j), eps))
-            agr_ood = probit(clamp_rate(inp.agr_ood.pair(i, j), eps))
-            rhs[row] = agr_ood + fit.slope * ((id_probit[i] + id_probit[j]) / 2.0 - agr_id)
-            row += 1
-    sol = _solve_least_squares(A, rhs)
-    est = np.array([normal_cdf(z) for z in sol])
-    assert np.all((est >= 0.0) & (est <= 1.0))
-    return AlineOutput(estimates=est, agreement_fit=fit,
-                       gated=gate(fit, inp.gate_threshold), method=METHOD_ALINE_D,
-                       model_ids=list(inp.agr_id.model_ids))
+    id_probit = probit(clamp_rate(inp.id_perf, inp.clamp_eps))
+    i, j, x, y = _pair_probits(inp)
+    rhs = y + fit.slope * ((id_probit[i] + id_probit[j]) / 2.0 - x)
+    # (A^T rhs)_m is half the sum of rhs over the pairs that contain model m.
+    atb = 0.5 * (np.bincount(i, rhs, minlength=n) + np.bincount(j, rhs, minlength=n))
+    sol = 4.0 / (n - 2) * (atb - atb.sum() / (2 * n - 2))
+    return _output(inp, sol, fit, METHOD_ALINE_D)

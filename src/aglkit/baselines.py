@@ -40,13 +40,6 @@ class Temperature:
 
 
 @dataclass
-class BaselineEstimate:
-    method: str
-    per_model: np.ndarray
-    used_temperature: bool
-
-
-@dataclass
 class BaselineComparison:
     """Raw and temperature-scaled variants of one confidence estimate."""
     method: str

@@ -155,6 +155,9 @@ def validate_log(log) -> None:
         if log.logits is not None:
             if log.logits.shape != (n, k):
                 raise LengthViolation(-1, f"logits shape {log.logits.shape} != ({n}, {k})")
+            finite = np.isfinite(log.logits).all(axis=1)
+            if not finite.all():
+                raise RangeViolation(int(np.argmin(finite)), "non-finite logit")
             for i in range(n):
                 if argmax_lowest(log.logits[i]) != int(log.predicted[i]):
                     raise ArgmaxMismatch(i)
@@ -165,6 +168,8 @@ def validate_log(log) -> None:
                 raise RangeViolation(i, f"n_tokens {n_tok} < 1")
             if len(ex.start_logits) != n_tok or len(ex.end_logits) != n_tok:
                 raise LengthViolation(i)
+            if not (np.isfinite(ex.start_logits).all() and np.isfinite(ex.end_logits).all()):
+                raise RangeViolation(i, "non-finite logit")
             if not (0 <= ex.gold_start <= ex.gold_end < n_tok):
                 raise RangeViolation(i, "gold span out of range")
             if not (0 <= ex.pred_start < n_tok and 0 <= ex.pred_end < n_tok):
@@ -216,10 +221,23 @@ def _parse_json_line(path, lineno, line):
     return obj
 
 
-def _require(obj, key, path, lineno):
+def _require(obj, key, path, lineno, convert=None):
+    """``convert(obj[key])``; MalformedRecord if the key is missing or bad."""
     if key not in obj:
         raise MalformedRecord(path, lineno, f"missing key {key!r}")
-    return obj[key]
+    if convert is None:
+        return obj[key]
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedRecord(path, lineno, f"bad {key!r}: {exc}") from exc
+
+
+def _float_vector(value) -> np.ndarray:
+    vec = np.array(value, dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError("expected a list of numbers")
+    return vec
 
 
 def load_log(path, validate: bool = True):
@@ -235,20 +253,20 @@ def load_log(path, validate: bool = True):
     model_id = _require(header, "model_id", path, 1)
     split_id = _require(header, "split_id", path, 1)
     if task == TASK_CLASSIFICATION:
-        k = int(_require(header, "n_classes", path, 1))
+        k = _require(header, "n_classes", path, 1, int)
         golds, preds, logit_rows = [], [], []
         any_logits = None
         for lineno, line in enumerate(raw_lines[1:], start=2):
             rec = _parse_json_line(path, lineno, line)
-            golds.append(int(_require(rec, "gold", path, lineno)))
-            preds.append(int(_require(rec, "predicted", path, lineno)))
+            golds.append(_require(rec, "gold", path, lineno, int))
+            preds.append(_require(rec, "predicted", path, lineno, int))
             has = "logits" in rec
             if any_logits is None:
                 any_logits = has
             elif any_logits != has:
                 raise MalformedRecord(path, lineno, "inconsistent presence of logits")
             if has:
-                logit_rows.append([float(v) for v in rec["logits"]])
+                logit_rows.append(_require(rec, "logits", path, lineno, _float_vector))
         logits = None
         if any_logits:
             widths = {len(r) for r in logit_rows}
@@ -264,13 +282,13 @@ def load_log(path, validate: bool = True):
         for lineno, line in enumerate(raw_lines[1:], start=2):
             rec = _parse_json_line(path, lineno, line)
             examples.append(SpanExample(
-                n_tokens=int(_require(rec, "n_tokens", path, lineno)),
-                start_logits=np.array(_require(rec, "start_logits", path, lineno), dtype=np.float64),
-                end_logits=np.array(_require(rec, "end_logits", path, lineno), dtype=np.float64),
-                gold_start=int(_require(rec, "gold_start", path, lineno)),
-                gold_end=int(_require(rec, "gold_end", path, lineno)),
-                pred_start=int(_require(rec, "pred_start", path, lineno)),
-                pred_end=int(_require(rec, "pred_end", path, lineno))))
+                n_tokens=_require(rec, "n_tokens", path, lineno, int),
+                start_logits=_require(rec, "start_logits", path, lineno, _float_vector),
+                end_logits=_require(rec, "end_logits", path, lineno, _float_vector),
+                gold_start=_require(rec, "gold_start", path, lineno, int),
+                gold_end=_require(rec, "gold_end", path, lineno, int),
+                pred_start=_require(rec, "pred_start", path, lineno, int),
+                pred_end=_require(rec, "pred_end", path, lineno, int)))
         log = SpanLog(model_id=model_id, split_id=split_id, examples=examples)
     else:
         raise MalformedRecord(path, 1, f"unknown task {task!r}")
@@ -310,9 +328,13 @@ def read_manifest(path) -> Manifest:
         raise MalformedRecord(path, 1, f"unknown task {task!r}")
     if metric not in METRICS_BY_TASK[task]:
         raise MetricTaskMismatch(metric, task)
+    if not isinstance(doc["entries"], list):
+        raise MalformedRecord(path, 1, "entries must be a list")
     entries = []
     seen = set()
-    for e in doc["entries"]:
+    for k, e in enumerate(doc["entries"]):
+        if not (isinstance(e, dict) and {"model_id", "split_id", "path"} <= e.keys()):
+            raise MalformedRecord(path, 1, f"entry {k} needs model_id, split_id and path")
         entry = ManifestEntry(model_id=e["model_id"], split_id=e["split_id"], path=e["path"])
         key = (entry.model_id, entry.split_id)
         if key in seen:

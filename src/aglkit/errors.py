@@ -88,10 +88,6 @@ class InsufficientModels(ToolkitError):
     pass
 
 
-class RankDeficient(ToolkitError):
-    pass
-
-
 class MissingLogits(ToolkitError):
     pass
 

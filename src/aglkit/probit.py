@@ -1,8 +1,9 @@
 """Probit transform and probit-space least-squares line fitting.
 
-The inverse normal CDF uses Wichura's rational approximation (AS241-class)
-refined by one Newton step against the erfc-based forward CDF, so the
-transform is accurate to well below 1e-9 everywhere the toolkit uses it.
+``probit`` is the inverse standard normal CDF (``scipy.special.ndtri``)
+and ``normal_cdf`` its forward CDF (``scipy.special.ndtr``); both, like
+``clamp_rate``, work elementwise on scalars and arrays. ``fit_line`` fits
+an OLS line to arrays of probit x and y values.
 """
 
 from __future__ import annotations
@@ -10,106 +11,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import ndtr, ndtri
+
 from .errors import DegenerateFit, DomainError
 
 CLAMP_EPS = 1e-4
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+normal_cdf = ndtr  # standard normal CDF Phi(z), elementwise
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF Phi(z)."""
-    return 0.5 * math.erfc(-z / _SQRT2)
+def probit(p):
+    """Inverse standard normal CDF Phi^-1(p), elementwise for p in (0, 1)."""
+    p = np.asarray(p, dtype=np.float64)
+    inside = (p > 0.0) & (p < 1.0)  # false for NaN
+    if not inside.all():
+        raise DomainError(f"probit input {p[~inside].flat[0]} outside (0, 1)")
+    return ndtri(p)
 
 
-def normal_pdf(z: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
-# AS241 PPND16 coefficients (Wichura 1988).
-_A = (3.3871328727963666080e0, 1.3314166789178437745e2,
-      1.9715909503065514427e3, 1.3731693765509461125e4,
-      4.5921953931549871457e4, 6.7265770927008700853e4,
-      3.3430575583588128105e4, 2.5090809287301226727e3)
-_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-      5.3941960214247511077e3, 2.1213794301586595867e4,
-      3.9307895800092710610e4, 2.8729085735721942674e4,
-      5.2264952788528545610e3)
-_C = (1.42343711074968357734e0, 4.63033784615654529590e0,
-      5.76949722146069140550e0, 3.64784832476320460504e0,
-      1.27045825245236838258e0, 2.41780725177450611770e-1,
-      2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
-      6.89767334985100004550e-1, 1.48103976427480074590e-1,
-      1.51986665636164571966e-2, 5.47593808499534494600e-4,
-      1.05075007164441684324e-9)
-_E = (6.65790464350110377720e0, 5.46378491116411436990e0,
-      1.78482653991729133580e0, 2.96560571828504891230e-1,
-      2.65321895265761230930e-2, 1.24266094738807843860e-3,
-      2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-      1.48753612908506148525e-2, 7.86869131145613259100e-4,
-      1.84631831751005468180e-6, 1.42151175831644588870e-7,
-      2.04426310338993978564e-15)
-
-
-def _poly(coeffs, r):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
-
-
-def probit(p: float) -> float:
-    """Inverse standard normal CDF Phi^-1(p) for p in (0, 1)."""
-    if math.isnan(p):
-        raise DomainError("probit input is NaN")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probit input {p} outside (0, 1)")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        x = q * _poly(_A, r) / _poly(_B, r)
-    else:
-        r = p if q < 0.0 else 1.0 - p
-        r = math.sqrt(-math.log(r))
-        if r <= 5.0:
-            r -= 1.6
-            x = _poly(_C, r) / _poly(_D, r)
-        else:
-            r -= 5.0
-            x = _poly(_E, r) / _poly(_F, r)
-        if q < 0.0:
-            x = -x
-    # One Newton step against the erfc-based forward CDF.
-    pdf = normal_pdf(x)
-    if pdf > 0.0:
-        x -= (normal_cdf(x) - p) / pdf
-    return x
-
-
-def clamp_rate(p: float, eps: float = CLAMP_EPS) -> float:
-    """Clamp a rate into [eps, 1-eps] so its probit stays finite."""
-    if math.isnan(p) or p < 0.0 or p > 1.0:
-        raise DomainError(f"rate {p} outside [0, 1]")
-    return max(eps, min(1.0 - eps, p))
-
-
-@dataclass(frozen=True)
-class ProbitPoint:
-    """One (ID, OOD) point in probit space, tagged by its origin."""
-    x: float
-    y: float
-    tag: tuple
-
-
-def accuracy_point(x: float, y: float, model_id: str) -> ProbitPoint:
-    return ProbitPoint(x, y, ("accuracy", model_id))
-
-
-def agreement_point(x: float, y: float, model_i: str, model_j: str) -> ProbitPoint:
-    return ProbitPoint(x, y, ("agreement", model_i, model_j))
+def clamp_rate(p, eps: float = CLAMP_EPS):
+    """Clamp rates into [eps, 1-eps] so their probits stay finite."""
+    p = np.asarray(p, dtype=np.float64)
+    inside = (p >= 0.0) & (p <= 1.0)  # false for NaN
+    if not inside.all():
+        raise DomainError(f"rate {p[~inside].flat[0]} outside [0, 1]")
+    return np.clip(p, eps, 1.0 - eps)
 
 
 @dataclass(frozen=True)
@@ -125,34 +52,31 @@ class LineFit:
         return self.slope * x + self.bias
 
 
-def fit_line(points) -> LineFit:
-    """Ordinary least squares y = slope*x + bias over probit points.
+def fit_line(xs, ys) -> LineFit:
+    """Ordinary least squares y = slope*x + bias over paired probit values.
 
     r_squared is the squared Pearson correlation of (x, y); it is flagged
-    undefined (and reported as 0) when y has no variance.
+    undefined (and reported as 0) when y has no variance. Zero variance is
+    decided on the values themselves, because a rounded mean leaves tiny
+    nonzero deviations around a constant vector.
     """
-    pts = list(points)
-    n = len(pts)
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    n = len(xs)
     if n < 2:
         raise DegenerateFit(f"need at least 2 points, got {n}")
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    if sxx <= 0.0:
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    dx, dy = xs - mx, ys - my
+    sxx = math.fsum(dx * dx)
+    syy = math.fsum(dy * dy)
+    sxy = math.fsum(dx * dy)
+    if sxx <= 0.0 or np.ptp(xs) == 0.0:
         raise DegenerateFit("x values have zero variance")
     slope = sxy / sxx
     bias = my - slope * mx
-    residual_ss = math.fsum((y - slope * x - bias) ** 2 for x, y in zip(xs, ys))
-    if syy > 0.0:
-        r_squared = (sxy * sxy) / (sxx * syy)
-        r_squared = min(1.0, max(0.0, r_squared))
-        defined = True
-    else:
-        r_squared = 0.0
-        defined = False
-    return LineFit(slope=slope, bias=bias, r_squared=r_squared,
-                   n_points=n, residual_ss=residual_ss, r_squared_defined=defined)
+    residuals = ys - slope * xs - bias
+    defined = syy > 0.0 and np.ptp(ys) > 0.0
+    r_squared = min(1.0, max(0.0, (sxy * sxy) / (sxx * syy))) if defined else 0.0
+    return LineFit(slope=slope, bias=bias, r_squared=r_squared, n_points=n,
+                   residual_ss=math.fsum(residuals * residuals),
+                   r_squared_defined=bool(defined))

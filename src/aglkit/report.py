@@ -29,7 +29,7 @@ from .baselines import (
 from .datamodel import SplitPair
 from .errors import LengthMismatch, ToolkitError, ZeroTruth
 from .metrics import AgreementMatrix, agreement_matrix, performance
-from .probit import CLAMP_EPS, LineFit, accuracy_point, clamp_rate, fit_line, probit
+from .probit import CLAMP_EPS, LineFit, clamp_rate, fit_line, normal_cdf, probit
 
 ALINE_METHODS = (METHOD_ALINE_S, METHOD_ALINE_D)
 CONFIDENCE_METHODS = (METHOD_AC, METHOD_ATC, METHOD_DOC_FEAT)
@@ -110,69 +110,62 @@ class EstimateReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def build_report(pair: SplitPair, methods=ALL_METHODS,
-                 options: ReportOptions | None = None) -> EstimateReport:
-    """Run every requested method once; failures become per-method entries."""
-    options = options or ReportOptions()
-    methods = list(methods)
+def _confidence_estimates(report: EstimateReport, method: str, pair: SplitPair):
+    """Raw and temperature-scaled estimates per model; with OOD truth, the
+    variant closer to it is kept and its choice recorded."""
     n = pair.n_models
-    id_perf = np.array([performance(log, pair.metric) for log in pair.id_logs])
-    true_ood = None
-    if options.evaluation_mode:
-        true_ood = np.array([performance(log, pair.metric) for log in pair.ood_logs])
-    agr_id = agreement_matrix(pair.id_logs, pair.metric)
-    agr_ood = agreement_matrix(pair.ood_logs, pair.metric)
+    truth = report.true_ood_perf
+    raw = np.empty(n)
+    scaled = np.empty(n)
+    selected = np.empty(n)
+    used = []
+    for i in range(n):
+        truth_i = float(truth[i]) if truth is not None else None
+        cmp = with_and_without_temperature(method, pair.id_logs[i], pair.ood_logs[i], truth_i)
+        raw[i] = cmp.raw
+        scaled[i] = cmp.temp_scaled
+        if cmp.selected is not None:
+            selected[i] = cmp.selected
+            used.append(cmp.used_temperature)
+    if truth is not None:
+        report.estimates[method] = selected
+        report.used_temperature[method] = used
+    else:
+        report.estimates[method] = {"raw": raw, "temp_scaled": scaled}
 
+
+def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: AgreementMatrix,
+           agr_ood: AgreementMatrix, methods, options: ReportOptions,
+           pair: SplitPair | None = None) -> EstimateReport:
+    """Run every requested method once; failures become per-method entries.
+
+    ``true_ood`` (or None) switches evaluation on; ``pair`` carries the
+    logs the confidence methods need.
+    """
     report = EstimateReport(
-        model_ids=pair.model_ids, metric=pair.metric, id_perf=id_perf,
-        true_ood_perf=true_ood,
-        metadata={"metric": pair.metric,
-                  "id_split": pair.id_logs[0].split_id,
-                  "ood_split": pair.ood_logs[0].split_id,
+        model_ids=model_ids, metric=metric, id_perf=id_perf, true_ood_perf=true_ood,
+        metadata={"metric": metric, "id_split": splits[0], "ood_split": splits[1],
                   "gate_threshold": options.gate_threshold,
                   "clamp_eps": options.clamp_eps,
-                  "evaluation_mode": options.evaluation_mode,
+                  "evaluation_mode": true_ood is not None,
                   "toolkit_version": toolkit_version})
-
     aline_input = None
     if any(m in methods for m in ALINE_METHODS):
         aline_input = AlineInput(id_perf=id_perf, agr_id=agr_id, agr_ood=agr_ood,
                                  gate_threshold=options.gate_threshold,
                                  clamp_eps=options.clamp_eps)
-
     for method in methods:
         try:
-            if method == METHOD_ALINE_S:
-                out = aline_s(aline_input)
-                report.estimates[method] = out.estimates
-                report.agreement_fit = out.agreement_fit
-                report.gates[method] = out.gated
-            elif method == METHOD_ALINE_D:
-                out = aline_d(aline_input)
+            if method in ALINE_METHODS:
+                estimator = aline_s if method == METHOD_ALINE_S else aline_d
+                out = estimator(aline_input)
                 report.estimates[method] = out.estimates
                 report.agreement_fit = out.agreement_fit
                 report.gates[method] = out.gated
             elif method == METHOD_NAIVE_AGREEMENT:
                 report.estimates[method] = naive_agreement_estimate(agr_ood)
             elif method in CONFIDENCE_METHODS:
-                raw = np.empty(n)
-                scaled = np.empty(n)
-                selected = np.empty(n)
-                used = []
-                for i in range(n):
-                    truth_i = float(true_ood[i]) if true_ood is not None else None
-                    cmp = with_and_without_temperature(
-                        method, pair.id_logs[i], pair.ood_logs[i], truth_i)
-                    raw[i] = cmp.raw
-                    scaled[i] = cmp.temp_scaled
-                    if cmp.selected is not None:
-                        selected[i] = cmp.selected
-                        used.append(cmp.used_temperature)
-                if true_ood is not None:
-                    report.estimates[method] = selected
-                    report.used_temperature[method] = used
-                else:
-                    report.estimates[method] = {"raw": raw, "temp_scaled": scaled}
+                _confidence_estimates(report, method, pair)
             else:
                 raise ToolkitError(f"unknown method {method!r}")
         except ToolkitError as exc:
@@ -180,18 +173,31 @@ def build_report(pair: SplitPair, methods=ALL_METHODS,
 
     if true_ood is not None:
         try:
-            pts = [accuracy_point(probit(clamp_rate(x, options.clamp_eps)),
-                                  probit(clamp_rate(y, options.clamp_eps)), mid)
-                   for x, y, mid in zip(id_perf, true_ood, pair.model_ids)]
-            report.accuracy_fit = fit_line(pts)
+            report.accuracy_fit = fit_line(probit(clamp_rate(id_perf, options.clamp_eps)),
+                                           probit(clamp_rate(true_ood, options.clamp_eps)))
         except ToolkitError:
             report.accuracy_fit = None
-        report.mape_by_method = {}
-        for method, est in report.estimates.items():
-            if isinstance(est, dict):
-                continue
-            report.mape_by_method[method] = mape(est, true_ood)
+        report.mape_by_method = {method: mape(est, true_ood)
+                                 for method, est in report.estimates.items()
+                                 if not isinstance(est, dict)}
     return report
+
+
+def build_report(pair: SplitPair, methods=ALL_METHODS,
+                 options: ReportOptions | None = None) -> EstimateReport:
+    """Report for the logs of a split pair; OOD labels are read only in
+    evaluation mode."""
+    options = options or ReportOptions()
+    id_perf = np.array([performance(log, pair.metric) for log in pair.id_logs])
+    true_ood = None
+    if options.evaluation_mode:
+        true_ood = np.array([performance(log, pair.metric) for log in pair.ood_logs])
+    return _build(pair.model_ids, pair.metric,
+                  (pair.id_logs[0].split_id, pair.ood_logs[0].split_id),
+                  id_perf, true_ood,
+                  agreement_matrix(pair.id_logs, pair.metric),
+                  agreement_matrix(pair.ood_logs, pair.metric),
+                  list(methods), options, pair)
 
 
 def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids,
@@ -201,87 +207,52 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
 
     Covers the estimators that need no logits (ALine-S, ALine-D, naive
     agreement); useful for closed-form fixtures and externally computed
-    summaries.
+    summaries. Passing ``true_ood_perf`` turns on evaluation.
     """
-    options = options or ReportOptions()
-    id_perf = np.asarray(id_perf, dtype=np.float64)
     model_ids = list(model_ids)
-    agr_id = AgreementMatrix(model_ids=model_ids, values=np.asarray(agr_id_values),
-                             metric=metric, split_id="id")
-    agr_ood = AgreementMatrix(model_ids=model_ids, values=np.asarray(agr_ood_values),
-                              metric=metric, split_id="ood")
-    report = EstimateReport(
-        model_ids=model_ids, metric=metric, id_perf=id_perf,
-        true_ood_perf=None if true_ood_perf is None else np.asarray(true_ood_perf),
-        metadata={"metric": metric, "id_split": "id", "ood_split": "ood",
-                  "gate_threshold": options.gate_threshold,
-                  "clamp_eps": options.clamp_eps,
-                  "evaluation_mode": true_ood_perf is not None,
-                  "toolkit_version": toolkit_version})
-    inp = AlineInput(id_perf=id_perf, agr_id=agr_id, agr_ood=agr_ood,
-                     gate_threshold=options.gate_threshold, clamp_eps=options.clamp_eps)
-    for method, fn in ((METHOD_ALINE_S, aline_s), (METHOD_ALINE_D, aline_d)):
-        try:
-            out = fn(inp)
-            report.estimates[method] = out.estimates
-            report.agreement_fit = out.agreement_fit
-            report.gates[method] = out.gated
-        except ToolkitError as exc:
-            report.method_errors[method] = f"{type(exc).__name__}: {exc}"
-    try:
-        report.estimates[METHOD_NAIVE_AGREEMENT] = naive_agreement_estimate(agr_ood)
-    except ToolkitError as exc:
-        report.method_errors[METHOD_NAIVE_AGREEMENT] = f"{type(exc).__name__}: {exc}"
-    if report.true_ood_perf is not None:
-        report.mape_by_method = {m: mape(est, report.true_ood_perf)
-                                 for m, est in report.estimates.items()}
-    return report
+
+    def matrix(values, split_id):
+        return AgreementMatrix(model_ids=model_ids, values=np.asarray(values),
+                               metric=metric, split_id=split_id)
+
+    return _build(model_ids, metric, ("id", "ood"), np.asarray(id_perf, dtype=np.float64),
+                  None if true_ood_perf is None else np.asarray(true_ood_perf),
+                  matrix(agr_id_values, "id"), matrix(agr_ood_values, "ood"),
+                  ALINE_METHODS + (METHOD_NAIVE_AGREEMENT,), options or ReportOptions())
 
 
 def export_scatter(report: EstimateReport, pair: SplitPair, clamp_eps=CLAMP_EPS):
     """Rows for a Figure-style ID/OOD scatter: accuracy points, agreement
     points, fitted-line endpoints, and probit-scaled axis ticks."""
-    rows = []
-    id_perf = report.id_perf
-    ood_perf = report.true_ood_perf
-    agr_id = agreement_matrix(pair.id_logs, pair.metric)
-    agr_ood = agreement_matrix(pair.ood_logs, pair.metric)
-
-    def probit_of(v):
-        return probit(clamp_rate(v, clamp_eps))
-
-    xs = []
-    for i, mid in enumerate(report.model_ids):
-        x_raw = float(id_perf[i])
-        y_raw = float(ood_perf[i]) if ood_perf is not None else float("nan")
-        xp = probit_of(x_raw)
-        xs.append(xp)
-        yp = probit_of(y_raw) if ood_perf is not None else float("nan")
-        rows.append({"kind": "accuracy", "tag": mid, "x_raw": x_raw, "y_raw": y_raw,
-                     "x_probit": xp, "y_probit": yp})
-    for i in range(pair.n_models):
-        for j in range(i + 1, pair.n_models):
-            x_raw = agr_id.pair(i, j)
-            y_raw = agr_ood.pair(i, j)
-            xp = probit_of(x_raw)
-            xs.append(xp)
-            rows.append({"kind": "agreement",
-                         "tag": f"{report.model_ids[i]}|{report.model_ids[j]}",
-                         "x_raw": x_raw, "y_raw": y_raw,
-                         "x_probit": xp, "y_probit": probit_of(y_raw)})
-    lo, hi = min(xs), max(xs)
+    n = pair.n_models
+    ids = report.model_ids
+    i, j = np.triu_indices(n, k=1)
+    truth = report.true_ood_perf
+    x_raw = np.concatenate([report.id_perf,
+                            agreement_matrix(pair.id_logs, pair.metric).values[i, j]])
+    y_raw = np.concatenate([truth if truth is not None else np.full(n, np.nan),
+                            agreement_matrix(pair.ood_logs, pair.metric).values[i, j]])
+    x_probit = probit(clamp_rate(x_raw, clamp_eps))
+    y_probit = np.full(len(y_raw), np.nan)
+    scored = slice(0 if truth is not None else n, None)  # no y for accuracy rows when blind
+    y_probit[scored] = probit(clamp_rate(y_raw[scored], clamp_eps))
+    kinds = ["accuracy"] * n + ["agreement"] * len(i)
+    tags = list(ids) + [f"{ids[a]}|{ids[b]}" for a, b in zip(i, j)]
+    rows = [dict(zip(SCATTER_COLUMNS, values)) for values in
+            zip(kinds, tags, x_raw.tolist(), y_raw.tolist(),
+                x_probit.tolist(), y_probit.tolist())]
+    lo, hi = float(x_probit.min()), float(x_probit.max())
     for kind, fit in (("accuracy_fit", report.accuracy_fit),
                       ("agreement_fit", report.agreement_fit)):
         if fit is None:
             continue
         for tag, x in (("p0", lo), ("p1", hi)):
-            from .probit import normal_cdf
             y = fit.predict(x)
             rows.append({"kind": kind, "tag": tag,
-                         "x_raw": normal_cdf(x), "y_raw": normal_cdf(y),
+                         "x_raw": float(normal_cdf(x)), "y_raw": float(normal_cdf(y)),
                          "x_probit": x, "y_probit": y})
     for tick in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        p = probit(tick)
+        p = float(probit(tick))
         rows.append({"kind": "axis_tick", "tag": f"{tick:.1f}",
                      "x_raw": tick, "y_raw": tick, "x_probit": p, "y_probit": p})
     return rows

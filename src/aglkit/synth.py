@@ -36,7 +36,7 @@ from .datamodel import (
     save_manifest,
 )
 from .errors import InvalidConfig
-from .probit import normal_cdf
+from .probit import normal_cdf, probit
 
 _CONF_FLOOR_MARGIN = 1e-6
 _CONF_CEIL = 1.0 - 1e-12
@@ -172,11 +172,9 @@ def _generate_split(config: SynthConfig, rng: np.random.Generator,
 
 def truth_for(config: SynthConfig) -> SynthTruth:
     skills = config.skills
-    return SynthTruth(
-        true_id_acc=np.array([normal_cdf(s) for s in skills]),
-        true_ood_acc=np.array([normal_cdf(config.line_slope * s + config.line_bias)
-                               for s in skills]),
-        config=config)
+    return SynthTruth(true_id_acc=normal_cdf(skills),
+                      true_ood_acc=normal_cdf(config.line_slope * skills + config.line_bias),
+                      config=config)
 
 
 def generate(config: SynthConfig):
@@ -244,7 +242,6 @@ def exact_agl_inputs(config: SynthConfig):
     probit space, so accuracy and agreement share the exact slope/bias.
     Returns (id_acc, agr_id, agr_ood, true_ood_acc) with plain matrices.
     """
-    from .probit import probit as _probit
     config.validate()
     n = config.n_models
     truth = truth_for(config)
@@ -254,10 +251,10 @@ def exact_agl_inputs(config: SynthConfig):
     for i in range(n):
         for j in range(i + 1, n):
             g = closed_form_agreement(config, i, j, "id")
-            g_ood = normal_cdf(a * _probit(g) + b)
+            g_ood = normal_cdf(a * probit(g) + b)
             agr_id[i, j] = agr_id[j, i] = g
             agr_ood[i, j] = agr_ood[j, i] = g_ood
-    true_ood = np.array([normal_cdf(a * _probit(p) + b) for p in truth.true_id_acc])
+    true_ood = normal_cdf(a * probit(truth.true_id_acc) + b)
     return truth.true_id_acc, agr_id, agr_ood, true_ood
 
 

@@ -37,7 +37,7 @@ from aglkit.metrics import (
     exact_match,
     span_f1,
 )
-from aglkit.probit import LineFit, ProbitPoint, fit_line, normal_cdf, probit
+from aglkit.probit import LineFit, fit_line, normal_cdf, probit
 from aglkit.report import build_report_from_matrices, mape
 from aglkit.synth import (
     SynthConfig,
@@ -165,8 +165,7 @@ def _ensemble_lines_and_mapes(diversity, seed):
     agr_id = agreement_matrix(id_logs, METRIC_ACCURACY)
     agr_ood = agreement_matrix(ood_logs, METRIC_ACCURACY)
     inp = AlineInput(id_perf=id_acc, agr_id=agr_id, agr_ood=agr_ood)
-    acc_fit = fit_line([ProbitPoint(probit(x), probit(y), ("acc", i))
-                        for i, (x, y) in enumerate(zip(id_acc, ood_acc))])
+    acc_fit = fit_line(probit(id_acc), probit(ood_acc))
     agr_fit = agreement_line(inp)
     mape_d = mape(aline_d(inp).estimates, ood_acc)
     mape_naive = mape(naive_agreement_estimate(agr_ood), ood_acc)

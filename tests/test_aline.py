@@ -8,9 +8,9 @@ from aglkit.aline import (
     aline_s,
     gate,
 )
-from aglkit.errors import InsufficientModels, RankDeficient
+from aglkit.errors import InsufficientModels
 from aglkit.metrics import AgreementMatrix
-from aglkit.probit import LineFit, ProbitPoint, fit_line, normal_cdf, probit
+from aglkit.probit import LineFit, fit_line, normal_cdf, probit
 from aglkit.synth import SynthConfig, exact_agl_inputs
 
 
@@ -42,13 +42,12 @@ def test_agreement_line_matches_manual_extraction(rng):
     for _ in range(10):
         inp = _random_input(rng, n=5, noise=0.1)
         fit = agreement_line(inp)
-        pts = []
+        xs, ys = [], []
         for i in range(5):
             for j in range(i + 1, 5):
-                pts.append(ProbitPoint(probit(inp.agr_id.pair(i, j)),
-                                       probit(inp.agr_ood.pair(i, j)),
-                                       ("manual", i, j)))
-        manual = fit_line(pts)
+                xs.append(probit(inp.agr_id.pair(i, j)))
+                ys.append(probit(inp.agr_ood.pair(i, j)))
+        manual = fit_line(xs, ys)
         assert fit.slope == pytest.approx(manual.slope, abs=1e-12)
         assert fit.bias == pytest.approx(manual.bias, abs=1e-12)
         assert fit.n_points == 10
@@ -213,16 +212,20 @@ def test_estimates_bounded(rng):
         assert np.all((est >= 0.0) & (est <= 1.0))
 
 
-def test_rank_deficient_solver_reported():
-    from aglkit.aline import _solve_least_squares
-    A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    with pytest.raises(RankDeficient):
-        _solve_least_squares(A, np.array([1.0, 2.0, 2.5]))
-
-
-def test_solver_matches_lstsq_on_full_rank(rng):
-    from aglkit.aline import _solve_least_squares
-    A = rng.normal(size=(10, 4))
-    b = rng.normal(size=10)
-    expected, *_ = np.linalg.lstsq(A, b, rcond=None)
-    np.testing.assert_allclose(_solve_least_squares(A, b), expected, atol=1e-10)
+@pytest.mark.parametrize("n", [3, 4, 7, 30])
+def test_aline_d_matches_lstsq_on_pair_design(rng, n):
+    """The closed-form solve equals lstsq on the dense pair design matrix."""
+    inp = _random_input(rng, n=n, noise=0.1)
+    fit = agreement_line(inp)
+    idp = probit(inp.id_perf)
+    A, rhs = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeff = np.zeros(n)
+            coeff[i] = coeff[j] = 0.5
+            A.append(coeff)
+            rhs.append(probit(inp.agr_ood.pair(i, j))
+                       + fit.slope * ((idp[i] + idp[j]) / 2
+                                      - probit(inp.agr_id.pair(i, j))))
+    expected, *_ = np.linalg.lstsq(np.array(A), np.array(rhs), rcond=None)
+    np.testing.assert_allclose(probit(aline_d(inp).estimates), expected, atol=1e-12)

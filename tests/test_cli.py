@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -71,6 +72,36 @@ def test_validate_empty_manifest(tmp_path):
     path.write_text(json.dumps({"version": "1", "task": "classification",
                                 "metric": "accuracy", "entries": []}))
     assert main(["validate", "--manifest", str(path)]) == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("entries", [
+    [{"split_id": "id", "path": "m.jsonl"}],
+    [{"model_id": "m0", "path": "m.jsonl"}],
+    [{"model_id": "m0", "split_id": "id"}],
+    ["m.jsonl"],
+    5,
+])
+def test_validate_malformed_manifest_entries(tmp_path, capsys, entries):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"version": "1", "task": "classification",
+                                "metric": "accuracy", "entries": entries}))
+    assert main(["validate", "--manifest", str(path)]) == EXIT_INPUT_ERROR
+    assert "malformed record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, shift", [(math.nan, 0), (math.inf, 0), (-math.inf, 1)])
+def test_validate_rejects_non_finite_logits(tmp_path, capsys, value, shift):
+    """NaN or +inf at the predicted class (argmax unchanged) and -inf at
+    another class are rejected, not passed on to the estimators."""
+    out = _synth(tmp_path)
+    target = out / "ood" / "m01.jsonl"
+    lines = target.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["logits"][(rec["predicted"] + shift) % len(rec["logits"])] = value
+    lines[3] = json.dumps(rec, sort_keys=True)
+    target.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--manifest", str(out / "manifest.json")]) == EXIT_INPUT_ERROR
+    assert "example 2: non-finite logit" in capsys.readouterr().err
 
 
 def test_estimate_happy_path(tmp_path):

@@ -167,6 +167,47 @@ def test_load_log_missing_key(tmp_path):
         load_log(path)
 
 
+def _qa_record(**overrides):
+    rec = {"n_tokens": 2, "start_logits": [1.0, 0.0], "end_logits": [0.0, 1.0],
+           "gold_start": 0, "gold_end": 1, "pred_start": 0, "pred_end": 1}
+    rec.update(overrides)
+    return rec
+
+
+@pytest.mark.parametrize("header, record, line_number", [
+    ({"n_classes": 2}, {"gold": "x", "predicted": 1}, 2),
+    ({"n_classes": 2}, {"gold": 0, "predicted": None}, 2),
+    ({"n_classes": "two"}, {"gold": 0, "predicted": 1}, 1),
+    ({"n_classes": 2}, {"gold": 0, "predicted": 1, "logits": [0.5, "x"]}, 2),
+    ({"n_classes": 2}, {"gold": 0, "predicted": 1, "logits": 0.5}, 2),
+    (None, _qa_record(n_tokens="x"), 2),
+    (None, _qa_record(start_logits=["a", "b"]), 2),
+    (None, _qa_record(end_logits=1.0), 2),
+])
+def test_load_log_bad_field_type_reports_position(tmp_path, header, record, line_number):
+    head = {"model_id": "m", "split_id": "s"}
+    if header is None:
+        head["task"] = "extractive_qa"
+    else:
+        head.update(task="classification", **header)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(head) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        load_log(path)
+    assert exc.value.line_number == line_number
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_span_logits(rng, value):
+    log = make_span_log([(1, 3), (0, 2)], [(0, 2), (0, 2)], n_tokens=5, rng=rng)
+    ex = log.examples[1]
+    # at the predicted index NaN and +inf keep the argmax; -inf goes elsewhere
+    ex.end_logits[ex.pred_end if value != -np.inf else 4] = value
+    with pytest.raises(RangeViolation) as exc:
+        validate_log(log)
+    assert exc.value.example_index == 1
+
+
 def _write_pair_tree(tmp_path, rng, n_models=3, n=25, k=3):
     gold_id = rng.integers(0, k, n)
     gold_ood = rng.integers(0, k, n)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from aglkit.errors import DegenerateFit, DomainError
 from aglkit.probit import (
-    ProbitPoint,
     clamp_rate,
     fit_line,
     normal_cdf,
@@ -92,6 +91,15 @@ def test_probit_nan_rejected():
         probit(1.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.25, 1.5])
+def test_array_with_one_bad_element_rejected(bad):
+    rates = np.array([0.2, 0.5, bad, 0.9])
+    with pytest.raises(DomainError):
+        probit(rates)
+    with pytest.raises(DomainError):
+        clamp_rate(rates)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6),
        st.floats(min_value=1e-6, max_value=1 - 1e-6))
@@ -112,13 +120,9 @@ def test_clamp_rate():
         clamp_rate(1.1)
 
 
-def _pts(xs, ys):
-    return [ProbitPoint(x, y, ("t", i)) for i, (x, y) in enumerate(zip(xs, ys))]
-
-
 def test_fit_line_collinear():
     xs = np.linspace(-2, 2, 9)
-    fit = fit_line(_pts(xs, 0.7 * xs - 0.3))
+    fit = fit_line(xs, 0.7 * xs - 0.3)
     assert fit.slope == pytest.approx(0.7, abs=1e-12)
     assert fit.bias == pytest.approx(-0.3, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -127,15 +131,26 @@ def test_fit_line_collinear():
 
 def test_fit_line_degenerate():
     with pytest.raises(DegenerateFit):
-        fit_line(_pts([1.0], [2.0]))
+        fit_line([1.0], [2.0])
     with pytest.raises(DegenerateFit):
-        fit_line(_pts([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]))
+        fit_line([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
 
 def test_fit_line_constant_y():
-    fit = fit_line(_pts([0.0, 1.0, 2.0], [0.5, 0.5, 0.5]))
+    fit = fit_line([0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
     assert fit.slope == 0.0
     assert not fit.r_squared_defined
+
+
+@pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3, -2.2])
+def test_fit_line_constant_at_inexact_values(value):
+    """A rounded mean sits a few ulps off a constant that is not an exact
+    binary fraction; zero variance must still be seen."""
+    const = np.full(7, value)
+    spread = np.linspace(-1.0, 1.0, 7)
+    with pytest.raises(DegenerateFit):
+        fit_line(const, spread)
+    assert not fit_line(spread, const).r_squared_defined
 
 
 def _normal_equations_oracle(xs, ys):
@@ -155,7 +170,7 @@ def test_fit_line_matches_normal_equations(rng):
     for _ in range(20):
         xs = rng.normal(size=20)
         ys = 0.8 * xs + 0.1 + 0.3 * rng.normal(size=20)
-        fit = fit_line(_pts(xs, ys))
+        fit = fit_line(xs, ys)
         slope, bias = _normal_equations_oracle(xs, ys)
         assert fit.slope == pytest.approx(slope, abs=1e-10)
         assert fit.bias == pytest.approx(bias, abs=1e-10)
@@ -164,9 +179,9 @@ def test_fit_line_matches_normal_equations(rng):
 def test_fit_line_affine_equivariance(rng):
     xs = rng.normal(size=25)
     ys = 0.5 * xs - 0.2 + 0.1 * rng.normal(size=25)
-    base = fit_line(_pts(xs, ys))
+    base = fit_line(xs, ys)
     c, d = 1.7, -0.9
-    mapped = fit_line(_pts(xs, c * ys + d))
+    mapped = fit_line(xs, c * ys + d)
     assert mapped.slope == pytest.approx(c * base.slope, abs=1e-9)
     assert mapped.bias == pytest.approx(c * base.bias + d, abs=1e-9)
     assert mapped.r_squared == pytest.approx(base.r_squared, abs=1e-9)
@@ -175,14 +190,14 @@ def test_fit_line_affine_equivariance(rng):
 def test_r_squared_invariant_under_positive_affine_maps(rng):
     xs = rng.normal(size=30)
     ys = -0.4 * xs + 0.6 * rng.normal(size=30)
-    base = fit_line(_pts(xs, ys)).r_squared
-    assert fit_line(_pts(2.5 * xs + 3.0, ys)).r_squared == pytest.approx(base, abs=1e-9)
-    assert fit_line(_pts(xs, 0.3 * ys - 7.0)).r_squared == pytest.approx(base, abs=1e-9)
+    base = fit_line(xs, ys).r_squared
+    assert fit_line(2.5 * xs + 3.0, ys).r_squared == pytest.approx(base, abs=1e-9)
+    assert fit_line(xs, 0.3 * ys - 7.0).r_squared == pytest.approx(base, abs=1e-9)
 
 
 def test_r_squared_matches_definition(rng):
     xs = rng.normal(size=15)
     ys = 0.9 * xs + 0.4 * rng.normal(size=15)
-    fit = fit_line(_pts(xs, ys))
+    fit = fit_line(xs, ys)
     total_ss = float(np.sum((ys - ys.mean()) ** 2))
     assert fit.r_squared == pytest.approx(1.0 - fit.residual_ss / total_ss, abs=1e-9)
