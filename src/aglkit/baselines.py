@@ -1,9 +1,16 @@
 """Confidence and agreement baselines: AC, ATC, DOC-Feat, naive agreement.
 
-Temperature scaling multiplies logits by exp(t); t is found by a grid
-pre-scan plus golden-section refinement of the mean cross-entropy on the
-ID split. The QA objective over start/end index pairs separates into two
-independent 1-D problems, solved with the same routine.
+Temperature scaling multiplies logits by beta = exp(t); t minimises the
+mean cross-entropy (CE) on the ID split inside ``TEMP_BOX``. With
+d = logits - rowmax, taken once per fit, the CE is convex in beta with
+exact derivatives mean(E_p[d] - d_gold) and mean(Var_p[d]). The fit
+returns a box edge when the derivative there points out of the box (so a
+CE that underflows to a flat tail goes to the upper edge); otherwise
+safeguarded Newton steps in t alternate with bisection until the bracket
+is narrower than ``TEMP_TOL``. QA start and end coordinates are fitted
+separately on the log's -inf padded logit matrices. A report fits one
+temperature per ID log and shares it with AC, ATC and DOC-Feat
+(``confidence_scores``).
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import ClassificationLog, SpanLog
+from .datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, ClassificationLog, SpanLog
 from .errors import EmptyLog, InsufficientModels, MissingLogits
-from .metrics import AgreementMatrix, accuracy
+from .metrics import AgreementMatrix, performance
 
 METHOD_AC = "ac"
 METHOD_ATC = "atc"
@@ -24,8 +31,6 @@ METHOD_NAIVE_AGREEMENT = "naive_agreement"
 
 TEMP_BOX = (-5.0, 5.0)
 TEMP_TOL = 1e-6
-_GRID_POINTS = 201
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,15 @@ class BaselineComparison:
     used_temperature: bool = False
 
 
+@dataclass(frozen=True)
+class ConfidenceScores:
+    """One model's ID accuracy and (ID, OOD) confidences, raw and scaled by
+    the temperature fitted on its ID log."""
+    id_accuracy: float
+    raw: tuple[np.ndarray, np.ndarray]
+    scaled: tuple[np.ndarray, np.ndarray]
+
+
 def _require_logits(log):
     if isinstance(log, ClassificationLog):
         if log.logits is None:
@@ -57,141 +71,147 @@ def _require_logits(log):
         raise MissingLogits(f"unsupported log type {type(log)!r}")
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - np.max(row)
-    return shifted - math.log(np.sum(np.exp(shifted)))
-
-
 def _mean_ce(logits: np.ndarray, golds: np.ndarray, t: float) -> float:
+    """The objective: mean CE of softmax(exp(t) * logits) against ``golds``."""
     scaled = logits * math.exp(t)
     shifted = scaled - scaled.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     return float(np.mean(lse - shifted[np.arange(len(golds)), golds]))
 
 
-def _minimize_scalar(objective, lo=TEMP_BOX[0], hi=TEMP_BOX[1], tol=TEMP_TOL) -> float:
-    """Grid pre-scan then golden-section refinement inside the best cell."""
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    vals = np.array([objective(t) for t in grid])
-    # ties broken toward larger t: an objective that is strictly decreasing
-    # in exact arithmetic can underflow to a flat zero tail in floats
-    best = int(len(vals) - 1 - np.argmin(vals[::-1]))
-    a = grid[max(0, best - 1)]
-    b = grid[min(_GRID_POINTS - 1, best + 1)]
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = objective(c)
+def _fit_coordinate(logits: np.ndarray, golds: np.ndarray) -> float:
+    """The t in ``TEMP_BOX`` minimising ``_mean_ce``; -inf entries are padding."""
+    d = logits - logits.max(axis=1, keepdims=True)
+    d_fin = np.where(np.isfinite(d), d, 0.0)  # d * e^(beta d) is NaN on the padding
+    mean_gold = float(np.mean(d_fin[np.arange(len(golds)), golds]))
+
+    def slope(t):
+        """dCE/dbeta at beta = e^t, and its derivative in t."""
+        beta = math.exp(t)
+        w = np.exp(beta * d)
+        z = w.sum(axis=1)
+        wd = w * d_fin
+        m1 = wd.sum(axis=1) / z
+        m2 = (wd * d_fin).sum(axis=1) / z
+        return float(np.mean(m1)) - mean_gold, beta * float(np.mean(m2 - m1 * m1))
+
+    lo, hi = TEMP_BOX
+    # dCE/dbeta rises with t, so its sign at an edge says whether the minimum is inside
+    if slope(hi)[0] <= 0.0:
+        return hi
+    if slope(lo)[0] >= 0.0:
+        return lo
+    t = 0.5 * (lo + hi)
+    step = older = hi - lo  # the last two moves of t
+    while True:
+        g, dg = slope(t)
+        if g == 0.0:
+            return t
+        if g < 0.0:
+            lo = t
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = objective(d)
-    return (a + b) / 2.0
+            hi = t
+        newton = t - g / dg if dg > 0.0 else math.nan  # NaN fails every comparison
+        if hi - lo < TEMP_TOL:
+            return newton if lo < newton < hi else 0.5 * (lo + hi)
+        # Newton must stay in the bracket and at least halve the move before last
+        if not (lo < newton < hi and abs(newton - t) <= 0.5 * older):
+            t, step, older = 0.5 * (lo + hi), 0.5 * (hi - lo), step  # bisect
+        elif abs(newton - t) < 0.5 * TEMP_TOL:
+            # Newton nears the root from one side: step just past it to close
+            # the other end of the bracket, and bisect next if that fails
+            t, step, older = newton - math.copysign(0.5 * TEMP_TOL, g), 0.0, 0.0
+        else:
+            t, step, older = newton, abs(newton - t), step
 
 
 def fit_temperature_classification(log: ClassificationLog) -> Temperature:
     _require_logits(log)
     if len(log) == 0:
         raise EmptyLog("cannot calibrate an empty log")
-    t = _minimize_scalar(lambda t: _mean_ce(log.logits, log.gold, t))
-    return Temperature(t=t)
-
-
-def _padded_coordinate(log: SpanLog, which: str):
-    """Stack variable-length logit vectors into a -inf padded matrix.
-
-    Padding survives positive scaling and contributes exp(-inf) = 0 to
-    the softmax normalizer, so _mean_ce works unchanged.
-    """
-    width = max(ex.n_tokens for ex in log.examples)
-    mat = np.full((len(log.examples), width), -np.inf)
-    gold = np.empty(len(log.examples), dtype=np.int64)
-    for i, ex in enumerate(log.examples):
-        if which == "start":
-            mat[i, :ex.n_tokens] = ex.start_logits
-            gold[i] = ex.gold_start
-        else:
-            mat[i, :ex.n_tokens] = ex.end_logits
-            gold[i] = ex.gold_end
-    return mat, gold
+    return Temperature(t=_fit_coordinate(log.logits, log.gold))
 
 
 def fit_temperature_qa(log: SpanLog) -> Temperature:
     """Joint start/end calibration; the pair CE separates per coordinate."""
     if len(log) == 0:
         raise EmptyLog("cannot calibrate an empty log")
-    s_mat, s_gold = _padded_coordinate(log, "start")
-    e_mat, e_gold = _padded_coordinate(log, "end")
-    t_s = _minimize_scalar(lambda t: _mean_ce(s_mat, s_gold, t))
-    t_e = _minimize_scalar(lambda t: _mean_ce(e_mat, e_gold, t))
-    return Temperature(t=t_s, t_end=t_e)
+    start, end = log.padded_logits
+    gold_start = np.array([ex.gold_start for ex in log.examples], dtype=np.int64)
+    gold_end = np.array([ex.gold_end for ex in log.examples], dtype=np.int64)
+    return Temperature(t=_fit_coordinate(start, gold_start),
+                       t_end=_fit_coordinate(end, gold_end))
+
+
+def _max_prob(logits: np.ndarray, t: float) -> np.ndarray:
+    """Row-wise largest softmax probability of exp(t) * logits."""
+    scaled = logits * math.exp(t)
+    return 1.0 / np.exp(scaled - scaled.max(axis=1, keepdims=True)).sum(axis=1)
 
 
 def confidence(log, temperature: Temperature | None = None) -> np.ndarray:
     """Per-example max probability (classification) or max pair probability (QA)."""
     _require_logits(log)
+    t = temperature.t if temperature is not None else 0.0
     if isinstance(log, ClassificationLog):
-        t = temperature.t if temperature is not None else 0.0
-        scaled = log.logits * math.exp(t)
-        shifted = scaled - scaled.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return probs.max(axis=1)
-    t_s = temperature.t if temperature is not None else 0.0
-    t_e = temperature.t_end if (temperature is not None and temperature.is_qa) else t_s
-    out = np.empty(len(log.examples))
-    for idx, ex in enumerate(log.examples):
-        # max over all (i, j) pairs of p_start[i] * p_end[j] factorizes
-        p_s = np.exp(_log_softmax(ex.start_logits * math.exp(t_s)))
-        p_e = np.exp(_log_softmax(ex.end_logits * math.exp(t_e)))
-        out[idx] = float(p_s.max() * p_e.max())
-    return out
-
-
-def _qa_exact_correct(log: SpanLog) -> np.ndarray:
-    return np.array([1.0 if (ex.pred_start == ex.gold_start and ex.pred_end == ex.gold_end)
-                     else 0.0 for ex in log.examples])
+        return _max_prob(log.logits, t)
+    t_end = temperature.t_end if (temperature is not None and temperature.is_qa) else t
+    start, end = log.padded_logits
+    # max over all (i, j) pairs of p_start[i] * p_end[j] factorizes
+    return _max_prob(start, t) * _max_prob(end, t_end)
 
 
 def _id_accuracy(log) -> float:
     # Baselines estimate the exact-match rate for QA logs.
-    if isinstance(log, ClassificationLog):
-        return accuracy(log)
-    return float(np.mean(_qa_exact_correct(log)))
+    return performance(log, METRIC_ACCURACY if isinstance(log, ClassificationLog)
+                       else METRIC_EXACT_MATCH)
 
 
-def ac_estimate(ood_log, temperature: Temperature | None = None) -> float:
-    """Average confidence on the OOD split."""
-    return float(np.mean(confidence(ood_log, temperature)))
-
-
-def atc_threshold(id_log, temperature: Temperature | None = None) -> float:
-    """Threshold whose ID coverage reproduces the ID accuracy."""
-    conf = np.sort(confidence(id_log, temperature))
+def _atc_threshold(id_accuracy: float, id_conf: np.ndarray) -> float:
+    conf = np.sort(id_conf)
     n = len(conf)
-    n_errors = n - int(round(_id_accuracy(id_log) * n))
+    n_errors = n - int(round(id_accuracy * n))
     if n_errors >= n:
         return math.inf
     return float(conf[n_errors])
 
 
+def _ac(id_accuracy, id_conf, ood_conf) -> float:
+    return float(np.mean(ood_conf))
+
+
+def _atc(id_accuracy, id_conf, ood_conf) -> float:
+    return float(np.mean(ood_conf >= _atc_threshold(id_accuracy, id_conf)))
+
+
+def _doc_feat(id_accuracy, id_conf, ood_conf) -> float:
+    est = id_accuracy - (float(np.mean(id_conf)) - float(np.mean(ood_conf)))
+    return min(1.0, max(0.0, est))
+
+
+_SCORE_METHODS = {METHOD_AC: _ac, METHOD_ATC: _atc, METHOD_DOC_FEAT: _doc_feat}
+
+
+def ac_estimate(ood_log, temperature: Temperature | None = None) -> float:
+    """Average confidence on the OOD split."""
+    return _ac(None, None, confidence(ood_log, temperature))
+
+
+def atc_threshold(id_log, temperature: Temperature | None = None) -> float:
+    """Threshold whose ID coverage reproduces the ID accuracy."""
+    return _atc_threshold(_id_accuracy(id_log), confidence(id_log, temperature))
+
+
 def atc_estimate(id_log, ood_log, temperature: Temperature | None = None) -> float:
     """Fraction of OOD examples whose confidence clears the ID-fit threshold."""
-    tau = atc_threshold(id_log, temperature)
-    ood_conf = confidence(ood_log, temperature)
-    return float(np.mean(ood_conf >= tau))
+    return _atc(_id_accuracy(id_log), confidence(id_log, temperature),
+                confidence(ood_log, temperature))
 
 
 def doc_feat_estimate(id_log, ood_log, temperature: Temperature | None = None) -> float:
     """ID accuracy shifted by the drop in mean confidence, clamped to [0, 1]."""
-    mean_id = float(np.mean(confidence(id_log, temperature)))
-    mean_ood = float(np.mean(confidence(ood_log, temperature)))
-    est = _id_accuracy(id_log) - (mean_id - mean_ood)
-    return min(1.0, max(0.0, est))
+    return _doc_feat(_id_accuracy(id_log), confidence(id_log, temperature),
+                     confidence(ood_log, temperature))
 
 
 def naive_agreement_estimate(agr_ood: AgreementMatrix) -> np.ndarray:
@@ -205,31 +225,35 @@ def naive_agreement_estimate(agr_ood: AgreementMatrix) -> np.ndarray:
     return out
 
 
-_SCALAR_METHODS = {
-    METHOD_AC: lambda id_log, ood_log, temp: ac_estimate(ood_log, temp),
-    METHOD_ATC: lambda id_log, ood_log, temp: atc_estimate(id_log, ood_log, temp),
-    METHOD_DOC_FEAT: lambda id_log, ood_log, temp: doc_feat_estimate(id_log, ood_log, temp),
-}
-
-
 def fit_temperature(id_log) -> Temperature:
     if isinstance(id_log, ClassificationLog):
         return fit_temperature_classification(id_log)
     return fit_temperature_qa(id_log)
 
 
+def confidence_scores(id_log, ood_log) -> ConfidenceScores:
+    """Fit the ID log's temperature once; score both splits raw and scaled."""
+    raw = (confidence(id_log), confidence(ood_log))
+    temp = fit_temperature(id_log)
+    return ConfidenceScores(id_accuracy=_id_accuracy(id_log), raw=raw,
+                            scaled=(confidence(id_log, temp), confidence(ood_log, temp)))
+
+
 def with_and_without_temperature(method: str, id_log, ood_log,
-                                 ood_truth: float | None = None) -> BaselineComparison:
+                                 ood_truth: float | None = None,
+                                 scores: ConfidenceScores | None = None) -> BaselineComparison:
     """Run one confidence baseline raw and temperature-scaled.
 
-    With an OOD truth value (evaluation mode) the closer variant is
-    selected, preferring the raw one on ties; otherwise both variants are
-    reported unselected.
+    ``scores`` are the pair's ``confidence_scores`` when the caller already
+    has them (they are computed otherwise). With an OOD truth value
+    (evaluation mode) the closer variant is selected, preferring the raw
+    one on ties; otherwise both variants are reported unselected.
     """
-    fn = _SCALAR_METHODS[method]
-    raw = fn(id_log, ood_log, None)
-    temp = fit_temperature(id_log)
-    scaled = fn(id_log, ood_log, temp)
+    if scores is None:
+        scores = confidence_scores(id_log, ood_log)
+    fn = _SCORE_METHODS[method]
+    raw = fn(scores.id_accuracy, *scores.raw)
+    scaled = fn(scores.id_accuracy, *scores.scaled)
     cmp = BaselineComparison(method=method, raw=raw, temp_scaled=scaled)
     if ood_truth is not None:
         if abs(scaled - ood_truth) < abs(raw - ood_truth):

@@ -64,7 +64,7 @@ def cmd_estimate(args) -> int:
     if args.scatter:
         scatter_path = os.path.join(args.out, "scatter.csv")
         with open(scatter_path, "w") as fh:
-            fh.write(scatter_to_csv(export_scatter(report, pair, args.clamp_eps)))
+            fh.write(scatter_to_csv(export_scatter(report, args.clamp_eps)))
         print(f"wrote {scatter_path}")
     if len(report.method_errors) == len(methods):
         for method, msg in report.method_errors.items():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,29 @@ class SpanLog:
     def has_logits(self) -> bool:
         return True
 
+    @cached_property
+    def padded_logits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end logits as two (n_examples, longest vector) matrices.
+
+        Short rows are padded with -inf, which survives positive scaling
+        and gets softmax weight exp(-inf) = 0. From the first use on, each
+        example's logit vectors are views into these rows, so the log holds
+        one copy of its logits; examples must not be replaced after that.
+        """
+        start = _pad_rows([ex.start_logits for ex in self.examples])
+        end = _pad_rows([ex.end_logits for ex in self.examples])
+        for i, ex in enumerate(self.examples):
+            ex.start_logits = start[i, :len(ex.start_logits)]
+            ex.end_logits = end[i, :len(ex.end_logits)]
+        return start, end
+
+
+def _pad_rows(vectors) -> np.ndarray:
+    mat = np.full((len(vectors), max(map(len, vectors), default=1)), -np.inf)
+    for row, vec in zip(mat, vectors):
+        row[:len(vec)] = vec
+    return mat
+
 
 @dataclass
 class SplitPair:
@@ -145,22 +169,23 @@ def validate_log(log) -> None:
         n = len(log.gold)
         if len(log.predicted) != n:
             raise LengthViolation(-1, "gold/predicted length mismatch")
-        for i in range(n):
-            g = int(log.gold[i])
-            p = int(log.predicted[i])
-            if not 0 <= g < k:
-                raise RangeViolation(i, f"gold {g} not in [0, {k})")
-            if not 0 <= p < k:
-                raise RangeViolation(i, f"predicted {p} not in [0, {k})")
+        bad_gold = (log.gold < 0) | (log.gold >= k)
+        bad = bad_gold | (log.predicted < 0) | (log.predicted >= k)
+        if bad.any():
+            i = int(np.argmax(bad))
+            name, value = (("gold", log.gold[i]) if bad_gold[i]
+                           else ("predicted", log.predicted[i]))
+            raise RangeViolation(i, f"{name} {value} not in [0, {k})")
         if log.logits is not None:
             if log.logits.shape != (n, k):
                 raise LengthViolation(-1, f"logits shape {log.logits.shape} != ({n}, {k})")
             finite = np.isfinite(log.logits).all(axis=1)
             if not finite.all():
                 raise RangeViolation(int(np.argmin(finite)), "non-finite logit")
-            for i in range(n):
-                if argmax_lowest(log.logits[i]) != int(log.predicted[i]):
-                    raise ArgmaxMismatch(i)
+            # np.argmax breaks ties to the lowest index, as argmax_lowest does
+            mismatch = np.argmax(log.logits, axis=1) != log.predicted
+            if mismatch.any():
+                raise ArgmaxMismatch(int(np.argmax(mismatch)))
     elif isinstance(log, SpanLog):
         for i, ex in enumerate(log.examples):
             n_tok = ex.n_tokens
@@ -233,6 +258,20 @@ def _require(obj, key, path, lineno, convert=None):
         raise MalformedRecord(path, lineno, f"bad {key!r}: {exc}") from exc
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _int64(value) -> int:
+    """A JSON number with an integral value that fits in int64 (2.0 passes, 1.9 does not)."""
+    if type(value) is not int:  # exact type: bools are ints too
+        if not (type(value) is float and value.is_integer()):
+            raise ValueError(f"{value!r} is not an integer")
+        value = int(value)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise OverflowError(f"{value} does not fit in int64")
+    return value
+
+
 def _float_vector(value) -> np.ndarray:
     vec = np.array(value, dtype=np.float64)
     if vec.ndim != 1:
@@ -253,13 +292,13 @@ def load_log(path, validate: bool = True):
     model_id = _require(header, "model_id", path, 1)
     split_id = _require(header, "split_id", path, 1)
     if task == TASK_CLASSIFICATION:
-        k = _require(header, "n_classes", path, 1, int)
+        k = _require(header, "n_classes", path, 1, _int64)
         golds, preds, logit_rows = [], [], []
         any_logits = None
         for lineno, line in enumerate(raw_lines[1:], start=2):
             rec = _parse_json_line(path, lineno, line)
-            golds.append(_require(rec, "gold", path, lineno, int))
-            preds.append(_require(rec, "predicted", path, lineno, int))
+            golds.append(_require(rec, "gold", path, lineno, _int64))
+            preds.append(_require(rec, "predicted", path, lineno, _int64))
             has = "logits" in rec
             if any_logits is None:
                 any_logits = has
@@ -282,14 +321,17 @@ def load_log(path, validate: bool = True):
         for lineno, line in enumerate(raw_lines[1:], start=2):
             rec = _parse_json_line(path, lineno, line)
             examples.append(SpanExample(
-                n_tokens=_require(rec, "n_tokens", path, lineno, int),
+                n_tokens=_require(rec, "n_tokens", path, lineno, _int64),
                 start_logits=_require(rec, "start_logits", path, lineno, _float_vector),
                 end_logits=_require(rec, "end_logits", path, lineno, _float_vector),
-                gold_start=_require(rec, "gold_start", path, lineno, int),
-                gold_end=_require(rec, "gold_end", path, lineno, int),
-                pred_start=_require(rec, "pred_start", path, lineno, int),
-                pred_end=_require(rec, "pred_end", path, lineno, int)))
+                gold_start=_require(rec, "gold_start", path, lineno, _int64),
+                gold_end=_require(rec, "gold_end", path, lineno, _int64),
+                pred_start=_require(rec, "pred_start", path, lineno, _int64),
+                pred_end=_require(rec, "pred_end", path, lineno, _int64)))
         log = SpanLog(model_id=model_id, split_id=split_id, examples=examples)
+        # build now: the next log's parse then reuses the per-example vectors
+        # this frees, which keeps peak memory at one copy of the logits
+        log.padded_logits
     else:
         raise MalformedRecord(path, 1, f"unknown task {task!r}")
     if validate:
@@ -335,6 +377,9 @@ def read_manifest(path) -> Manifest:
     for k, e in enumerate(doc["entries"]):
         if not (isinstance(e, dict) and {"model_id", "split_id", "path"} <= e.keys()):
             raise MalformedRecord(path, 1, f"entry {k} needs model_id, split_id and path")
+        for key in ("model_id", "split_id", "path"):
+            if not isinstance(e[key], str):
+                raise MalformedRecord(path, 1, f"entry {k}: {key} must be a string")
         entry = ManifestEntry(model_id=e["model_id"], split_id=e["split_id"], path=e["path"])
         key = (entry.model_id, entry.split_id)
         if key in seen:

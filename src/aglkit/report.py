@@ -23,6 +23,7 @@ from .baselines import (
     METHOD_ATC,
     METHOD_DOC_FEAT,
     METHOD_NAIVE_AGREEMENT,
+    confidence_scores,
     naive_agreement_estimate,
     with_and_without_temperature,
 )
@@ -62,6 +63,8 @@ class EstimateReport:
     metric: str
     id_perf: np.ndarray
     true_ood_perf: np.ndarray | None
+    agr_id: AgreementMatrix  # kept for export_scatter, not serialized
+    agr_ood: AgreementMatrix
     # method -> per-model estimate vector, or {"raw": v, "temp_scaled": v}
     estimates: dict = field(default_factory=dict)
     used_temperature: dict = field(default_factory=dict)
@@ -110,9 +113,10 @@ class EstimateReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _confidence_estimates(report: EstimateReport, method: str, pair: SplitPair):
-    """Raw and temperature-scaled estimates per model; with OOD truth, the
-    variant closer to it is kept and its choice recorded."""
+def _confidence_estimates(report: EstimateReport, method: str, pair: SplitPair, scores):
+    """Raw and temperature-scaled estimates per model from its
+    ``confidence_scores``; with OOD truth, the variant closer to it is kept
+    and its choice recorded."""
     n = pair.n_models
     truth = report.true_ood_perf
     raw = np.empty(n)
@@ -121,7 +125,8 @@ def _confidence_estimates(report: EstimateReport, method: str, pair: SplitPair):
     used = []
     for i in range(n):
         truth_i = float(truth[i]) if truth is not None else None
-        cmp = with_and_without_temperature(method, pair.id_logs[i], pair.ood_logs[i], truth_i)
+        cmp = with_and_without_temperature(method, pair.id_logs[i], pair.ood_logs[i], truth_i,
+                                           scores[i])
         raw[i] = cmp.raw
         scaled[i] = cmp.temp_scaled
         if cmp.selected is not None:
@@ -144,6 +149,7 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: AgreementMatrix
     """
     report = EstimateReport(
         model_ids=model_ids, metric=metric, id_perf=id_perf, true_ood_perf=true_ood,
+        agr_id=agr_id, agr_ood=agr_ood,
         metadata={"metric": metric, "id_split": splits[0], "ood_split": splits[1],
                   "gate_threshold": options.gate_threshold,
                   "clamp_eps": options.clamp_eps,
@@ -154,6 +160,7 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: AgreementMatrix
         aline_input = AlineInput(id_perf=id_perf, agr_id=agr_id, agr_ood=agr_ood,
                                  gate_threshold=options.gate_threshold,
                                  clamp_eps=options.clamp_eps)
+    scores = None  # one temperature fit and four confidence vectors per model
     for method in methods:
         try:
             if method in ALINE_METHODS:
@@ -165,7 +172,10 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: AgreementMatrix
             elif method == METHOD_NAIVE_AGREEMENT:
                 report.estimates[method] = naive_agreement_estimate(agr_ood)
             elif method in CONFIDENCE_METHODS:
-                _confidence_estimates(report, method, pair)
+                if scores is None:
+                    scores = [confidence_scores(id_log, ood_log)
+                              for id_log, ood_log in zip(pair.id_logs, pair.ood_logs)]
+                _confidence_estimates(report, method, pair, scores)
             else:
                 raise ToolkitError(f"unknown method {method!r}")
         except ToolkitError as exc:
@@ -221,17 +231,17 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
                   ALINE_METHODS + (METHOD_NAIVE_AGREEMENT,), options or ReportOptions())
 
 
-def export_scatter(report: EstimateReport, pair: SplitPair, clamp_eps=CLAMP_EPS):
+def export_scatter(report: EstimateReport, clamp_eps=CLAMP_EPS):
     """Rows for a Figure-style ID/OOD scatter: accuracy points, agreement
-    points, fitted-line endpoints, and probit-scaled axis ticks."""
-    n = pair.n_models
+    points (from the report's agreement matrices), fitted-line endpoints,
+    and probit-scaled axis ticks."""
     ids = report.model_ids
+    n = len(ids)
     i, j = np.triu_indices(n, k=1)
     truth = report.true_ood_perf
-    x_raw = np.concatenate([report.id_perf,
-                            agreement_matrix(pair.id_logs, pair.metric).values[i, j]])
+    x_raw = np.concatenate([report.id_perf, report.agr_id.values[i, j]])
     y_raw = np.concatenate([truth if truth is not None else np.full(n, np.nan),
-                            agreement_matrix(pair.ood_logs, pair.metric).values[i, j]])
+                            report.agr_ood.values[i, j]])
     x_probit = probit(clamp_rate(x_raw, clamp_eps))
     y_probit = np.full(len(y_raw), np.nan)
     scored = slice(0 if truth is not None else n, None)  # no y for accuracy rows when blind

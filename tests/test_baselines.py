@@ -8,6 +8,7 @@ from aglkit.baselines import (
     METHOD_ATC,
     METHOD_DOC_FEAT,
     TEMP_BOX,
+    TEMP_TOL,
     Temperature,
     _mean_ce,
     ac_estimate,
@@ -21,7 +22,7 @@ from aglkit.baselines import (
     naive_agreement_estimate,
     with_and_without_temperature,
 )
-from aglkit.datamodel import ClassificationLog
+from aglkit.datamodel import ClassificationLog, SpanExample, SpanLog
 from aglkit.errors import EmptyLog, MissingLogits
 from aglkit.metrics import AgreementMatrix, accuracy
 from aglkit.synth import calibrated_classification_log
@@ -253,3 +254,123 @@ def test_with_and_without_temperature_selection(rng):
         assert cmp_eval.selected == closer
         expect_temp = abs(cmp_eval.temp_scaled - truth) < abs(cmp_eval.raw - truth)
         assert cmp_eval.used_temperature == expect_temp
+
+
+# --- the fit as it was before the safeguarded Newton solve, kept as an oracle ---
+
+_GRID_POINTS = 201
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _grid_golden_minimize(objective, lo=TEMP_BOX[0], hi=TEMP_BOX[1], tol=TEMP_TOL):
+    """201-point grid pre-scan, then golden-section refinement in the best cell."""
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+    vals = np.array([objective(t) for t in grid])
+    # ties broken toward larger t: an objective that is strictly decreasing
+    # in exact arithmetic can underflow to a flat zero tail in floats
+    best = int(len(vals) - 1 - np.argmin(vals[::-1]))
+    a = grid[max(0, best - 1)]
+    b = grid[min(_GRID_POINTS - 1, best + 1)]
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = objective(c), objective(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = objective(d)
+    return (a + b) / 2.0
+
+
+def _assert_matches_oracle(logits, gold, t_new):
+    t_old = _grid_golden_minimize(lambda t: _mean_ce(logits, gold, t))
+    assert abs(t_new - t_old) <= 1e-5
+    assert _mean_ce(logits, gold, t_new) <= _mean_ce(logits, gold, t_old) + 1e-12
+    return t_old
+
+
+def _seeded_classification_log(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 600)), int(rng.integers(2, 10))
+    log = calibrated_classification_log(n, k, float(rng.uniform(0.2, 4.0)), seed=seed)
+    return _distort(log, float(rng.uniform(-3.0, 3.0)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_newton_fit_matches_grid_golden_classification(seed):
+    log = _seeded_classification_log(seed)
+    _assert_matches_oracle(log.logits, log.gold, fit_temperature_classification(log).t)
+
+
+def _ragged_span_log(n, max_tokens, spread, seed):
+    """QA log with n_tokens varying per example, gold drawn from the model's softmax."""
+    rng = np.random.default_rng(seed)
+    examples = []
+    for _ in range(n):
+        n_tok = int(rng.integers(1, max_tokens + 1))
+        s = spread * rng.standard_normal(n_tok)
+        e = spread * rng.standard_normal(n_tok)
+        p_s = np.exp(s - s.max())
+        p_e = np.exp(e - e.max())
+        examples.append(SpanExample(
+            n_tokens=n_tok, start_logits=s, end_logits=e,
+            gold_start=int(rng.choice(n_tok, p=p_s / p_s.sum())),
+            gold_end=int(rng.choice(n_tok, p=p_e / p_e.sum())),
+            pred_start=int(s.argmax()), pred_end=int(e.argmax())))
+    return SpanLog(model_id="q", split_id="id", examples=examples)
+
+
+def _padded(log, which):
+    """One coordinate as a -inf padded matrix, built row by row."""
+    width = max(ex.n_tokens for ex in log.examples)
+    mat = np.full((len(log), width), -np.inf)
+    for i, ex in enumerate(log.examples):
+        mat[i, :ex.n_tokens] = getattr(ex, f"{which}_logits")
+    return mat, np.array([getattr(ex, f"gold_{which}") for ex in log.examples])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_newton_fit_matches_grid_golden_qa_coordinates(seed):
+    log = _ragged_span_log(300, 40, 1.0 + seed, seed)
+    temp = fit_temperature_qa(log)
+    _assert_matches_oracle(*_padded(log, "start"), temp.t)
+    _assert_matches_oracle(*_padded(log, "end"), temp.t_end)
+
+
+def _box_edge_cases():
+    rng = np.random.default_rng(3)
+    hot = _distort(calibrated_classification_log(300, 3, 2.0, seed=1), 10.0)
+    cold = rng.normal(size=(200, 3)) * math.exp(8.0)  # far too confident, gold random
+    sure = rng.normal(size=(100, 4))  # every example right: CE falls all the way
+    return {
+        "hot": (hot.logits, hot.gold, TEMP_BOX[1]),
+        "cold": (cold, rng.integers(0, 3, 200), TEMP_BOX[0]),
+        "all_correct": (sure, sure.argmax(axis=1), TEMP_BOX[1]),
+        "trivial": (np.array([[2.0, 0.0]]), np.array([0]), TEMP_BOX[1]),
+        "flat": (np.zeros((5, 3)), np.array([0, 1, 2, 0, 1]), TEMP_BOX[1]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_box_edge_cases()))
+def test_newton_fit_matches_grid_golden_at_box_edges(name):
+    logits, gold, edge = _box_edge_cases()[name]
+    log = make_classification_log(logits.argmax(axis=1), gold, logits.shape[1], logits=logits)
+    t = fit_temperature_classification(log).t
+    assert t == edge
+    assert _assert_matches_oracle(logits, gold, t) == pytest.approx(edge, abs=1e-3)
+
+
+def test_confidence_qa_ragged_matches_per_example_loop():
+    """-inf padding of short examples must not leak into the vectorised confidence."""
+    log = _ragged_span_log(50, 9, 2.0, seed=8)
+    temp = Temperature(t=0.3, t_end=-0.6)
+    for t in (None, temp):
+        conf = confidence(log, t)
+        for idx, ex in enumerate(log.examples):
+            s = np.exp(ex.start_logits * math.exp(t.t if t else 0.0))
+            e = np.exp(ex.end_logits * math.exp(t.t_end if t else 0.0))
+            assert conf[idx] == pytest.approx(s.max() / s.sum() * e.max() / e.sum(), rel=1e-12)

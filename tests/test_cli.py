@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -80,6 +82,9 @@ def test_validate_empty_manifest(tmp_path):
     [{"model_id": "m0", "split_id": "id"}],
     ["m.jsonl"],
     5,
+    [{"model_id": "m0", "split_id": "id", "path": 5}],
+    [{"model_id": 0, "split_id": "id", "path": "m.jsonl"}],
+    [{"model_id": "m0", "split_id": ["id"], "path": "m.jsonl"}],
 ])
 def test_validate_malformed_manifest_entries(tmp_path, capsys, entries):
     path = tmp_path / "manifest.json"
@@ -115,6 +120,32 @@ def test_estimate_happy_path(tmp_path):
     assert len(doc["per_model"]) == 3
     assert doc["metadata"]["evaluation_mode"] is True
     assert (report_dir / "scatter.csv").is_file()
+
+
+def test_estimate_scatter_reuses_report_agreement_matrices(tmp_path, monkeypatch):
+    """--scatter reads the two matrices the report built instead of rebuilding them."""
+    import aglkit.report
+    from aglkit.datamodel import load_manifest
+    calls = []
+    original = aglkit.report.agreement_matrix
+
+    def counted(logs, metric):
+        calls.append(metric)
+        return original(logs, metric)
+
+    monkeypatch.setattr(aglkit.report, "agreement_matrix", counted)
+    manifest = str(_synth(tmp_path) / "manifest.json")
+    out = tmp_path / "report"
+    assert main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                 "--out", str(out), "--eval", "--scatter"]) == EXIT_OK
+    assert len(calls) == 2
+    pair = load_manifest(manifest)
+    rows = [r for r in csv.DictReader(io.StringIO((out / "scatter.csv").read_text()))
+            if r["kind"] == "agreement"]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for logs, column in ((pair.id_logs, "x_raw"), (pair.ood_logs, "y_raw")):
+        values = original(logs, pair.metric).values
+        assert [float(r[column]) for r in rows] == [values[i, j] for i, j in pairs]
 
 
 def test_estimate_deterministic_reports(tmp_path):

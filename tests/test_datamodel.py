@@ -111,6 +111,52 @@ def test_validate_catches_range_and_length():
         validate_log(log)
 
 
+def _validate_classification_loop(log):
+    """The per-example loop validate_log ran before it checked whole arrays."""
+    k = log.n_classes
+    for i in range(len(log.gold)):
+        g = int(log.gold[i])
+        p = int(log.predicted[i])
+        if not 0 <= g < k:
+            raise RangeViolation(i, f"gold {g} not in [0, {k})")
+        if not 0 <= p < k:
+            raise RangeViolation(i, f"predicted {p} not in [0, {k})")
+    for i in range(len(log.gold)):
+        if argmax_lowest(log.logits[i]) != int(log.predicted[i]):
+            raise ArgmaxMismatch(i)
+
+
+@pytest.mark.parametrize("corruptions", [
+    [("gold", 0)], [("gold", 17)], [("gold", 39)],
+    [("predicted", 0)], [("predicted", 23)], [("predicted", 39)],
+    [("argmax", 0)], [("argmax", 11)], [("argmax", 39)],
+    [("gold", 30), ("predicted", 12)], [("predicted", 8), ("gold", 8)],
+    [("argmax", 3), ("gold", 25)], [("argmax", 6), ("tie", 2)],
+])
+def test_validate_classification_matches_loop(rng, corruptions):
+    """Same exception, example index and message as the loop, at each position."""
+    k = 4
+    predicted = rng.integers(0, k, 40)
+    log = make_classification_log(predicted, rng.integers(0, k, 40), k,
+                                  logits=_logits_for(predicted, k, rng))
+    for field, i in corruptions:
+        if field == "gold":
+            log.gold[i] = k if i % 2 else -1
+        elif field == "predicted":
+            log.predicted[i] = k + 3 if i % 2 else -2
+        elif field == "argmax":
+            log.predicted[i] = (log.predicted[i] + 1) % k
+        else:  # a tie at the top keeps the lowest index as the argmax
+            log.logits[i] = 1.0
+            log.predicted[i] = 0
+    with pytest.raises((RangeViolation, ArgmaxMismatch)) as expected:
+        _validate_classification_loop(log)
+    with pytest.raises(type(expected.value)) as exc:
+        validate_log(log)
+    assert exc.value.example_index == expected.value.example_index
+    assert str(exc.value) == str(expected.value)
+
+
 def test_validate_span_invariants(rng):
     log = make_span_log([(1, 3)], [(0, 2)], n_tokens=5, rng=rng)
     validate_log(log)
@@ -183,6 +229,14 @@ def _qa_record(**overrides):
     (None, _qa_record(n_tokens="x"), 2),
     (None, _qa_record(start_logits=["a", "b"]), 2),
     (None, _qa_record(end_logits=1.0), 2),
+    ({"n_classes": 2}, {"gold": 1.9, "predicted": 1}, 2),
+    ({"n_classes": 2}, {"gold": 0, "predicted": 1e29}, 2),
+    ({"n_classes": 2}, {"gold": 10**29, "predicted": 1}, 2),
+    ({"n_classes": 2}, {"gold": True, "predicted": 1}, 2),
+    ({"n_classes": 2.5}, {"gold": 0, "predicted": 1}, 1),
+    (None, _qa_record(n_tokens=2.5), 2),
+    (None, _qa_record(gold_end=1e29), 2),
+    (None, _qa_record(pred_start=-(2**63) - 1), 2),
 ])
 def test_load_log_bad_field_type_reports_position(tmp_path, header, record, line_number):
     head = {"model_id": "m", "split_id": "s"}
@@ -195,6 +249,15 @@ def test_load_log_bad_field_type_reports_position(tmp_path, header, record, line
     with pytest.raises(MalformedRecord) as exc:
         load_log(path)
     assert exc.value.line_number == line_number
+
+
+def test_load_log_accepts_integral_floats(tmp_path):
+    path = tmp_path / "floats.jsonl"
+    path.write_text(json.dumps({"task": "classification", "model_id": "m", "split_id": "s",
+                                "n_classes": 2.0}) + "\n"
+                    + json.dumps({"gold": 1.0, "predicted": 0}) + "\n")
+    log = load_log(path)
+    assert log.n_classes == 2 and log.gold.tolist() == [1]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import aglkit.baselines
 from aglkit.datamodel import METRIC_ACCURACY, SplitPair
 from aglkit.errors import LengthMismatch, ZeroTruth
 from aglkit.probit import clamp_rate, probit
@@ -87,6 +88,33 @@ def test_build_report_records_method_errors():
     assert "naive_agreement" in report.estimates
 
 
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's first argument."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("evaluation_mode", [False, True])
+def test_build_report_fits_one_temperature_per_model(monkeypatch, evaluation_mode):
+    """AC, ATC and DOC-Feat share one fit and four confidence vectors per model."""
+    fits = _counting(monkeypatch, aglkit.baselines, "fit_temperature")
+    confidences = _counting(monkeypatch, aglkit.baselines, "confidence")
+    pair, _ = _synth_pair(n_models=4)
+    report = build_report(pair, methods=CONFIDENCE_METHODS,
+                          options=ReportOptions(evaluation_mode=evaluation_mode))
+    assert not report.method_errors
+    assert len(fits) == pair.n_models
+    assert all(fit is log for fit, log in zip(fits, pair.id_logs))
+    assert len(confidences) == 4 * pair.n_models
+
+
 def test_report_json_deterministic():
     pair_a, _ = _synth_pair(seed=3)
     pair_b, _ = _synth_pair(seed=3)
@@ -123,7 +151,7 @@ def test_matrix_report_on_exact_fixture():
 def test_export_scatter_rows():
     pair, _ = _synth_pair()
     report = build_report(pair, options=ReportOptions(evaluation_mode=True))
-    rows = export_scatter(report, pair)
+    rows = export_scatter(report)
     by_kind = {}
     for row in rows:
         by_kind.setdefault(row["kind"], []).append(row)
@@ -149,7 +177,7 @@ def test_export_scatter_rows():
 def test_scatter_csv_round_trip():
     pair, _ = _synth_pair()
     report = build_report(pair, options=ReportOptions(evaluation_mode=True))
-    rows = export_scatter(report, pair)
+    rows = export_scatter(report)
     text = scatter_to_csv(rows)
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == len(rows)
