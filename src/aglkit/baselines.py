@@ -136,11 +136,8 @@ def fit_temperature_qa(log: SpanLog) -> Temperature:
     """Joint start/end calibration; the pair CE separates per coordinate."""
     if len(log) == 0:
         raise EmptyLog("cannot calibrate an empty log")
-    start, end = log.padded_logits
-    gold_start = np.array([ex.gold_start for ex in log.examples], dtype=np.int64)
-    gold_end = np.array([ex.gold_end for ex in log.examples], dtype=np.int64)
-    return Temperature(t=_fit_coordinate(start, gold_start),
-                       t_end=_fit_coordinate(end, gold_end))
+    return Temperature(t=_fit_coordinate(log.start_logits, log.gold[:, 0]),
+                       t_end=_fit_coordinate(log.end_logits, log.gold[:, 1]))
 
 
 def _max_prob(logits: np.ndarray, t: float) -> np.ndarray:
@@ -156,9 +153,8 @@ def confidence(log, temperature: Temperature | None = None) -> np.ndarray:
     if isinstance(log, ClassificationLog):
         return _max_prob(log.logits, t)
     t_end = temperature.t_end if (temperature is not None and temperature.is_qa) else t
-    start, end = log.padded_logits
     # max over all (i, j) pairs of p_start[i] * p_end[j] factorizes
-    return _max_prob(start, t) * _max_prob(end, t_end)
+    return _max_prob(log.start_logits, t) * _max_prob(log.end_logits, t_end)
 
 
 def _id_accuracy(log) -> float:
@@ -219,10 +215,8 @@ def naive_agreement_estimate(agr_ood: AgreementMatrix) -> np.ndarray:
     n = agr_ood.n
     if n < 2:
         raise InsufficientModels(f"need at least 2 models, got {n}")
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = (agr_ood.values[i].sum() - agr_ood.values[i, i]) / (n - 1)
-    return out
+    values = agr_ood.values
+    return (values.sum(axis=1) - np.diag(values)) / (n - 1)
 
 
 def fit_temperature(id_log) -> Temperature:

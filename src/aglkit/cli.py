@@ -49,23 +49,26 @@ def cmd_estimate(args) -> int:
     if not methods:
         return _fail("no methods requested", EXIT_INPUT_ERROR)
     try:
-        pair = load_split_pair(args.id_manifest, args.ood_manifest, args.metric)
         options = ReportOptions(gate_threshold=args.gate_threshold,
                                 clamp_eps=args.clamp_eps,
                                 evaluation_mode=args.eval)
+        pair = load_split_pair(args.id_manifest, args.ood_manifest, args.metric)
         report = build_report(pair, methods, options)
     except ToolkitError as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
-    os.makedirs(args.out, exist_ok=True)
-    report_path = os.path.join(args.out, "report.json")
-    with open(report_path, "w") as fh:
-        fh.write(report.to_json())
-    print(f"wrote {report_path}")
-    if args.scatter:
-        scatter_path = os.path.join(args.out, "scatter.csv")
-        with open(scatter_path, "w") as fh:
-            fh.write(scatter_to_csv(export_scatter(report, args.clamp_eps)))
-        print(f"wrote {scatter_path}")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        report_path = os.path.join(args.out, "report.json")
+        with open(report_path, "w") as fh:
+            fh.write(report.to_json())
+        print(f"wrote {report_path}")
+        if args.scatter:
+            scatter_path = os.path.join(args.out, "scatter.csv")
+            with open(scatter_path, "w") as fh:
+                fh.write(scatter_to_csv(export_scatter(report, args.clamp_eps)))
+            print(f"wrote {scatter_path}")
+    except OSError as exc:
+        return _fail(f"cannot write to --out {args.out}: {exc.strerror or exc}", EXIT_INPUT_ERROR)
     if len(report.method_errors) == len(methods):
         for method, msg in report.method_errors.items():
             print(f"method {method} failed: {msg}", file=sys.stderr)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -41,12 +40,6 @@ METRICS_BY_TASK = {
 }
 
 
-def argmax_lowest(values) -> int:
-    """Argmax with ties broken by the lowest index."""
-    arr = np.asarray(values)
-    return int(np.argmax(arr))
-
-
 @dataclass
 class ClassificationLog:
     """One model's predictions on one classification split.
@@ -65,14 +58,11 @@ class ClassificationLog:
     def __len__(self):
         return len(self.gold)
 
-    @property
-    def has_logits(self) -> bool:
-        return self.logits is not None
-
 
 @dataclass
 class SpanExample:
-    """Start/end logits and span indices for one extractive-QA example."""
+    """Start/end logits and span indices for one extractive-QA example: the
+    record a ``SpanLog`` is built from."""
     n_tokens: int
     start_logits: np.ndarray
     end_logits: np.ndarray
@@ -84,41 +74,44 @@ class SpanExample:
 
 @dataclass
 class SpanLog:
-    """One model's span predictions on one extractive-QA split."""
+    """One model's span predictions on one extractive-QA split.
+
+    Built from a list of ``SpanExample`` records, which are packed once:
+    ``start_logits`` and ``end_logits`` are (n_examples, longest) float
+    matrices whose row i holds ``n_tokens[i]`` logits and then -inf padding
+    (it survives positive scaling and gets softmax weight exp(-inf) = 0);
+    ``gold`` and ``predicted`` are (n_examples, 2) int [start, end] arrays.
+    A record whose logit vectors do not have ``n_tokens`` entries raises
+    LengthViolation.
+    """
     model_id: str
     split_id: str
-    examples: list[SpanExample]
+    examples: InitVar[list[SpanExample]]
+    start_logits: np.ndarray = field(init=False)
+    end_logits: np.ndarray = field(init=False)
+    n_tokens: np.ndarray = field(init=False)
+    gold: np.ndarray = field(init=False)
+    predicted: np.ndarray = field(init=False)
     task: str = TASK_EXTRACTIVE_QA
 
+    def __post_init__(self, examples):
+        ints = np.array([(ex.n_tokens, len(ex.start_logits), len(ex.end_logits), ex.gold_start,
+                          ex.gold_end, ex.pred_start, ex.pred_end) for ex in examples],
+                        dtype=np.int64).reshape(len(examples), 7)
+        wrong = (ints[:, 1:3] != ints[:, :1]).any(axis=1)
+        if wrong.any():
+            raise LengthViolation(int(np.argmax(wrong)))
+        self.n_tokens = ints[:, 0].copy()
+        self.gold, self.predicted = ints[:, 3:5].copy(), ints[:, 5:].copy()
+        real = np.arange(self.n_tokens.max(initial=1)) < self.n_tokens[:, None]
+        for name in ("start_logits", "end_logits"):
+            mat = np.full(real.shape, -np.inf)
+            if examples:
+                mat[real] = np.concatenate([getattr(ex, name) for ex in examples])
+            setattr(self, name, mat)
+
     def __len__(self):
-        return len(self.examples)
-
-    @property
-    def has_logits(self) -> bool:
-        return True
-
-    @cached_property
-    def padded_logits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end logits as two (n_examples, longest vector) matrices.
-
-        Short rows are padded with -inf, which survives positive scaling
-        and gets softmax weight exp(-inf) = 0. From the first use on, each
-        example's logit vectors are views into these rows, so the log holds
-        one copy of its logits; examples must not be replaced after that.
-        """
-        start = _pad_rows([ex.start_logits for ex in self.examples])
-        end = _pad_rows([ex.end_logits for ex in self.examples])
-        for i, ex in enumerate(self.examples):
-            ex.start_logits = start[i, :len(ex.start_logits)]
-            ex.end_logits = end[i, :len(ex.end_logits)]
-        return start, end
-
-
-def _pad_rows(vectors) -> np.ndarray:
-    mat = np.full((len(vectors), max(map(len, vectors), default=1)), -np.inf)
-    for row, vec in zip(mat, vectors):
-        row[:len(vec)] = vec
-    return mat
+        return len(self.n_tokens)
 
 
 @dataclass
@@ -135,10 +128,6 @@ class SplitPair:
     @property
     def n_models(self):
         return len(self.id_logs)
-
-    @property
-    def task(self):
-        return self.id_logs[0].task
 
 
 @dataclass
@@ -182,27 +171,31 @@ def validate_log(log) -> None:
             finite = np.isfinite(log.logits).all(axis=1)
             if not finite.all():
                 raise RangeViolation(int(np.argmin(finite)), "non-finite logit")
-            # np.argmax breaks ties to the lowest index, as argmax_lowest does
+            # np.argmax breaks ties to the lowest index
             mismatch = np.argmax(log.logits, axis=1) != log.predicted
             if mismatch.any():
                 raise ArgmaxMismatch(int(np.argmax(mismatch)))
     elif isinstance(log, SpanLog):
-        for i, ex in enumerate(log.examples):
-            n_tok = ex.n_tokens
-            if n_tok < 1:
-                raise RangeViolation(i, f"n_tokens {n_tok} < 1")
-            if len(ex.start_logits) != n_tok or len(ex.end_logits) != n_tok:
-                raise LengthViolation(i)
-            if not (np.isfinite(ex.start_logits).all() and np.isfinite(ex.end_logits).all()):
-                raise RangeViolation(i, "non-finite logit")
-            if not (0 <= ex.gold_start <= ex.gold_end < n_tok):
-                raise RangeViolation(i, "gold span out of range")
-            if not (0 <= ex.pred_start < n_tok and 0 <= ex.pred_end < n_tok):
-                raise RangeViolation(i, "predicted span out of range")
-            if argmax_lowest(ex.start_logits) != ex.pred_start:
-                raise ArgmaxMismatch(i)
-            if argmax_lowest(ex.end_logits) != ex.pred_end:
-                raise ArgmaxMismatch(i)
+        n_tok = log.n_tokens
+        (gs, ge), (ps, pe) = log.gold.T, log.predicted.T
+        padding = np.arange(log.start_logits.shape[1]) >= n_tok[:, None]
+        finite = np.isfinite(log.start_logits) & np.isfinite(log.end_logits) | padding
+        # the rules for one example, in order: the first example that breaks
+        # any of them raises its first broken rule
+        checks = (
+            (n_tok < 1, lambda i: RangeViolation(i, f"n_tokens {n_tok[i]} < 1")),
+            (~finite.all(axis=1), lambda i: RangeViolation(i, "non-finite logit")),
+            (~((0 <= gs) & (gs <= ge) & (ge < n_tok)),
+             lambda i: RangeViolation(i, "gold span out of range")),
+            (~((0 <= ps) & (ps < n_tok) & (0 <= pe) & (pe < n_tok)),
+             lambda i: RangeViolation(i, "predicted span out of range")),
+            ((np.argmax(log.start_logits, axis=1) != ps)
+             | (np.argmax(log.end_logits, axis=1) != pe), ArgmaxMismatch),
+        )
+        failed = np.array([bad for bad, _ in checks])
+        if failed.any():
+            i = int(np.argmax(failed.any(axis=0)))
+            raise checks[int(np.argmax(failed[:, i]))][1](i)
     else:
         raise TypeError(f"unsupported log type {type(log)!r}")
 
@@ -223,12 +216,12 @@ def save_log(log, path) -> None:
     elif isinstance(log, SpanLog):
         header = {"model_id": log.model_id, "split_id": log.split_id, "task": log.task}
         lines.append(json.dumps(header, sort_keys=True))
-        for ex in log.examples:
-            rec = {"n_tokens": ex.n_tokens,
-                   "start_logits": [float(v) for v in ex.start_logits],
-                   "end_logits": [float(v) for v in ex.end_logits],
-                   "gold_start": ex.gold_start, "gold_end": ex.gold_end,
-                   "pred_start": ex.pred_start, "pred_end": ex.pred_end}
+        for n_tok, start, end, (gs, ge), (ps, pe) in zip(
+                log.n_tokens.tolist(), log.start_logits, log.end_logits,
+                log.gold.tolist(), log.predicted.tolist()):
+            rec = {"n_tokens": n_tok, "start_logits": start[:n_tok].tolist(),
+                   "end_logits": end[:n_tok].tolist(), "gold_start": gs, "gold_end": ge,
+                   "pred_start": ps, "pred_end": pe}
             lines.append(json.dumps(rec, sort_keys=True))
     else:
         raise TypeError(f"unsupported log type {type(log)!r}")
@@ -236,10 +229,23 @@ def save_log(log, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    """The file's text; MalformedRecord at the line of a byte that is not UTF-8."""
+    if not os.path.isfile(path):
+        raise MissingFile(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(path, data.count(b"\n", 0, exc.start) + 1,
+                              f"not UTF-8: {exc.reason}") from exc
+
+
 def _parse_json_line(path, lineno, line):
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
         raise MalformedRecord(path, lineno, str(exc)) from exc
     if not isinstance(obj, dict):
         raise MalformedRecord(path, lineno, "expected a JSON object")
@@ -281,10 +287,7 @@ def _float_vector(value) -> np.ndarray:
 
 def load_log(path, validate: bool = True):
     """Load one JSON Lines log file; validates invariants by default."""
-    if not os.path.isfile(path):
-        raise MissingFile(path)
-    with open(path) as fh:
-        raw_lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    raw_lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not raw_lines:
         raise MalformedRecord(path, 1, "empty file")
     header = _parse_json_line(path, 1, raw_lines[0])
@@ -329,9 +332,6 @@ def load_log(path, validate: bool = True):
                 pred_start=_require(rec, "pred_start", path, lineno, _int64),
                 pred_end=_require(rec, "pred_end", path, lineno, _int64)))
         log = SpanLog(model_id=model_id, split_id=split_id, examples=examples)
-        # build now: the next log's parse then reuses the per-example vectors
-        # this frees, which keeps peak memory at one copy of the logits
-        log.padded_logits
     else:
         raise MalformedRecord(path, 1, f"unknown task {task!r}")
     if validate:
@@ -352,13 +352,10 @@ def save_manifest(manifest: Manifest, path) -> None:
 
 def read_manifest(path) -> Manifest:
     """Parse a manifest file without loading the logs it references."""
-    if not os.path.isfile(path):
-        raise MissingFile(path)
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(path, exc.lineno, str(exc)) from exc
+        doc = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
+        raise MalformedRecord(path, getattr(exc, "lineno", 1), str(exc)) from exc
     if not isinstance(doc, dict):
         raise MalformedRecord(path, 1, "manifest must be a JSON object")
     for key in ("version", "task", "metric", "entries"):
@@ -366,7 +363,7 @@ def read_manifest(path) -> Manifest:
             raise MalformedRecord(path, 1, f"missing key {key!r}")
     task = doc["task"]
     metric = doc["metric"]
-    if task not in METRICS_BY_TASK:
+    if not isinstance(task, str) or task not in METRICS_BY_TASK:
         raise MalformedRecord(path, 1, f"unknown task {task!r}")
     if metric not in METRICS_BY_TASK[task]:
         raise MetricTaskMismatch(metric, task)

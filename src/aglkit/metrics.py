@@ -38,43 +38,47 @@ class AgreementMatrix:
         return float(self.values[i, j])
 
 
-def _check_nonempty(log):
+def _check_metric(log, metric):
+    if metric not in METRICS_BY_TASK[log.task]:
+        raise MetricTaskMismatch(metric, log.task)
+
+
+def _scores(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-example metric between predictions ``a`` and ``b`` (broadcast):
+    class indices for accuracy, [start, end] pairs on the last axis for the
+    span metrics. Span F1 is token-interval F1; an inverted span is empty,
+    and two empty spans agree."""
+    if metric == METRIC_ACCURACY:
+        return a == b
+    if metric == METRIC_EXACT_MATCH:
+        return (a == b).all(axis=-1)
+    len_a = np.maximum(a[..., 1] - a[..., 0] + 1, 0)
+    len_b = np.maximum(b[..., 1] - b[..., 0] + 1, 0)
+    overlap = np.maximum(np.minimum(a[..., 1], b[..., 1])
+                         - np.maximum(a[..., 0], b[..., 0]) + 1, 0)
+    total = len_a + len_b
+    return np.where(total == 0, 1.0, 2.0 * overlap / np.maximum(total, 1))
+
+
+def performance(log, metric: str) -> float:
+    """Metric of a log against its own gold labels."""
+    _check_metric(log, metric)
     if len(log) == 0:
         raise EmptyLog(f"log {log.model_id!r} has no examples")
+    return float(np.mean(_scores(metric, log.predicted, log.gold)))
 
 
 def accuracy(log: ClassificationLog) -> float:
-    _check_nonempty(log)
-    return float(np.mean(log.predicted == log.gold))
+    return performance(log, METRIC_ACCURACY)
 
 
 def exact_match(log: SpanLog) -> float:
-    _check_nonempty(log)
-    hits = [1.0 if (ex.pred_start == ex.gold_start and ex.pred_end == ex.gold_end) else 0.0
-            for ex in log.examples]
-    return float(np.mean(hits))
-
-
-def _interval_f1(a_start, a_end, b_start, b_end) -> float:
-    """Token-interval F1 between two spans; an inverted span is empty."""
-    a_len = max(0, a_end - a_start + 1)
-    b_len = max(0, b_end - b_start + 1)
-    if a_len == 0 and b_len == 0:
-        return 1.0
-    if a_len == 0 or b_len == 0:
-        return 0.0
-    overlap = max(0, min(a_end, b_end) - max(a_start, b_start) + 1)
-    if overlap == 0:
-        return 0.0
-    return 2.0 * overlap / (a_len + b_len)
+    return performance(log, METRIC_EXACT_MATCH)
 
 
 def span_f1(log: SpanLog) -> float:
     """Macro-averaged token-interval F1 of predicted vs gold spans."""
-    _check_nonempty(log)
-    scores = [_interval_f1(ex.pred_start, ex.pred_end, ex.gold_start, ex.gold_end)
-              for ex in log.examples]
-    return float(np.mean(scores))
+    return performance(log, METRIC_F1)
 
 
 def _check_compatible(a, b, metric):
@@ -82,37 +86,15 @@ def _check_compatible(a, b, metric):
         raise ShapeMismatch(b.model_id, f"task {b.task!r} != {a.task!r}")
     if len(a) != len(b):
         raise ShapeMismatch(b.model_id, f"length {len(b)} != {len(a)}")
-    if metric not in METRICS_BY_TASK[a.task]:
-        raise MetricTaskMismatch(metric, a.task)
+    _check_metric(a, metric)
+    if len(a) == 0:
+        raise EmptyLog("cannot compute agreement on empty logs")
 
 
 def agreement(a, b, metric: str) -> float:
     """Mean per-example metric between two models' predictions."""
     _check_compatible(a, b, metric)
-    if len(a) == 0:
-        raise EmptyLog("cannot compute agreement on empty logs")
-    if metric == METRIC_ACCURACY:
-        return float(np.mean(a.predicted == b.predicted))
-    if metric == METRIC_EXACT_MATCH:
-        hits = [1.0 if (ea.pred_start == eb.pred_start and ea.pred_end == eb.pred_end) else 0.0
-                for ea, eb in zip(a.examples, b.examples)]
-        return float(np.mean(hits))
-    if metric == METRIC_F1:
-        scores = [_interval_f1(ea.pred_start, ea.pred_end, eb.pred_start, eb.pred_end)
-                  for ea, eb in zip(a.examples, b.examples)]
-        return float(np.mean(scores))
-    raise MetricTaskMismatch(metric, a.task)
-
-
-def performance(log, metric: str) -> float:
-    """Metric of a log against its own gold labels."""
-    if metric == METRIC_ACCURACY:
-        return accuracy(log)
-    if metric == METRIC_EXACT_MATCH:
-        return exact_match(log)
-    if metric == METRIC_F1:
-        return span_f1(log)
-    raise MetricTaskMismatch(metric, log.task)
+    return float(np.mean(_scores(metric, a.predicted, b.predicted)))
 
 
 def agreement_matrix(logs, metric: str) -> AgreementMatrix:
@@ -121,12 +103,13 @@ def agreement_matrix(logs, metric: str) -> AgreementMatrix:
     n = len(logs)
     if n < 2:
         raise InsufficientModels(f"need at least 2 models, got {n}")
+    for log in logs[1:]:
+        _check_compatible(logs[0], log, metric)
+    preds = np.stack([log.predicted for log in logs])
     values = np.ones((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = agreement(logs[i], logs[j], metric)
-            values[i, j] = v
-            values[j, i] = v
+    for i in range(n - 1):  # one row of pairs at a time keeps memory at n x examples
+        values[i, i + 1:] = values[i + 1:, i] = np.mean(
+            _scores(metric, preds[i], preds[i + 1:]), axis=1)
     return AgreementMatrix(model_ids=[log.model_id for log in logs],
                            values=values, metric=metric,
                            split_id=logs[0].split_id)

@@ -28,7 +28,7 @@ from .baselines import (
     with_and_without_temperature,
 )
 from .datamodel import SplitPair
-from .errors import LengthMismatch, ToolkitError, ZeroTruth
+from .errors import InvalidConfig, LengthMismatch, ToolkitError, ZeroTruth
 from .metrics import AgreementMatrix, agreement_matrix, performance
 from .probit import CLAMP_EPS, LineFit, clamp_rate, fit_line, normal_cdf, probit
 
@@ -55,6 +55,12 @@ class ReportOptions:
     gate_threshold: float = DEFAULT_GATE_THRESHOLD
     clamp_eps: float = CLAMP_EPS
     evaluation_mode: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.clamp_eps < 0.5:  # false for NaN
+            raise InvalidConfig(f"clamp_eps {self.clamp_eps} not in (0, 0.5)")
+        if not 0.0 <= self.gate_threshold <= 1.0:
+            raise InvalidConfig(f"gate_threshold {self.gate_threshold} not in [0, 1]")
 
 
 @dataclass

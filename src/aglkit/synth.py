@@ -102,22 +102,28 @@ class SynthConfig:
         for key, value in mapping.items():
             if key not in fields_:
                 raise InvalidConfig(f"unknown config key {key!r}")
-            target = fields_[key]
-            kwargs[key] = int(value) if target == "int" else float(value)
+            try:
+                kwargs[key] = int(value) if fields_[key] == "int" else float(value)
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(f"bad value for {key!r}: {value!r}") from exc
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":
         mapping = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise InvalidConfig(f"{path}:{lineno}: expected key = value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                mapping[key] = value
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"{path}: not UTF-8: {exc.reason}") from exc
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise InvalidConfig(f"{path}:{lineno}: expected key = value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            mapping[key] = value
         return cls.from_mapping(mapping)
 
 

@@ -4,6 +4,7 @@ Each test prints one PASS line when its criterion holds; pytest -v adds
 the authoritative per-criterion pass/fail line.
 """
 
+import copy
 import json
 import math
 import time
@@ -27,7 +28,6 @@ from aglkit.cli import EXIT_OK, main
 from aglkit.datamodel import (
     METRIC_ACCURACY,
     ClassificationLog,
-    SpanLog,
 )
 from aglkit.metrics import (
     AgreementMatrix,
@@ -222,14 +222,13 @@ def test_criterion_5_metric_oracles():
                 assert mat.pair(i, j) == expected
         # span metrics
         qa = _random_span_log(rng, n, 8)
-        em_manual = sum(int((ex.pred_start, ex.pred_end)
-                            == (ex.gold_start, ex.gold_end))
-                        for ex in qa.examples) / n
+        spans = list(zip(qa.predicted.tolist(), qa.gold.tolist()))
+        em_manual = sum(int(pred == gold) for pred, gold in spans) / n
         assert exact_match(qa) == em_manual
         f1_scores = []
-        for ex in qa.examples:
-            sa = set(range(ex.pred_start, ex.pred_end + 1))
-            sb = set(range(ex.gold_start, ex.gold_end + 1))
+        for (pred_start, pred_end), (gold_start, gold_end) in spans:
+            sa = set(range(pred_start, pred_end + 1))
+            sb = set(range(gold_start, gold_end + 1))
             if not sa and not sb:
                 f1_scores.append(1.0)
             elif not (sa & sb):
@@ -296,13 +295,9 @@ def test_criterion_6_temperature_recovery():
     qa_base = calibrated_span_log(4000, 8, 2.0, seed=3)
     qa_recovered = []
     for ds, de in ((-0.7, 0.7), (0.0, 0.0)):
-        distorted = SpanLog(model_id="d", split_id="id", examples=[
-            type(ex)(n_tokens=ex.n_tokens,
-                     start_logits=ex.start_logits * math.exp(-ds),
-                     end_logits=ex.end_logits * math.exp(-de),
-                     gold_start=ex.gold_start, gold_end=ex.gold_end,
-                     pred_start=ex.pred_start, pred_end=ex.pred_end)
-            for ex in qa_base.examples])
+        distorted = copy.copy(qa_base)
+        distorted.start_logits = qa_base.start_logits * math.exp(-ds)
+        distorted.end_logits = qa_base.end_logits * math.exp(-de)
         t = fit_temperature_qa(distorted)
         assert abs(t.t - ds) < 1e-2
         assert abs(t.t_end - de) < 1e-2

@@ -87,10 +87,9 @@ def test_temperature_box_trivial_example():
 def test_temperature_qa_symmetric_coordinates(rng):
     """Identical start/end logits must calibrate to the same temperature."""
     base = calibrated_span_log(400, 6, 1.5, seed=4)
-    for ex in base.examples:
-        ex.end_logits = ex.start_logits.copy()
-        ex.gold_end = ex.gold_start
-        ex.pred_end = ex.pred_start
+    base.end_logits = base.start_logits.copy()
+    base.gold[:, 1] = base.gold[:, 0]
+    base.predicted[:, 1] = base.predicted[:, 0]
     t = fit_temperature_qa(base)
     assert t.t == pytest.approx(t.t_end, abs=1e-6)
 
@@ -99,9 +98,8 @@ def test_temperature_qa_per_coordinate():
     base = calibrated_span_log(1500, 8, 2.0, seed=7)
     base_t = fit_temperature_qa(base)
     distorted = calibrated_span_log(1500, 8, 2.0, seed=7)
-    for ex in distorted.examples:
-        ex.start_logits = ex.start_logits * math.exp(-0.3)
-        ex.end_logits = ex.end_logits * math.exp(0.4)
+    distorted.start_logits = distorted.start_logits * math.exp(-0.3)
+    distorted.end_logits = distorted.end_logits * math.exp(0.4)
     t = fit_temperature_qa(distorted)
     assert t.t - base_t.t == pytest.approx(0.3, abs=1e-4)
     assert t.t_end - base_t.t_end == pytest.approx(-0.4, abs=1e-4)
@@ -136,10 +134,10 @@ def test_confidence_qa_matches_pair_loop(rng):
                         n_tokens=6, rng=rng)
     temp = Temperature(t=0.4, t_end=-0.2)
     conf = confidence(log, temp)
-    for idx, ex in enumerate(log.examples):
-        s = np.exp(ex.start_logits * math.exp(0.4))
+    for idx in range(len(log)):
+        s = np.exp(log.start_logits[idx] * math.exp(0.4))
         s /= s.sum()
-        e = np.exp(ex.end_logits * math.exp(-0.2))
+        e = np.exp(log.end_logits[idx] * math.exp(-0.2))
         e /= e.sum()
         best = max(s[i] * e[j] for i in range(6) for j in range(6))
         assert conf[idx] == pytest.approx(best, abs=1e-12)
@@ -150,8 +148,8 @@ def test_confidence_uniform_and_one_hot_limits(rng):
                                    logits=np.zeros((2, 4)))
     np.testing.assert_allclose(confidence(flat), [0.25, 0.25], atol=1e-15)
     sharp = make_span_log([(2, 3)], [(2, 3)], n_tokens=5, rng=None)
-    sharp.examples[0].start_logits = np.where(np.arange(5) == 2, 200.0, 0.0)
-    sharp.examples[0].end_logits = np.where(np.arange(5) == 3, 200.0, 0.0)
+    sharp.start_logits[0] = np.where(np.arange(5) == 2, 200.0, 0.0)
+    sharp.end_logits[0] = np.where(np.arange(5) == 3, 200.0, 0.0)
     assert confidence(sharp)[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -306,8 +304,8 @@ def test_newton_fit_matches_grid_golden_classification(seed):
     _assert_matches_oracle(log.logits, log.gold, fit_temperature_classification(log).t)
 
 
-def _ragged_span_log(n, max_tokens, spread, seed):
-    """QA log with n_tokens varying per example, gold drawn from the model's softmax."""
+def _ragged_examples(n, max_tokens, spread, seed):
+    """QA records with n_tokens varying per example, gold drawn from the model's softmax."""
     rng = np.random.default_rng(seed)
     examples = []
     for _ in range(n):
@@ -321,24 +319,24 @@ def _ragged_span_log(n, max_tokens, spread, seed):
             gold_start=int(rng.choice(n_tok, p=p_s / p_s.sum())),
             gold_end=int(rng.choice(n_tok, p=p_e / p_e.sum())),
             pred_start=int(s.argmax()), pred_end=int(e.argmax())))
-    return SpanLog(model_id="q", split_id="id", examples=examples)
+    return examples
 
 
-def _padded(log, which):
+def _padded(examples, which):
     """One coordinate as a -inf padded matrix, built row by row."""
-    width = max(ex.n_tokens for ex in log.examples)
-    mat = np.full((len(log), width), -np.inf)
-    for i, ex in enumerate(log.examples):
+    width = max(ex.n_tokens for ex in examples)
+    mat = np.full((len(examples), width), -np.inf)
+    for i, ex in enumerate(examples):
         mat[i, :ex.n_tokens] = getattr(ex, f"{which}_logits")
-    return mat, np.array([getattr(ex, f"gold_{which}") for ex in log.examples])
+    return mat, np.array([getattr(ex, f"gold_{which}") for ex in examples])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_newton_fit_matches_grid_golden_qa_coordinates(seed):
-    log = _ragged_span_log(300, 40, 1.0 + seed, seed)
-    temp = fit_temperature_qa(log)
-    _assert_matches_oracle(*_padded(log, "start"), temp.t)
-    _assert_matches_oracle(*_padded(log, "end"), temp.t_end)
+    examples = _ragged_examples(300, 40, 1.0 + seed, seed)
+    temp = fit_temperature_qa(SpanLog(model_id="q", split_id="id", examples=examples))
+    _assert_matches_oracle(*_padded(examples, "start"), temp.t)
+    _assert_matches_oracle(*_padded(examples, "end"), temp.t_end)
 
 
 def _box_edge_cases():
@@ -366,11 +364,12 @@ def test_newton_fit_matches_grid_golden_at_box_edges(name):
 
 def test_confidence_qa_ragged_matches_per_example_loop():
     """-inf padding of short examples must not leak into the vectorised confidence."""
-    log = _ragged_span_log(50, 9, 2.0, seed=8)
+    examples = _ragged_examples(50, 9, 2.0, seed=8)
+    log = SpanLog(model_id="q", split_id="id", examples=examples)
     temp = Temperature(t=0.3, t_end=-0.6)
     for t in (None, temp):
         conf = confidence(log, t)
-        for idx, ex in enumerate(log.examples):
+        for idx, ex in enumerate(examples):
             s = np.exp(ex.start_logits * math.exp(t.t if t else 0.0))
             e = np.exp(ex.end_logits * math.exp(t.t_end if t else 0.0))
             assert conf[idx] == pytest.approx(s.max() / s.sum() * e.max() / e.sum(), rel=1e-12)

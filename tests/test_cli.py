@@ -206,3 +206,46 @@ def test_estimate_does_not_mutate_inputs(tmp_path):
                  "--out", str(tmp_path / "rep"), "--eval"]) == EXIT_OK
     for p, blob in before.items():
         assert (out / p).read_bytes() == blob
+
+
+@pytest.mark.parametrize("config", [b"n_models = \xff\n", b"n_models = abc\n",
+                                    b"n_examples_id = 2.5\n", b"diversity = x\n"])
+def test_synth_undecodable_or_unparsable_config(tmp_path, capsys, config):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(config)
+    assert main(["synth", "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("target", ["id/m01.jsonl", "manifest.json"])
+def test_validate_input_not_utf8(tmp_path, capsys, target):
+    out = _synth(tmp_path)
+    path = out / target
+    path.write_bytes(path.read_bytes().replace(b'"', b'\xff"', 1))
+    assert main(["validate", "--manifest", str(out / "manifest.json")]) == EXIT_INPUT_ERROR
+    assert "malformed record" in capsys.readouterr().err
+
+
+def test_estimate_out_is_an_existing_file(tmp_path, capsys):
+    manifest = str(_synth(tmp_path) / "manifest.json")
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--clamp-eps", "nan"), ("--clamp-eps", "0.7"), ("--clamp-eps", "0.5"),
+    ("--clamp-eps", "0"), ("--clamp-eps", "-0.0001"),
+    ("--gate-threshold", "nan"), ("--gate-threshold", "1.5"), ("--gate-threshold", "-0.1"),
+])
+def test_estimate_rejects_bad_report_options_up_front(tmp_path, capsys, flag, value):
+    manifest = str(_synth(tmp_path) / "manifest.json")
+    out = tmp_path / "report"
+    assert main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                 "--out", str(out), "--eval", flag, value]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -13,7 +13,8 @@ from aglkit.datamodel import (
     TASK_EXTRACTIVE_QA,
     Manifest,
     ManifestEntry,
-    argmax_lowest,
+    SpanExample,
+    SpanLog,
     load_log,
     load_manifest,
     load_split_pair,
@@ -36,10 +37,27 @@ from aglkit.errors import (
 from conftest import make_classification_log, make_span_log
 
 
+def argmax_lowest(values) -> int:
+    """Argmax with ties broken by the lowest index: the oracle for validate_log."""
+    return int(np.argmax(np.asarray(values)))
+
+
 def test_argmax_lowest_tie_break():
     assert argmax_lowest([1.0, 3.0, 3.0, 2.0]) == 1
     assert argmax_lowest([5.0]) == 0
     assert argmax_lowest([2.0, 2.0, 2.0]) == 0
+    # validate_log keeps the lowest of tied top logits as the prediction
+    logits = np.array([[1.0, 3.0, 3.0, 2.0], [2.0, 2.0, 2.0, 2.0]])
+    validate_log(make_classification_log([1, 0], [0, 0], 4, logits=logits))
+    with pytest.raises(ArgmaxMismatch):
+        validate_log(make_classification_log([2, 0], [0, 0], 4, logits=logits))
+    span = make_span_log([(1, 0)], [(0, 0)], n_tokens=4)
+    span.start_logits[0] = logits[0]
+    span.end_logits[0] = logits[1]
+    validate_log(span)
+    span.predicted[0] = [2, 0]
+    with pytest.raises(ArgmaxMismatch):
+        validate_log(span)
 
 
 def _logits_for(predicted, n_classes, rng):
@@ -76,11 +94,11 @@ def test_span_round_trip_bit_exact(tmp_path, rng):
     save_log(log, path)
     back = load_log(path)
     assert len(back) == 3
-    for a, b in zip(back.examples, log.examples):
-        assert np.array_equal(a.start_logits, b.start_logits)
-        assert np.array_equal(a.end_logits, b.end_logits)
-        assert (a.gold_start, a.gold_end) == (b.gold_start, b.gold_end)
-        assert (a.pred_start, a.pred_end) == (b.pred_start, b.pred_end)
+    assert np.array_equal(back.n_tokens, log.n_tokens)
+    assert np.array_equal(back.start_logits, log.start_logits)
+    assert np.array_equal(back.end_logits, log.end_logits)
+    assert np.array_equal(back.gold, log.gold)
+    assert np.array_equal(back.predicted, log.predicted)
     save_log(back, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
@@ -161,14 +179,125 @@ def test_validate_span_invariants(rng):
     log = make_span_log([(1, 3)], [(0, 2)], n_tokens=5, rng=rng)
     validate_log(log)
     bad = make_span_log([(1, 3)], [(0, 2)], n_tokens=5, rng=rng)
-    bad.examples[0].gold_start = 3
-    bad.examples[0].gold_end = 1  # inverted gold span
+    bad.gold[0] = [3, 1]  # inverted gold span
     with pytest.raises(RangeViolation):
         validate_log(bad)
     bad2 = make_span_log([(1, 3)], [(0, 2)], n_tokens=5, rng=rng)
-    bad2.examples[0].pred_start = 0  # disagrees with start_logits argmax
+    bad2.predicted[0, 0] = 0  # disagrees with start_logits argmax
     with pytest.raises(ArgmaxMismatch):
         validate_log(bad2)
+
+
+def _validate_span_loop(records):
+    """The per-example loop validate_log ran on span logs before it checked whole arrays."""
+    for i, ex in enumerate(records):
+        n_tok = ex.n_tokens
+        if n_tok < 1:
+            raise RangeViolation(i, f"n_tokens {n_tok} < 1")
+        if len(ex.start_logits) != n_tok or len(ex.end_logits) != n_tok:
+            raise LengthViolation(i)
+        if not (np.isfinite(ex.start_logits).all() and np.isfinite(ex.end_logits).all()):
+            raise RangeViolation(i, "non-finite logit")
+        if not (0 <= ex.gold_start <= ex.gold_end < n_tok):
+            raise RangeViolation(i, "gold span out of range")
+        if not (0 <= ex.pred_start < n_tok and 0 <= ex.pred_end < n_tok):
+            raise RangeViolation(i, "predicted span out of range")
+        if argmax_lowest(ex.start_logits) != ex.pred_start:
+            raise ArgmaxMismatch(i)
+        if argmax_lowest(ex.end_logits) != ex.pred_end:
+            raise ArgmaxMismatch(i)
+
+
+def _span_records(rng, n=30):
+    """Valid QA records of 3 to 8 tokens, so most rows of the packed log are padded."""
+    records = []
+    for _ in range(n):
+        n_tok = int(rng.integers(3, 9))
+        start, end = rng.normal(size=(2, n_tok))
+        ps, pe = (int(v) for v in rng.integers(0, n_tok, 2))
+        start[ps] = start.max() + 1.0
+        end[pe] = end.max() + 1.0
+        gs = int(rng.integers(0, n_tok))
+        records.append(SpanExample(n_tokens=n_tok, start_logits=start, end_logits=end,
+                                   gold_start=gs, gold_end=int(rng.integers(gs, n_tok)),
+                                   pred_start=ps, pred_end=pe))
+    return records
+
+
+def _corrupt_record(ex, kind):
+    if kind == "n_tokens":
+        ex.n_tokens, ex.start_logits, ex.end_logits = 0, np.empty(0), np.empty(0)
+    elif kind == "gold_inverted":
+        ex.gold_start, ex.gold_end = 2, 1
+    elif kind == "gold_end":
+        ex.gold_end = ex.n_tokens
+    elif kind == "pred_start":
+        ex.pred_start = -1
+    elif kind == "pred_end":
+        ex.pred_end = ex.n_tokens
+    elif kind == "argmax_start":
+        ex.pred_start = (ex.pred_start + 1) % ex.n_tokens
+    elif kind == "argmax_end":
+        ex.pred_end = (ex.pred_end + 1) % ex.n_tokens
+    elif kind in ("tie", "tie_wrong"):  # tied top logits: the lowest index is the argmax
+        ex.start_logits[:] = 1.0
+        ex.pred_start = 0 if kind == "tie" else 1
+    else:  # "<value> <first|last> <start|end>"
+        value, where, which = kind.split()
+        vec = getattr(ex, f"{which}_logits")
+        vec[0 if where == "first" else ex.n_tokens - 1] = float(value)
+
+
+_NON_FINITE = [f"{v} {where} {which}" for v in ("nan", "inf", "-inf")
+               for where, which in (("first", "start"), ("last", "end"),
+                                    ("last", "start"), ("first", "end"))]
+
+
+@pytest.mark.parametrize("corruptions", [
+    [("n_tokens", 0)], [("n_tokens", 17)], [("n_tokens", 29)],
+    [("gold_inverted", 5)], [("gold_end", 29)],
+    [("pred_start", 0)], [("pred_end", 12)],
+    [("argmax_start", 0)], [("argmax_end", 29)], [("argmax_start", 8)], [("argmax_end", 8)],
+    [("tie", 4)], [("tie_wrong", 4)],
+    *[[(kind, i)] for kind in _NON_FINITE for i in (0, 29)],
+    [("gold_inverted", 20), ("argmax_end", 3)], [("argmax_start", 3), ("gold_end", 20)],
+    [("nan last end", 9), ("pred_end", 10)], [("pred_start", 9), ("-inf first start", 10)],
+    [("n_tokens", 14), ("inf last start", 2)], [("tie", 1), ("argmax_end", 7)],
+    [("argmax_start", 6), ("argmax_end", 6)], [("pred_end", 11), ("gold_inverted", 11)],
+])
+def test_validate_span_matches_loop(rng, corruptions):
+    """Same exception, example index and message as the per-example loop."""
+    records = _span_records(rng)
+    for kind, i in corruptions:
+        _corrupt_record(records[i], kind)
+    log = SpanLog(model_id="m", split_id="s", examples=records)
+    try:
+        _validate_span_loop(records)
+    except (RangeViolation, LengthViolation, ArgmaxMismatch) as expected:
+        with pytest.raises(type(expected)) as exc:
+            validate_log(log)
+        assert exc.value.example_index == expected.example_index
+        assert str(exc.value) == str(expected)
+    else:
+        assert all(kind == "tie" for kind, _ in corruptions)
+        validate_log(log)
+
+
+def test_span_log_rejects_vectors_of_the_wrong_length(tmp_path, rng):
+    """The padded layout holds n_tokens logits per row; any other count is an
+    error when the log is built, and at its example when a file is loaded."""
+    records = _span_records(rng, 5)
+    records[3].end_logits = records[3].end_logits[:-1]
+    with pytest.raises(LengthViolation) as exc:
+        SpanLog(model_id="m", split_id="s", examples=records)
+    assert exc.value.example_index == 3
+    path = tmp_path / "qa.jsonl"
+    path.write_text(json.dumps({"task": "extractive_qa", "model_id": "m", "split_id": "s"})
+                    + "\n" + json.dumps(_qa_record()) + "\n"
+                    + json.dumps(_qa_record(start_logits=[1.0, 0.0, 0.0])) + "\n")
+    with pytest.raises(LengthViolation) as exc:
+        load_log(path, validate=False)
+    assert exc.value.example_index == 1
 
 
 def test_load_log_mutation_detected(tmp_path, rng):
@@ -263,9 +392,8 @@ def test_load_log_accepts_integral_floats(tmp_path):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_validate_rejects_non_finite_span_logits(rng, value):
     log = make_span_log([(1, 3), (0, 2)], [(0, 2), (0, 2)], n_tokens=5, rng=rng)
-    ex = log.examples[1]
     # at the predicted index NaN and +inf keep the argmax; -inf goes elsewhere
-    ex.end_logits[ex.pred_end if value != -np.inf else 4] = value
+    log.end_logits[1, log.predicted[1, 1] if value != -np.inf else 4] = value
     with pytest.raises(RangeViolation) as exc:
         validate_log(log)
     assert exc.value.example_index == 1
@@ -396,3 +524,38 @@ def test_metric_override(tmp_path, rng):
     assert load_manifest(path, metric_override=METRIC_F1).metric == METRIC_F1
     with pytest.raises(MetricTaskMismatch):
         load_manifest(path, metric_override=METRIC_ACCURACY)
+
+
+def test_load_log_not_utf8_reports_line(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"task": "classification", "model_id": "m", "split_id": "s", '
+                     b'"n_classes": 2}\n{"gold": 0, "predicted": 1}\n'
+                     b'{"gold": 0, "predicted": 1, "note": "caf\xe9"}\n')
+    with pytest.raises(MalformedRecord) as exc:
+        load_log(path)
+    assert exc.value.line_number == 3
+
+
+def test_read_manifest_not_utf8(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b'{"version": "1", "task": "classification",\n'
+                     b' "metric": "accuracy", "entries": [], "by": "\xff"}\n')
+    with pytest.raises(MalformedRecord) as exc:
+        read_manifest(path)
+    assert exc.value.line_number == 2
+
+
+@pytest.mark.parametrize("literal", ["1" * 5000, "[" * 100_000], ids=["digits", "nesting"])
+def test_json_beyond_parser_limits_is_malformed(tmp_path, literal):
+    """An integer literal past Python's digit limit, or nesting past its
+    recursion limit, is a malformed record, not a raw ValueError or RecursionError."""
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"task": "classification", "model_id": "m", "split_id": "s", '
+                   '"n_classes": 2}\n{"gold": 0, "predicted": ' + literal + "}\n")
+    with pytest.raises(MalformedRecord) as exc:
+        load_log(log)
+    assert exc.value.line_number == 2
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"version": ' + literal + "}\n")
+    with pytest.raises(MalformedRecord):
+        read_manifest(manifest)

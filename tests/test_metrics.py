@@ -1,8 +1,12 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from aglkit.datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1
 from aglkit.errors import EmptyLog, InsufficientModels, MetricTaskMismatch, ShapeMismatch
 from aglkit.metrics import (
+    _scores,
     accuracy,
     agreement,
     agreement_matrix,
@@ -51,9 +55,9 @@ def test_span_f1_cases(rng):
 def _f1_loop_oracle(a, b):
     """Token-set F1 via explicit set construction."""
     scores = []
-    for ea, eb in zip(a.examples, b.examples):
-        sa = set(range(ea.pred_start, ea.pred_end + 1))
-        sb = set(range(eb.pred_start, eb.pred_end + 1))
+    for (a_start, a_end), (b_start, b_end) in zip(a.predicted.tolist(), b.predicted.tolist()):
+        sa = set(range(a_start, a_end + 1))
+        sb = set(range(b_start, b_end + 1))
         if not sa and not sb:
             scores.append(1.0)  # two empty (inverted) spans agree vacuously
             continue
@@ -95,8 +99,7 @@ def test_span_agreement_matches_loop_oracles(rng):
         n = int(rng.integers(3, 20))
         a = _random_span_log(rng, n, 9)
         b = _random_span_log(rng, n, 9, model_id="m1")
-        em = sum(int((ea.pred_start, ea.pred_end) == (eb.pred_start, eb.pred_end))
-                 for ea, eb in zip(a.examples, b.examples)) / n
+        em = sum(int(pa == pb) for pa, pb in zip(a.predicted.tolist(), b.predicted.tolist())) / n
         assert agreement(a, b, METRIC_EXACT_MATCH) == em
         assert agreement(a, b, METRIC_F1) == pytest.approx(_f1_loop_oracle(a, b),
                                                            abs=1e-12)
@@ -118,7 +121,7 @@ def test_agreement_with_gold_log_equals_performance(rng):
     assert agreement(model, oracle, METRIC_ACCURACY) == accuracy(model)
 
     qa = _random_span_log(rng, 25, 8)
-    gold_spans = [(ex.gold_start, ex.gold_end) for ex in qa.examples]
+    gold_spans = [tuple(span) for span in qa.gold.tolist()]
     qa_oracle = make_span_log(gold_spans, gold_spans, n_tokens=8, model_id="gold",
                               rng=rng)
     assert agreement(qa, qa_oracle, METRIC_EXACT_MATCH) == exact_match(qa)
@@ -173,3 +176,75 @@ def test_agreement_matrix_needs_two_models(rng):
     log = make_classification_log([0, 1], [0, 1])
     with pytest.raises(InsufficientModels):
         agreement_matrix([log], METRIC_ACCURACY)
+
+
+def _interval_f1(a_start, a_end, b_start, b_end) -> float:
+    """The scalar token-interval F1 the metrics used before they took arrays."""
+    a_len = max(0, a_end - a_start + 1)
+    b_len = max(0, b_end - b_start + 1)
+    if a_len == 0 and b_len == 0:
+        return 1.0
+    if a_len == 0 or b_len == 0:
+        return 0.0
+    overlap = max(0, min(a_end, b_end) - max(a_start, b_start) + 1)
+    if overlap == 0:
+        return 0.0
+    return 2.0 * overlap / (a_len + b_len)
+
+
+def test_interval_f1_matches_scalar_oracle():
+    """Every pair of spans over 6 positions, inverted (empty) ones included on
+    one side and on both: the array kernel equals the scalar rule exactly."""
+    spans = list(itertools.product(range(6), repeat=2))
+    a, b = np.array(list(itertools.product(spans, repeat=2))).transpose(1, 0, 2)
+    expected = [_interval_f1(*sa, *sb) for sa, sb in zip(a.tolist(), b.tolist())]
+    assert any(sa[0] > sa[1] and sb[0] > sb[1] for sa, sb in zip(a, b))
+    assert _scores(METRIC_F1, a, b).tolist() == expected
+
+
+def _agreement_loop(a, b, metric):
+    """Pairwise agreement as a loop over examples, as it was computed before."""
+    if metric == METRIC_ACCURACY:
+        return float(np.mean(a.predicted == b.predicted))
+    pairs = zip(a.predicted.tolist(), b.predicted.tolist())
+    if metric == METRIC_EXACT_MATCH:
+        return float(np.mean([1.0 if pa == pb else 0.0 for pa, pb in pairs]))
+    return float(np.mean([_interval_f1(*pa, *pb) for pa, pb in pairs]))
+
+
+def _agreement_matrix_loop(logs, metric):
+    n = len(logs)
+    values = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = _agreement_loop(logs[i], logs[j], metric)
+    return values
+
+
+@pytest.mark.parametrize("metric", [METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1])
+def test_agreement_matrix_matches_pair_loop(rng, metric):
+    """Bit-identical to the pair loop for the count metrics, within 1e-15 for F1."""
+    for n_models, n in ((2, 1), (5, 37), (9, 200)):
+        if metric == METRIC_ACCURACY:
+            logs = [make_classification_log(rng.integers(0, 3, n), rng.integers(0, 3, n), 3,
+                                            model_id=f"m{i}") for i in range(n_models)]
+        else:
+            logs = [_random_span_log(rng, n, 7, model_id=f"m{i}") for i in range(n_models)]
+        got = agreement_matrix(logs, metric).values
+        expected = _agreement_matrix_loop(logs, metric)
+        if metric == METRIC_F1:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+        else:
+            assert np.array_equal(got, expected)
+
+
+def test_metric_of_the_wrong_task_rejected(rng):
+    qa = _random_span_log(rng, 5, 6)
+    clf = make_classification_log([0, 1, 1, 0, 1], [0, 1, 0, 0, 1])
+    for log, metric in ((qa, METRIC_ACCURACY), (clf, METRIC_EXACT_MATCH), (clf, METRIC_F1)):
+        with pytest.raises(MetricTaskMismatch):
+            performance(log, metric)
+        with pytest.raises(MetricTaskMismatch):
+            agreement(log, log, metric)
+        with pytest.raises(MetricTaskMismatch):
+            agreement_matrix([log, log], metric)

@@ -7,7 +7,7 @@ import pytest
 
 import aglkit.baselines
 from aglkit.datamodel import METRIC_ACCURACY, SplitPair
-from aglkit.errors import LengthMismatch, ZeroTruth
+from aglkit.errors import LengthMismatch, ToolkitError, ZeroTruth
 from aglkit.probit import clamp_rate, probit
 from aglkit.report import (
     ALINE_METHODS,
@@ -39,6 +39,17 @@ def test_mape_errors():
         mape([0.5, 0.5], [0.5])
     with pytest.raises(LengthMismatch):
         mape([], [])
+
+
+@pytest.mark.parametrize("options", [
+    {"clamp_eps": float("nan")}, {"clamp_eps": 0.7}, {"clamp_eps": 0.0},
+    {"gate_threshold": float("nan")}, {"gate_threshold": 1.01}, {"gate_threshold": -0.5},
+])
+def test_report_options_out_of_range_rejected(options):
+    with pytest.raises(ToolkitError):
+        ReportOptions(**options)
+    ReportOptions(clamp_eps=0.49, gate_threshold=0.0)
+    ReportOptions(clamp_eps=1e-12, gate_threshold=1.0)
 
 
 def _synth_pair(n_models=3, n=300, seed=6):
