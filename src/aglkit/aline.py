@@ -12,12 +12,11 @@ Sherman-Morrison, without building A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientModels
-from .metrics import AgreementMatrix
 from .probit import CLAMP_EPS, LineFit, clamp_rate, fit_line, normal_cdf, probit
 
 METHOD_ALINE_S = "aline_s"
@@ -28,9 +27,10 @@ DEFAULT_GATE_THRESHOLD = 0.95
 
 @dataclass
 class AlineInput:
+    """ID performance (n,) and the symmetric (n, n) ID and OOD agreement matrices."""
     id_perf: np.ndarray
-    agr_id: AgreementMatrix
-    agr_ood: AgreementMatrix
+    agr_id: np.ndarray
+    agr_ood: np.ndarray
     gate_threshold: float = DEFAULT_GATE_THRESHOLD
     clamp_eps: float = CLAMP_EPS
 
@@ -39,8 +39,9 @@ class AlineInput:
         n = len(self.id_perf)
         if n < 2:
             raise InsufficientModels(f"need at least 2 models, got {n}")
-        if self.agr_id.n != n or self.agr_ood.n != n:
-            raise InsufficientModels("agreement matrices not aligned with id_perf")
+        if self.agr_id.shape != (n, n) or self.agr_ood.shape != (n, n):
+            raise InsufficientModels(f"agreement matrices {self.agr_id.shape}, "
+                                     f"{self.agr_ood.shape} not aligned with {n} models")
 
     @property
     def n(self):
@@ -52,8 +53,6 @@ class AlineOutput:
     estimates: np.ndarray
     agreement_fit: LineFit
     gated: bool
-    method: str
-    model_ids: list[str] = field(default_factory=list)
 
 
 def gate(fit: LineFit, threshold: float) -> bool:
@@ -64,8 +63,8 @@ def gate(fit: LineFit, threshold: float) -> bool:
 def _pair_probits(inp: AlineInput):
     """Pair indices (i < j, row-major) and their probit ID and OOD agreements."""
     i, j = np.triu_indices(inp.n, k=1)
-    x = probit(clamp_rate(inp.agr_id.values[i, j], inp.clamp_eps))
-    y = probit(clamp_rate(inp.agr_ood.values[i, j], inp.clamp_eps))
+    x = probit(clamp_rate(inp.agr_id[i, j], inp.clamp_eps))
+    y = probit(clamp_rate(inp.agr_ood[i, j], inp.clamp_eps))
     return i, j, x, y
 
 
@@ -75,16 +74,15 @@ def agreement_line(inp: AlineInput) -> LineFit:
     return fit_line(x, y)
 
 
-def _output(inp: AlineInput, probit_est, fit: LineFit, method: str) -> AlineOutput:
+def _output(inp: AlineInput, probit_est, fit: LineFit) -> AlineOutput:
     return AlineOutput(estimates=normal_cdf(probit_est), agreement_fit=fit,
-                       gated=gate(fit, inp.gate_threshold), method=method,
-                       model_ids=list(inp.agr_id.model_ids))
+                       gated=gate(fit, inp.gate_threshold))
 
 
 def aline_s(inp: AlineInput) -> AlineOutput:
     fit = agreement_line(inp)
     id_probit = probit(clamp_rate(inp.id_perf, inp.clamp_eps))
-    return _output(inp, fit.slope * id_probit + fit.bias, fit, METHOD_ALINE_S)
+    return _output(inp, fit.slope * id_probit + fit.bias, fit)
 
 
 def aline_d(inp: AlineInput) -> AlineOutput:
@@ -98,4 +96,4 @@ def aline_d(inp: AlineInput) -> AlineOutput:
     # (A^T rhs)_m is half the sum of rhs over the pairs that contain model m.
     atb = 0.5 * (np.bincount(i, rhs, minlength=n) + np.bincount(j, rhs, minlength=n))
     sol = 4.0 / (n - 2) * (atb - atb.sum() / (2 * n - 2))
-    return _output(inp, sol, fit, METHOD_ALINE_D)
+    return _output(inp, sol, fit)

@@ -7,9 +7,10 @@ exact derivatives mean(E_p[d] - d_gold) and mean(Var_p[d]). The fit
 returns a box edge when the derivative there points out of the box (so a
 CE that underflows to a flat tail goes to the upper edge); otherwise
 safeguarded Newton steps in t alternate with bisection until the bracket
-is narrower than ``TEMP_TOL``. QA start and end coordinates are fitted
-separately on the log's -inf padded logit matrices. A report fits one
-temperature per ID log and shares it with AC, ATC and DOC-Feat
+is narrower than ``TEMP_TOL``. Each softmax head of a log is fitted on
+its own: the one head of a classification log, or the start and end heads
+of a QA log (-inf padded matrices). A report fits the temperatures of each
+ID log once and shares them with AC, ATC and DOC-Feat
 (``confidence_scores``).
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, ClassificationLog, SpanLog
 from .errors import EmptyLog, InsufficientModels, MissingLogits
-from .metrics import AgreementMatrix, performance
+from .metrics import performance
 
 METHOD_AC = "ac"
 METHOD_ATC = "atc"
@@ -33,21 +34,9 @@ TEMP_BOX = (-5.0, 5.0)
 TEMP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Temperature:
-    """Log-scale temperature; logits are multiplied by exp(t)."""
-    t: float
-    t_end: float | None = None  # set for QA (t is then the start temperature)
-
-    @property
-    def is_qa(self):
-        return self.t_end is not None
-
-
 @dataclass
 class BaselineComparison:
     """Raw and temperature-scaled variants of one confidence estimate."""
-    method: str
     raw: float
     temp_scaled: float
     selected: float | None = None
@@ -63,12 +52,16 @@ class ConfidenceScores:
     scaled: tuple[np.ndarray, np.ndarray]
 
 
-def _require_logits(log):
-    if isinstance(log, ClassificationLog):
-        if log.logits is None:
-            raise MissingLogits(f"log {log.model_id!r} carries no logits")
-    elif not isinstance(log, SpanLog):
+def _heads(log):
+    """``(logits, gold)`` of each softmax head: one for classification, the
+    start and end heads for QA."""
+    if isinstance(log, SpanLog):
+        return (log.start_logits, log.gold[:, 0]), (log.end_logits, log.gold[:, 1])
+    if not isinstance(log, ClassificationLog):
         raise MissingLogits(f"unsupported log type {type(log)!r}")
+    if log.logits is None:
+        raise MissingLogits(f"log {log.model_id!r} carries no logits")
+    return ((log.logits, log.gold),)
 
 
 def _mean_ce(logits: np.ndarray, golds: np.ndarray, t: float) -> float:
@@ -125,19 +118,13 @@ def _fit_coordinate(logits: np.ndarray, golds: np.ndarray) -> float:
             t, step, older = newton, abs(newton - t), step
 
 
-def fit_temperature_classification(log: ClassificationLog) -> Temperature:
-    _require_logits(log)
-    if len(log) == 0:
+def fit_temperature(id_log) -> tuple[float, ...]:
+    """One log-temperature per softmax head; logits are multiplied by exp(t).
+    The QA pair CE separates into one CE per head."""
+    heads = _heads(id_log)
+    if len(id_log) == 0:
         raise EmptyLog("cannot calibrate an empty log")
-    return Temperature(t=_fit_coordinate(log.logits, log.gold))
-
-
-def fit_temperature_qa(log: SpanLog) -> Temperature:
-    """Joint start/end calibration; the pair CE separates per coordinate."""
-    if len(log) == 0:
-        raise EmptyLog("cannot calibrate an empty log")
-    return Temperature(t=_fit_coordinate(log.start_logits, log.gold[:, 0]),
-                       t_end=_fit_coordinate(log.end_logits, log.gold[:, 1]))
+    return tuple(_fit_coordinate(logits, gold) for logits, gold in heads)
 
 
 def _max_prob(logits: np.ndarray, t: float) -> np.ndarray:
@@ -146,15 +133,12 @@ def _max_prob(logits: np.ndarray, t: float) -> np.ndarray:
     return 1.0 / np.exp(scaled - scaled.max(axis=1, keepdims=True)).sum(axis=1)
 
 
-def confidence(log, temperature: Temperature | None = None) -> np.ndarray:
-    """Per-example max probability (classification) or max pair probability (QA)."""
-    _require_logits(log)
-    t = temperature.t if temperature is not None else 0.0
-    if isinstance(log, ClassificationLog):
-        return _max_prob(log.logits, t)
-    t_end = temperature.t_end if (temperature is not None and temperature.is_qa) else t
-    # max over all (i, j) pairs of p_start[i] * p_end[j] factorizes
-    return _max_prob(log.start_logits, t) * _max_prob(log.end_logits, t_end)
+def confidence(log, temperature: tuple[float, ...] | None = None) -> np.ndarray:
+    """Per-example product of the heads' max probabilities: the max probability
+    (classification) or, since it factorizes, the max pair probability (QA)."""
+    heads = _heads(log)
+    ts = (0.0,) * len(heads) if temperature is None else temperature
+    return math.prod(_max_prob(logits, t) for (logits, _), t in zip(heads, ts, strict=True))
 
 
 def _id_accuracy(log) -> float:
@@ -188,72 +172,59 @@ def _doc_feat(id_accuracy, id_conf, ood_conf) -> float:
 _SCORE_METHODS = {METHOD_AC: _ac, METHOD_ATC: _atc, METHOD_DOC_FEAT: _doc_feat}
 
 
-def ac_estimate(ood_log, temperature: Temperature | None = None) -> float:
+def ac_estimate(ood_log, temperature: tuple[float, ...] | None = None) -> float:
     """Average confidence on the OOD split."""
     return _ac(None, None, confidence(ood_log, temperature))
 
 
-def atc_threshold(id_log, temperature: Temperature | None = None) -> float:
+def atc_threshold(id_log, temperature: tuple[float, ...] | None = None) -> float:
     """Threshold whose ID coverage reproduces the ID accuracy."""
     return _atc_threshold(_id_accuracy(id_log), confidence(id_log, temperature))
 
 
-def atc_estimate(id_log, ood_log, temperature: Temperature | None = None) -> float:
+def atc_estimate(id_log, ood_log, temperature: tuple[float, ...] | None = None) -> float:
     """Fraction of OOD examples whose confidence clears the ID-fit threshold."""
     return _atc(_id_accuracy(id_log), confidence(id_log, temperature),
                 confidence(ood_log, temperature))
 
 
-def doc_feat_estimate(id_log, ood_log, temperature: Temperature | None = None) -> float:
+def doc_feat_estimate(id_log, ood_log,
+                      temperature: tuple[float, ...] | None = None) -> float:
     """ID accuracy shifted by the drop in mean confidence, clamped to [0, 1]."""
     return _doc_feat(_id_accuracy(id_log), confidence(id_log, temperature),
                      confidence(ood_log, temperature))
 
 
-def naive_agreement_estimate(agr_ood: AgreementMatrix) -> np.ndarray:
-    """Each model's mean OOD agreement with its peers."""
-    n = agr_ood.n
+def naive_agreement_estimate(agr_ood: np.ndarray) -> np.ndarray:
+    """Each model's mean OOD agreement with its peers, from the (n, n) matrix."""
+    n = len(agr_ood)
     if n < 2:
         raise InsufficientModels(f"need at least 2 models, got {n}")
-    values = agr_ood.values
-    return (values.sum(axis=1) - np.diag(values)) / (n - 1)
-
-
-def fit_temperature(id_log) -> Temperature:
-    if isinstance(id_log, ClassificationLog):
-        return fit_temperature_classification(id_log)
-    return fit_temperature_qa(id_log)
+    return (agr_ood.sum(axis=1) - np.diag(agr_ood)) / (n - 1)
 
 
 def confidence_scores(id_log, ood_log) -> ConfidenceScores:
-    """Fit the ID log's temperature once; score both splits raw and scaled."""
+    """Fit the ID log's temperatures once; score both splits raw and scaled."""
     raw = (confidence(id_log), confidence(ood_log))
     temp = fit_temperature(id_log)
     return ConfidenceScores(id_accuracy=_id_accuracy(id_log), raw=raw,
                             scaled=(confidence(id_log, temp), confidence(ood_log, temp)))
 
 
-def with_and_without_temperature(method: str, id_log, ood_log,
-                                 ood_truth: float | None = None,
-                                 scores: ConfidenceScores | None = None) -> BaselineComparison:
-    """Run one confidence baseline raw and temperature-scaled.
+def with_and_without_temperature(method: str, scores: ConfidenceScores,
+                                 ood_truth: float | None = None) -> BaselineComparison:
+    """Run one confidence baseline raw and temperature-scaled on a model's
+    ``confidence_scores``.
 
-    ``scores`` are the pair's ``confidence_scores`` when the caller already
-    has them (they are computed otherwise). With an OOD truth value
-    (evaluation mode) the closer variant is selected, preferring the raw
-    one on ties; otherwise both variants are reported unselected.
+    With an OOD truth value (evaluation mode) the closer variant is
+    selected, preferring the raw one on ties; otherwise both variants are
+    reported unselected.
     """
-    if scores is None:
-        scores = confidence_scores(id_log, ood_log)
     fn = _SCORE_METHODS[method]
     raw = fn(scores.id_accuracy, *scores.raw)
     scaled = fn(scores.id_accuracy, *scores.scaled)
-    cmp = BaselineComparison(method=method, raw=raw, temp_scaled=scaled)
+    cmp = BaselineComparison(raw=raw, temp_scaled=scaled)
     if ood_truth is not None:
-        if abs(scaled - ood_truth) < abs(raw - ood_truth):
-            cmp.selected = scaled
-            cmp.used_temperature = True
-        else:
-            cmp.selected = raw
-            cmp.used_temperature = False
+        cmp.used_temperature = abs(scaled - ood_truth) < abs(raw - ood_truth)
+        cmp.selected = scaled if cmp.used_temperature else raw
     return cmp

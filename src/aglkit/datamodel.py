@@ -287,18 +287,21 @@ def _float_vector(value) -> np.ndarray:
 
 def load_log(path, validate: bool = True):
     """Load one JSON Lines log file; validates invariants by default."""
-    raw_lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
-    if not raw_lines:
+    # split on "\n" only: JSON strings may hold other line breaks such as U+2028
+    numbered = [(lineno, ln) for lineno, ln in enumerate(_read_text(path).split("\n"), start=1)
+                if ln.strip()]
+    if not numbered:
         raise MalformedRecord(path, 1, "empty file")
-    header = _parse_json_line(path, 1, raw_lines[0])
-    task = _require(header, "task", path, 1)
-    model_id = _require(header, "model_id", path, 1)
-    split_id = _require(header, "split_id", path, 1)
+    head_no, head = numbered[0]
+    header = _parse_json_line(path, head_no, head)
+    task = _require(header, "task", path, head_no)
+    model_id = _require(header, "model_id", path, head_no)
+    split_id = _require(header, "split_id", path, head_no)
     if task == TASK_CLASSIFICATION:
-        k = _require(header, "n_classes", path, 1, _int64)
+        k = _require(header, "n_classes", path, head_no, _int64)
         golds, preds, logit_rows = [], [], []
         any_logits = None
-        for lineno, line in enumerate(raw_lines[1:], start=2):
+        for lineno, line in numbered[1:]:
             rec = _parse_json_line(path, lineno, line)
             golds.append(_require(rec, "gold", path, lineno, _int64))
             preds.append(_require(rec, "predicted", path, lineno, _int64))
@@ -309,11 +312,11 @@ def load_log(path, validate: bool = True):
                 raise MalformedRecord(path, lineno, "inconsistent presence of logits")
             if has:
                 logit_rows.append(_require(rec, "logits", path, lineno, _float_vector))
+                if len(logit_rows[-1]) != k:
+                    raise MalformedRecord(path, lineno,
+                                          f"logit width {len(logit_rows[-1])} != n_classes {k}")
         logits = None
         if any_logits:
-            widths = {len(r) for r in logit_rows}
-            if widths != {k}:
-                raise MalformedRecord(path, 2, f"logit widths {sorted(widths)} != n_classes {k}")
             logits = np.array(logit_rows, dtype=np.float64)
         log = ClassificationLog(model_id=model_id, split_id=split_id, n_classes=k,
                                 gold=np.array(golds, dtype=np.int64),
@@ -321,7 +324,7 @@ def load_log(path, validate: bool = True):
                                 logits=logits)
     elif task == TASK_EXTRACTIVE_QA:
         examples = []
-        for lineno, line in enumerate(raw_lines[1:], start=2):
+        for lineno, line in numbered[1:]:
             rec = _parse_json_line(path, lineno, line)
             examples.append(SpanExample(
                 n_tokens=_require(rec, "n_tokens", path, lineno, _int64),
@@ -333,7 +336,7 @@ def load_log(path, validate: bool = True):
                 pred_end=_require(rec, "pred_end", path, lineno, _int64)))
         log = SpanLog(model_id=model_id, split_id=split_id, examples=examples)
     else:
-        raise MalformedRecord(path, 1, f"unknown task {task!r}")
+        raise MalformedRecord(path, head_no, f"unknown task {task!r}")
     if validate:
         validate_log(log)
     return log

@@ -7,8 +7,6 @@ orientation does not matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datamodel import (
@@ -20,22 +18,6 @@ from .datamodel import (
     SpanLog,
 )
 from .errors import EmptyLog, InsufficientModels, MetricTaskMismatch, ShapeMismatch
-
-
-@dataclass
-class AgreementMatrix:
-    """Symmetric pairwise agreement for one split under one metric."""
-    model_ids: list[str]
-    values: np.ndarray
-    metric: str
-    split_id: str
-
-    @property
-    def n(self):
-        return len(self.model_ids)
-
-    def pair(self, i: int, j: int) -> float:
-        return float(self.values[i, j])
 
 
 def _check_metric(log, metric):
@@ -97,8 +79,9 @@ def agreement(a, b, metric: str) -> float:
     return float(np.mean(_scores(metric, a.predicted, b.predicted)))
 
 
-def agreement_matrix(logs, metric: str) -> AgreementMatrix:
-    """All pairwise agreements of an aligned ensemble of n >= 2 logs."""
+def agreement_matrix(logs, metric: str) -> np.ndarray:
+    """The symmetric (n, n) pairwise agreements of an aligned ensemble of
+    n >= 2 logs, in log order, with ones on the diagonal."""
     logs = list(logs)
     n = len(logs)
     if n < 2:
@@ -110,6 +93,4 @@ def agreement_matrix(logs, metric: str) -> AgreementMatrix:
     for i in range(n - 1):  # one row of pairs at a time keeps memory at n x examples
         values[i, i + 1:] = values[i + 1:, i] = np.mean(
             _scores(metric, preds[i], preds[i + 1:]), axis=1)
-    return AgreementMatrix(model_ids=[log.model_id for log in logs],
-                           values=values, metric=metric,
-                           split_id=logs[0].split_id)
+    return values

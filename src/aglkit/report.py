@@ -28,8 +28,8 @@ from .baselines import (
     with_and_without_temperature,
 )
 from .datamodel import SplitPair
-from .errors import InvalidConfig, LengthMismatch, ToolkitError, ZeroTruth
-from .metrics import AgreementMatrix, agreement_matrix, performance
+from .errors import InsufficientModels, InvalidConfig, LengthMismatch, ToolkitError, ZeroTruth
+from .metrics import agreement_matrix, performance
 from .probit import CLAMP_EPS, LineFit, clamp_rate, fit_line, normal_cdf, probit
 
 ALINE_METHODS = (METHOD_ALINE_S, METHOD_ALINE_D)
@@ -69,8 +69,8 @@ class EstimateReport:
     metric: str
     id_perf: np.ndarray
     true_ood_perf: np.ndarray | None
-    agr_id: AgreementMatrix  # kept for export_scatter, not serialized
-    agr_ood: AgreementMatrix
+    agr_id: np.ndarray  # (n, n), kept for export_scatter, not serialized
+    agr_ood: np.ndarray
     # method -> per-model estimate vector, or {"raw": v, "temp_scaled": v}
     estimates: dict = field(default_factory=dict)
     used_temperature: dict = field(default_factory=dict)
@@ -119,11 +119,11 @@ class EstimateReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _confidence_estimates(report: EstimateReport, method: str, pair: SplitPair, scores):
+def _confidence_estimates(report: EstimateReport, method: str, scores):
     """Raw and temperature-scaled estimates per model from its
     ``confidence_scores``; with OOD truth, the variant closer to it is kept
     and its choice recorded."""
-    n = pair.n_models
+    n = len(scores)
     truth = report.true_ood_perf
     raw = np.empty(n)
     scaled = np.empty(n)
@@ -131,8 +131,7 @@ def _confidence_estimates(report: EstimateReport, method: str, pair: SplitPair, 
     used = []
     for i in range(n):
         truth_i = float(truth[i]) if truth is not None else None
-        cmp = with_and_without_temperature(method, pair.id_logs[i], pair.ood_logs[i], truth_i,
-                                           scores[i])
+        cmp = with_and_without_temperature(method, scores[i], truth_i)
         raw[i] = cmp.raw
         scaled[i] = cmp.temp_scaled
         if cmp.selected is not None:
@@ -145,8 +144,8 @@ def _confidence_estimates(report: EstimateReport, method: str, pair: SplitPair, 
         report.estimates[method] = {"raw": raw, "temp_scaled": scaled}
 
 
-def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: AgreementMatrix,
-           agr_ood: AgreementMatrix, methods, options: ReportOptions,
+def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: np.ndarray,
+           agr_ood: np.ndarray, methods, options: ReportOptions,
            pair: SplitPair | None = None) -> EstimateReport:
     """Run every requested method once; failures become per-method entries.
 
@@ -181,7 +180,7 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: AgreementMatrix
                 if scores is None:
                     scores = [confidence_scores(id_log, ood_log)
                               for id_log, ood_log in zip(pair.id_logs, pair.ood_logs)]
-                _confidence_estimates(report, method, pair, scores)
+                _confidence_estimates(report, method, scores)
             else:
                 raise ToolkitError(f"unknown method {method!r}")
         except ToolkitError as exc:
@@ -226,14 +225,13 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
     summaries. Passing ``true_ood_perf`` turns on evaluation.
     """
     model_ids = list(model_ids)
-
-    def matrix(values, split_id):
-        return AgreementMatrix(model_ids=model_ids, values=np.asarray(values),
-                               metric=metric, split_id=split_id)
-
-    return _build(model_ids, metric, ("id", "ood"), np.asarray(id_perf, dtype=np.float64),
+    id_perf = np.asarray(id_perf, dtype=np.float64)
+    if len(model_ids) != len(id_perf):
+        raise InsufficientModels(f"{len(model_ids)} model_ids for {len(id_perf)} models")
+    return _build(model_ids, metric, ("id", "ood"), id_perf,
                   None if true_ood_perf is None else np.asarray(true_ood_perf),
-                  matrix(agr_id_values, "id"), matrix(agr_ood_values, "ood"),
+                  np.asarray(agr_id_values, dtype=np.float64),
+                  np.asarray(agr_ood_values, dtype=np.float64),
                   ALINE_METHODS + (METHOD_NAIVE_AGREEMENT,), options or ReportOptions())
 
 
@@ -245,9 +243,9 @@ def export_scatter(report: EstimateReport, clamp_eps=CLAMP_EPS):
     n = len(ids)
     i, j = np.triu_indices(n, k=1)
     truth = report.true_ood_perf
-    x_raw = np.concatenate([report.id_perf, report.agr_id.values[i, j]])
+    x_raw = np.concatenate([report.id_perf, report.agr_id[i, j]])
     y_raw = np.concatenate([truth if truth is not None else np.full(n, np.nan),
-                            report.agr_ood.values[i, j]])
+                            report.agr_ood[i, j]])
     x_probit = probit(clamp_rate(x_raw, clamp_eps))
     y_probit = np.full(len(y_raw), np.nan)
     scored = slice(0 if truth is not None else n, None)  # no y for accuracy rows when blind

@@ -17,6 +17,7 @@ for the agreement line to track the accuracy line.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -70,6 +71,8 @@ class SynthConfig:
             raise InvalidConfig("example counts must be >= 1")
         if self.n_classes < 2:
             raise InvalidConfig(f"n_classes {self.n_classes} < 2")
+        if not math.isfinite(self.skill_min) or not math.isfinite(self.skill_max):
+            raise InvalidConfig("skill_min/skill_max must be finite")
         if self.skill_min > self.skill_max:
             raise InvalidConfig("skill_min > skill_max")
         if not math.isfinite(self.line_slope) or not math.isfinite(self.line_bias):
@@ -83,8 +86,6 @@ class SynthConfig:
 
     @property
     def skills(self) -> np.ndarray:
-        if self.n_models == 1:
-            return np.array([self.skill_min])
         return np.linspace(self.skill_min, self.skill_max, self.n_models)
 
     def threshold(self, model_index: int, split: str) -> float:
@@ -311,7 +312,6 @@ def write_ensemble(config: SynthConfig, out_dir) -> dict:
     manifest_path = os.path.join(out_dir, "manifest.json")
     save_manifest(manifest, manifest_path)
     truth_path = os.path.join(out_dir, "truth.json")
-    import json
     with open(truth_path, "w") as fh:
         json.dump({"model_ids": [log.model_id for log in id_logs],
                    "true_id_acc": [float(v) for v in truth.true_id_acc],

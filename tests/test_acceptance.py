@@ -20,8 +20,7 @@ from aglkit.baselines import (
     atc_threshold,
     confidence,
     doc_feat_estimate,
-    fit_temperature_classification,
-    fit_temperature_qa,
+    fit_temperature,
     naive_agreement_estimate,
 )
 from aglkit.cli import EXIT_OK, main
@@ -30,7 +29,6 @@ from aglkit.datamodel import (
     ClassificationLog,
 )
 from aglkit.metrics import (
-    AgreementMatrix,
     accuracy,
     agreement,
     agreement_matrix,
@@ -56,13 +54,6 @@ def _budget(start, limit, label):
     return elapsed
 
 
-def _matrix(values, split_id="id"):
-    n = len(values)
-    return AgreementMatrix(model_ids=[f"m{i}" for i in range(n)],
-                           values=np.asarray(values, dtype=np.float64),
-                           metric=METRIC_ACCURACY, split_id=split_id)
-
-
 def test_criterion_1_probit_round_trip():
     start = time.perf_counter()
     grid = np.linspace(1e-8, 1 - 1e-8, 10_000)
@@ -83,8 +74,7 @@ def test_criterion_2_exact_agl_recovery():
     config = SynthConfig(n_models=5, line_slope=0.7, line_bias=-0.3,
                          skill_min=0.3, skill_max=1.5)
     id_acc, agr_id, agr_ood, true_ood = exact_agl_inputs(config)
-    inp = AlineInput(id_perf=id_acc, agr_id=_matrix(agr_id),
-                     agr_ood=_matrix(agr_ood, split_id="ood"))
+    inp = AlineInput(id_perf=id_acc, agr_id=agr_id, agr_ood=agr_ood)
     worst = 0.0
     for fn in (aline_s, aline_d):
         out = fn(inp)
@@ -132,8 +122,7 @@ def test_criterion_3_aline_d_elimination_oracle():
                 agr_id[i, j] = agr_id[j, i] = g
                 agr_ood[i, j] = agr_ood[j, i] = y
         id_perf = rng.uniform(0.6, 0.95, 3)
-        inp = AlineInput(id_perf=id_perf, agr_id=_matrix(agr_id),
-                         agr_ood=_matrix(agr_ood, split_id="ood"))
+        inp = AlineInput(id_perf=id_perf, agr_id=agr_id, agr_ood=agr_ood)
         fit = agreement_line(inp)
         idp = [probit(p) for p in id_perf]
         rows, rhs = [], []
@@ -219,7 +208,7 @@ def test_criterion_5_metric_oracles():
             for j in range(3):
                 expected = 1.0 if i == j else agreement(logs[i], logs[j],
                                                         METRIC_ACCURACY)
-                assert mat.pair(i, j) == expected
+                assert mat[i, j] == expected
         # span metrics
         qa = _random_span_log(rng, n, 8)
         spans = list(zip(qa.predicted.tolist(), qa.gold.tolist()))
@@ -269,7 +258,7 @@ def test_criterion_5_metric_oracles():
         vals = rng.uniform(0.4, 1.0, size=(4, 4))
         vals = (vals + vals.T) / 2
         np.fill_diagonal(vals, 1.0)
-        naive = naive_agreement_estimate(_matrix(vals, split_id="ood"))
+        naive = naive_agreement_estimate(vals)
         for i in range(4):
             manual_i = sum(vals[i, j] for j in range(4) if j != i) / 3
             assert abs(naive[i] - manual_i) < 1e-12
@@ -286,7 +275,7 @@ def test_criterion_6_temperature_recovery():
         log = ClassificationLog(model_id="d", split_id="id", n_classes=2,
                                 gold=base.gold, predicted=base.predicted,
                                 logits=base.logits * math.exp(-t_star))
-        t = fit_temperature_classification(log).t
+        (t,) = fit_temperature(log)
         assert abs(t - t_star) < 1e-2
         assert _mean_ce(log.logits, log.gold, t) <= _mean_ce(log.logits, log.gold, 0.0)
         assert np.array_equal((log.logits * math.exp(t)).argmax(axis=1),
@@ -298,10 +287,10 @@ def test_criterion_6_temperature_recovery():
         distorted = copy.copy(qa_base)
         distorted.start_logits = qa_base.start_logits * math.exp(-ds)
         distorted.end_logits = qa_base.end_logits * math.exp(-de)
-        t = fit_temperature_qa(distorted)
-        assert abs(t.t - ds) < 1e-2
-        assert abs(t.t_end - de) < 1e-2
-        qa_recovered.append((t.t, t.t_end))
+        t_start, t_end = fit_temperature(distorted)
+        assert abs(t_start - ds) < 1e-2
+        assert abs(t_end - de) < 1e-2
+        qa_recovered.append((t_start, t_end))
     elapsed = _budget(start, 10.0, "criterion 6")
     print(f"[criterion 6] PASS temperature recovery, classification "
           f"{['%.4f' % t for t in recovered]}, QA {qa_recovered} in {elapsed:.1f}s")

@@ -9,18 +9,8 @@ from aglkit.aline import (
     gate,
 )
 from aglkit.errors import InsufficientModels
-from aglkit.metrics import AgreementMatrix
 from aglkit.probit import LineFit, fit_line, normal_cdf, probit
 from aglkit.synth import SynthConfig, exact_agl_inputs
-
-
-def _matrix(values, split_id="id", model_ids=None):
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    if model_ids is None:
-        model_ids = [f"m{i}" for i in range(n)]
-    return AgreementMatrix(model_ids=model_ids, values=values,
-                           metric="accuracy", split_id=split_id)
 
 
 def _random_input(rng, n=5, slope=0.8, bias=-0.2, noise=0.0):
@@ -33,8 +23,7 @@ def _random_input(rng, n=5, slope=0.8, bias=-0.2, noise=0.0):
             agr_id[i, j] = agr_id[j, i] = g
             agr_ood[i, j] = agr_ood[j, i] = y
     id_perf = rng.uniform(0.6, 0.95, n)
-    return AlineInput(id_perf=id_perf, agr_id=_matrix(agr_id),
-                      agr_ood=_matrix(agr_ood, split_id="ood"))
+    return AlineInput(id_perf=id_perf, agr_id=agr_id, agr_ood=agr_ood)
 
 
 def test_agreement_line_matches_manual_extraction(rng):
@@ -45,8 +34,8 @@ def test_agreement_line_matches_manual_extraction(rng):
         xs, ys = [], []
         for i in range(5):
             for j in range(i + 1, 5):
-                xs.append(probit(inp.agr_id.pair(i, j)))
-                ys.append(probit(inp.agr_ood.pair(i, j)))
+                xs.append(probit(inp.agr_id[i, j]))
+                ys.append(probit(inp.agr_ood[i, j]))
         manual = fit_line(xs, ys)
         assert fit.slope == pytest.approx(manual.slope, abs=1e-12)
         assert fit.bias == pytest.approx(manual.bias, abs=1e-12)
@@ -72,8 +61,7 @@ def test_aline_s_identity_line(rng):
         for j in range(i + 1, n):
             agr[i, j] = agr[j, i] = float(rng.uniform(0.6, 0.9))
     id_perf = rng.uniform(0.6, 0.9, n)
-    inp = AlineInput(id_perf=id_perf, agr_id=_matrix(agr),
-                     agr_ood=_matrix(agr.copy(), split_id="ood"))
+    inp = AlineInput(id_perf=id_perf, agr_id=agr, agr_ood=agr.copy())
     out = aline_s(inp)
     assert out.agreement_fit.slope == pytest.approx(1.0, abs=1e-9)
     assert out.agreement_fit.bias == pytest.approx(0.0, abs=1e-9)
@@ -114,9 +102,9 @@ def test_aline_d_matches_elimination_oracle_3_models(rng):
                 coeff = [0.0, 0.0, 0.0]
                 coeff[i] = coeff[j] = 0.5
                 rows.append(coeff)
-                rhs.append(probit(inp.agr_ood.pair(i, j))
+                rhs.append(probit(inp.agr_ood[i, j])
                            + fit.slope * ((idp[i] + idp[j]) / 2
-                                          - probit(inp.agr_id.pair(i, j))))
+                                          - probit(inp.agr_id[i, j])))
         oracle = [normal_cdf(z) for z in _gaussian_elimination(rows, rhs)]
         out = aline_d(inp)
         np.testing.assert_allclose(out.estimates, oracle, atol=1e-9)
@@ -127,8 +115,7 @@ def test_aline_exact_recovery():
     config = SynthConfig(n_models=3, line_slope=0.7, line_bias=-0.3,
                          skill_min=0.4, skill_max=1.2)
     id_acc, agr_id, agr_ood, true_ood = exact_agl_inputs(config)
-    inp = AlineInput(id_perf=id_acc, agr_id=_matrix(agr_id),
-                     agr_ood=_matrix(agr_ood, split_id="ood"))
+    inp = AlineInput(id_perf=id_acc, agr_id=agr_id, agr_ood=agr_ood)
     for fn in (aline_s, aline_d):
         out = fn(inp)
         np.testing.assert_allclose(out.estimates, true_ood, atol=1e-6)
@@ -140,12 +127,9 @@ def test_aline_d_permutation_equivariance(rng):
     inp = _random_input(rng, n=5, noise=0.1)
     out = aline_d(inp)
     perm = rng.permutation(5)
-    agr_id_p = inp.agr_id.values[np.ix_(perm, perm)]
-    agr_ood_p = inp.agr_ood.values[np.ix_(perm, perm)]
-    ids_p = [inp.agr_id.model_ids[i] for i in perm]
-    inp_p = AlineInput(id_perf=inp.id_perf[perm],
-                       agr_id=_matrix(agr_id_p, model_ids=ids_p),
-                       agr_ood=_matrix(agr_ood_p, split_id="ood", model_ids=ids_p))
+    agr_id_p = inp.agr_id[np.ix_(perm, perm)]
+    agr_ood_p = inp.agr_ood[np.ix_(perm, perm)]
+    inp_p = AlineInput(id_perf=inp.id_perf[perm], agr_id=agr_id_p, agr_ood=agr_ood_p)
     out_p = aline_d(inp_p)
     np.testing.assert_allclose(out_p.estimates, out.estimates[perm], atol=1e-9)
 
@@ -163,9 +147,9 @@ def test_aline_d_solution_is_least_squares_optimal(rng):
             coeff = np.zeros(4)
             coeff[i] = coeff[j] = 0.5
             A.append(coeff)
-            rhs.append(probit(inp.agr_ood.pair(i, j))
+            rhs.append(probit(inp.agr_ood[i, j])
                        + fit.slope * ((idp[i] + idp[j]) / 2
-                                      - probit(inp.agr_id.pair(i, j))))
+                                      - probit(inp.agr_id[i, j])))
     A = np.array(A)
     rhs = np.array(rhs)
     base = float(np.sum((A @ sol - rhs) ** 2))
@@ -224,8 +208,8 @@ def test_aline_d_matches_lstsq_on_pair_design(rng, n):
             coeff = np.zeros(n)
             coeff[i] = coeff[j] = 0.5
             A.append(coeff)
-            rhs.append(probit(inp.agr_ood.pair(i, j))
+            rhs.append(probit(inp.agr_ood[i, j])
                        + fit.slope * ((idp[i] + idp[j]) / 2
-                                      - probit(inp.agr_id.pair(i, j))))
+                                      - probit(inp.agr_id[i, j])))
     expected, *_ = np.linalg.lstsq(np.array(A), np.array(rhs), rcond=None)
     np.testing.assert_allclose(probit(aline_d(inp).estimates), expected, atol=1e-12)

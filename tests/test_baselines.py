@@ -9,22 +9,20 @@ from aglkit.baselines import (
     METHOD_DOC_FEAT,
     TEMP_BOX,
     TEMP_TOL,
-    Temperature,
     _mean_ce,
     ac_estimate,
     atc_estimate,
     atc_threshold,
     confidence,
+    confidence_scores,
     doc_feat_estimate,
     fit_temperature,
-    fit_temperature_classification,
-    fit_temperature_qa,
     naive_agreement_estimate,
     with_and_without_temperature,
 )
 from aglkit.datamodel import ClassificationLog, SpanExample, SpanLog
 from aglkit.errors import EmptyLog, MissingLogits
-from aglkit.metrics import AgreementMatrix, accuracy
+from aglkit.metrics import accuracy
 from aglkit.synth import calibrated_classification_log
 
 from conftest import calibrated_span_log, make_classification_log, make_span_log
@@ -52,16 +50,16 @@ def test_mean_ce_matches_loop_oracle(rng):
 
 def test_temperature_recovery_classification():
     base = calibrated_classification_log(4000, 3, 2.0, seed=5)
-    t0 = fit_temperature_classification(base).t
+    (t0,) = fit_temperature(base)
     for t_star in (-0.6, 0.8):
-        fitted = fit_temperature_classification(_distort(base, t_star)).t
+        (fitted,) = fit_temperature(_distort(base, t_star))
         # the finite-sample offset t0 is common to both fits and cancels
         assert fitted - t0 == pytest.approx(t_star, abs=1e-4)
 
 
 def test_temperature_minimizer_confirmed_by_fine_grid():
     log = calibrated_classification_log(500, 4, 1.5, seed=2)
-    t_hat = fit_temperature_classification(log).t
+    (t_hat,) = fit_temperature(log)
     obj = lambda t: _mean_ce(log.logits, log.gold, t)
     local = np.arange(t_hat - 0.05, t_hat + 0.05, 1e-4)
     assert obj(t_hat) <= min(obj(t) for t in local) + 1e-10
@@ -72,7 +70,7 @@ def test_temperature_box_boundary():
     """An objective still decreasing at the box edge pins t to the edge."""
     log = calibrated_classification_log(300, 3, 2.0, seed=1)
     hot = _distort(log, 10.0)  # true optimum far beyond the box
-    t = fit_temperature_classification(hot).t
+    (t,) = fit_temperature(hot)
     assert t == pytest.approx(TEMP_BOX[1], abs=1e-3)
 
 
@@ -80,8 +78,7 @@ def test_temperature_box_trivial_example():
     """One example, logits [2, 0], gold 0: CE strictly decreases in t."""
     log = make_classification_log([0], [0], n_classes=2,
                                   logits=np.array([[2.0, 0.0]]))
-    assert fit_temperature_classification(log).t == pytest.approx(TEMP_BOX[1],
-                                                                  abs=1e-3)
+    assert fit_temperature(log)[0] == pytest.approx(TEMP_BOX[1], abs=1e-3)
 
 
 def test_temperature_qa_symmetric_coordinates(rng):
@@ -90,40 +87,40 @@ def test_temperature_qa_symmetric_coordinates(rng):
     base.end_logits = base.start_logits.copy()
     base.gold[:, 1] = base.gold[:, 0]
     base.predicted[:, 1] = base.predicted[:, 0]
-    t = fit_temperature_qa(base)
-    assert t.t == pytest.approx(t.t_end, abs=1e-6)
+    t_start, t_end = fit_temperature(base)
+    assert t_start == pytest.approx(t_end, abs=1e-6)
 
 
 def test_temperature_qa_per_coordinate():
     base = calibrated_span_log(1500, 8, 2.0, seed=7)
-    base_t = fit_temperature_qa(base)
+    base_start, base_end = fit_temperature(base)
     distorted = calibrated_span_log(1500, 8, 2.0, seed=7)
     distorted.start_logits = distorted.start_logits * math.exp(-0.3)
     distorted.end_logits = distorted.end_logits * math.exp(0.4)
-    t = fit_temperature_qa(distorted)
-    assert t.t - base_t.t == pytest.approx(0.3, abs=1e-4)
-    assert t.t_end - base_t.t_end == pytest.approx(-0.4, abs=1e-4)
-    assert t.is_qa
+    t = fit_temperature(distorted)
+    assert t[0] - base_start == pytest.approx(0.3, abs=1e-4)
+    assert t[1] - base_end == pytest.approx(-0.4, abs=1e-4)
+    assert len(t) == 2
 
 
 def test_fit_temperature_dispatch_and_empty():
     clf = calibrated_classification_log(100, 2, 1.0, seed=0)
-    assert not fit_temperature(clf).is_qa
+    assert len(fit_temperature(clf)) == 1
     qa = calibrated_span_log(50, 5, 1.0, seed=0)
-    assert fit_temperature(qa).is_qa
+    assert len(fit_temperature(qa)) == 2
     empty = make_classification_log([], [], n_classes=2)
     empty.logits = np.empty((0, 2))
     with pytest.raises(EmptyLog):
-        fit_temperature_classification(empty)
+        fit_temperature(empty)
 
 
 def test_confidence_classification_softmax_oracle(rng):
     logits = rng.normal(size=(20, 5))
     log = make_classification_log(logits.argmax(axis=1), rng.integers(0, 5, 20),
                                   5, logits=logits)
-    for temp in (None, Temperature(t=0.7)):
+    for temp in (None, (0.7,)):
         conf = confidence(log, temp)
-        scale = math.exp(temp.t) if temp else 1.0
+        scale = math.exp(temp[0]) if temp else 1.0
         for i in range(20):
             row = np.exp(logits[i] * scale)
             assert conf[i] == pytest.approx((row / row.sum()).max(), abs=1e-12)
@@ -132,7 +129,7 @@ def test_confidence_classification_softmax_oracle(rng):
 def test_confidence_qa_matches_pair_loop(rng):
     log = make_span_log([(1, 3), (0, 4), (2, 2)], [(1, 3), (0, 0), (2, 4)],
                         n_tokens=6, rng=rng)
-    temp = Temperature(t=0.4, t_end=-0.2)
+    temp = (0.4, -0.2)
     conf = confidence(log, temp)
     for idx in range(len(log)):
         s = np.exp(log.start_logits[idx] * math.exp(0.4))
@@ -230,9 +227,7 @@ def test_naive_agreement_loop_oracle(rng):
     vals = rng.uniform(0.5, 1.0, size=(4, 4))
     vals = (vals + vals.T) / 2
     np.fill_diagonal(vals, 1.0)
-    mat = AgreementMatrix(model_ids=[f"m{i}" for i in range(4)], values=vals,
-                          metric="accuracy", split_id="ood")
-    est = naive_agreement_estimate(mat)
+    est = naive_agreement_estimate(vals)
     for i in range(4):
         manual = sum(vals[i, j] for j in range(4) if j != i) / 3
         assert est[i] == pytest.approx(manual, abs=1e-15)
@@ -241,12 +236,13 @@ def test_naive_agreement_loop_oracle(rng):
 def test_with_and_without_temperature_selection(rng):
     id_log = _random_logit_log(rng, 150, 3)
     ood_log = _random_logit_log(rng, 150, 3, split_id="ood")
+    scores = confidence_scores(id_log, ood_log)
     for method in (METHOD_AC, METHOD_ATC, METHOD_DOC_FEAT):
-        cmp_blind = with_and_without_temperature(method, id_log, ood_log)
+        cmp_blind = with_and_without_temperature(method, scores)
         assert cmp_blind.selected is None
         assert not cmp_blind.used_temperature
         truth = 0.6
-        cmp_eval = with_and_without_temperature(method, id_log, ood_log, truth)
+        cmp_eval = with_and_without_temperature(method, scores, truth)
         closer = min((cmp_eval.raw, cmp_eval.temp_scaled),
                      key=lambda v: abs(v - truth))
         assert cmp_eval.selected == closer
@@ -301,7 +297,7 @@ def _seeded_classification_log(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_newton_fit_matches_grid_golden_classification(seed):
     log = _seeded_classification_log(seed)
-    _assert_matches_oracle(log.logits, log.gold, fit_temperature_classification(log).t)
+    _assert_matches_oracle(log.logits, log.gold, fit_temperature(log)[0])
 
 
 def _ragged_examples(n, max_tokens, spread, seed):
@@ -334,9 +330,9 @@ def _padded(examples, which):
 @pytest.mark.parametrize("seed", range(4))
 def test_newton_fit_matches_grid_golden_qa_coordinates(seed):
     examples = _ragged_examples(300, 40, 1.0 + seed, seed)
-    temp = fit_temperature_qa(SpanLog(model_id="q", split_id="id", examples=examples))
-    _assert_matches_oracle(*_padded(examples, "start"), temp.t)
-    _assert_matches_oracle(*_padded(examples, "end"), temp.t_end)
+    t_start, t_end = fit_temperature(SpanLog(model_id="q", split_id="id", examples=examples))
+    _assert_matches_oracle(*_padded(examples, "start"), t_start)
+    _assert_matches_oracle(*_padded(examples, "end"), t_end)
 
 
 def _box_edge_cases():
@@ -357,7 +353,7 @@ def _box_edge_cases():
 def test_newton_fit_matches_grid_golden_at_box_edges(name):
     logits, gold, edge = _box_edge_cases()[name]
     log = make_classification_log(logits.argmax(axis=1), gold, logits.shape[1], logits=logits)
-    t = fit_temperature_classification(log).t
+    (t,) = fit_temperature(log)
     assert t == edge
     assert _assert_matches_oracle(logits, gold, t) == pytest.approx(edge, abs=1e-3)
 
@@ -366,10 +362,10 @@ def test_confidence_qa_ragged_matches_per_example_loop():
     """-inf padding of short examples must not leak into the vectorised confidence."""
     examples = _ragged_examples(50, 9, 2.0, seed=8)
     log = SpanLog(model_id="q", split_id="id", examples=examples)
-    temp = Temperature(t=0.3, t_end=-0.6)
+    temp = (0.3, -0.6)
     for t in (None, temp):
         conf = confidence(log, t)
         for idx, ex in enumerate(examples):
-            s = np.exp(ex.start_logits * math.exp(t.t if t else 0.0))
-            e = np.exp(ex.end_logits * math.exp(t.t_end if t else 0.0))
+            s = np.exp(ex.start_logits * math.exp(t[0] if t else 0.0))
+            e = np.exp(ex.end_logits * math.exp(t[1] if t else 0.0))
             assert conf[idx] == pytest.approx(s.max() / s.sum() * e.max() / e.sum(), rel=1e-12)

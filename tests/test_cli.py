@@ -144,7 +144,7 @@ def test_estimate_scatter_reuses_report_agreement_matrices(tmp_path, monkeypatch
             if r["kind"] == "agreement"]
     pairs = [(0, 1), (0, 2), (1, 2)]
     for logs, column in ((pair.id_logs, "x_raw"), (pair.ood_logs, "y_raw")):
-        values = original(logs, pair.metric).values
+        values = original(logs, pair.metric)
         assert [float(r[column]) for r in rows] == [values[i, j] for i, j in pairs]
 
 
@@ -216,6 +216,17 @@ def test_synth_undecodable_or_unparsable_config(tmp_path, capsys, config):
     assert main(["synth", "--config", str(cfg), "--seed", "1",
                  "--out", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["skill_min", "skill_max"])
+def test_synth_rejects_non_finite_skill(tmp_path, capsys, key):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"{key} = nan\n")
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(cfg), "--seed", "1",
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "truth.json").exists()
 
 
 @pytest.mark.parametrize("target", ["id/m01.jsonl", "manifest.json"])

@@ -328,6 +328,41 @@ def test_load_log_malformed_line_reports_position(tmp_path):
     assert exc.value.line_number == 3
 
 
+_HEADER = ('{"task": "classification", "model_id": "m", '
+           '"split_id": "s", "n_classes": 2}')
+
+
+@pytest.mark.parametrize("text, line_number", [
+    ("\n" + _HEADER + '\n\n{"gold": 0, "predicted": 1}\n  \nnot json\n', 6),
+    ('\n\n{"task": "classification", "model_id": "m"}\n{"gold": 0, "predicted": 1}\n', 3),
+], ids=["record", "header"])
+def test_load_log_blank_lines_keep_file_line_numbers(tmp_path, text, line_number):
+    path = tmp_path / "blank.jsonl"
+    path.write_text(text)
+    with pytest.raises(MalformedRecord) as exc:
+        load_log(path)
+    assert exc.value.line_number == line_number
+
+
+def test_load_log_line_breaks_inside_strings_and_crlf(tmp_path):
+    path = tmp_path / "breaks.jsonl"
+    path.write_bytes(json.dumps({"task": "classification", "model_id": "m\u2028\x85x",
+                                 "split_id": "s", "n_classes": 2}, ensure_ascii=False)
+                     .encode() + b'\r\n{"gold": 0, "predicted": 1}\r\n')
+    log = load_log(path)
+    assert log.model_id == "m\u2028\x85x" and log.predicted.tolist() == [1]
+
+
+def test_load_log_logit_width_names_first_bad_record(tmp_path):
+    rows = [[0.5, 0.1], [0.2, 0.9], [0.7, 0.3], [0.1, 0.2, 0.3], [0.9, 0.8, 0.7]]
+    path = tmp_path / "width.jsonl"
+    path.write_text("\n".join([_HEADER] + [
+        json.dumps({"gold": 0, "predicted": int(np.argmax(r)), "logits": r}) for r in rows]))
+    with pytest.raises(MalformedRecord) as exc:
+        load_log(path)
+    assert exc.value.line_number == 5
+
+
 def test_load_log_missing_file():
     with pytest.raises(MissingFile):
         load_log("/nonexistent/never.jsonl")

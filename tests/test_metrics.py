@@ -162,14 +162,13 @@ def test_agreement_matrix_matches_pairwise_calls(rng):
     logs = [make_classification_log(rng.integers(0, k, n), rng.integers(0, k, n),
                                     k, model_id=f"m{i}") for i in range(4)]
     mat = agreement_matrix(logs, METRIC_ACCURACY)
-    assert mat.n == 4
-    assert mat.model_ids == ["m0", "m1", "m2", "m3"]
+    assert mat.shape == (4, 4)
     for i in range(4):
-        assert mat.pair(i, i) == 1.0
+        assert mat[i, i] == 1.0
         for j in range(4):
             if i != j:
-                assert mat.pair(i, j) == agreement(logs[i], logs[j], METRIC_ACCURACY)
-                assert mat.pair(i, j) == mat.pair(j, i)
+                assert mat[i, j] == agreement(logs[i], logs[j], METRIC_ACCURACY)
+                assert mat[i, j] == mat[j, i]
 
 
 def test_agreement_matrix_needs_two_models(rng):
@@ -230,7 +229,7 @@ def test_agreement_matrix_matches_pair_loop(rng, metric):
                                             model_id=f"m{i}") for i in range(n_models)]
         else:
             logs = [_random_span_log(rng, n, 7, model_id=f"m{i}") for i in range(n_models)]
-        got = agreement_matrix(logs, metric).values
+        got = agreement_matrix(logs, metric)
         expected = _agreement_matrix_loop(logs, metric)
         if metric == METRIC_F1:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)

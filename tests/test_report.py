@@ -7,7 +7,7 @@ import pytest
 
 import aglkit.baselines
 from aglkit.datamodel import METRIC_ACCURACY, SplitPair
-from aglkit.errors import LengthMismatch, ToolkitError, ZeroTruth
+from aglkit.errors import InsufficientModels, LengthMismatch, ToolkitError, ZeroTruth
 from aglkit.probit import clamp_rate, probit
 from aglkit.report import (
     ALINE_METHODS,
@@ -157,6 +157,22 @@ def test_matrix_report_on_exact_fixture():
     assert report.mape_by_method["aline_d"] < 0.1
     assert "naive_agreement" in report.estimates
     assert report.agreement_fit.slope == pytest.approx(0.7, abs=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("split", ["id", "ood"])
+def test_matrix_report_rejects_misshapen_agreement(shape, split):
+    good = np.full((3, 3), 0.6)
+    bad = np.full(shape, 0.7)
+    agr_id, agr_ood = (bad, good) if split == "id" else (good, bad)
+    with pytest.raises(InsufficientModels):
+        build_report_from_matrices([0.8, 0.7, 0.6], agr_id, agr_ood, ["a", "b", "c"])
+
+
+def test_matrix_report_rejects_misaligned_model_ids():
+    with pytest.raises(InsufficientModels):
+        build_report_from_matrices([0.8, 0.7, 0.6], np.full((3, 3), 0.7),
+                                   np.full((3, 3), 0.6), ["a", "b"])
 
 
 def test_export_scatter_rows():

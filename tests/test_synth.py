@@ -206,6 +206,8 @@ def test_config_parsing(tmp_path):
     {"distractor_coherence": -0.1},
     {"seed": -1},
     {"line_slope": math.inf},
+    {"skill_max": math.inf},
+    {"skill_min": -math.inf},
 ])
 def test_config_validation(overrides):
     config = SynthConfig(**overrides)
