@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -76,7 +78,9 @@ class SpanExample:
 class SpanLog:
     """One model's span predictions on one extractive-QA split.
 
-    Built from a list of ``SpanExample`` records, which are packed once:
+    Built from a list of ``SpanExample`` records, or (from ``load_log``) a
+    tuple of their fields as columns, each logit column flattened to (values,
+    row lengths). Either is packed once:
     ``start_logits`` and ``end_logits`` are (n_examples, longest) float
     matrices whose row i holds ``n_tokens[i]`` logits and then -inf padding
     (it survives positive scaling and gets softmax weight exp(-inf) = 0);
@@ -86,7 +90,7 @@ class SpanLog:
     """
     model_id: str
     split_id: str
-    examples: InitVar[list[SpanExample]]
+    examples: InitVar[list[SpanExample] | tuple]
     start_logits: np.ndarray = field(init=False)
     end_logits: np.ndarray = field(init=False)
     n_tokens: np.ndarray = field(init=False)
@@ -95,19 +99,21 @@ class SpanLog:
     task: str = TASK_EXTRACTIVE_QA
 
     def __post_init__(self, examples):
-        ints = np.array([(ex.n_tokens, len(ex.start_logits), len(ex.end_logits), ex.gold_start,
-                          ex.gold_end, ex.pred_start, ex.pred_end) for ex in examples],
-                        dtype=np.int64).reshape(len(examples), 7)
+        if not isinstance(examples, tuple):  # SpanExample records
+            examples = [[getattr(ex, f.name) for ex in examples] for f in fields(SpanExample)]
+            for i in (1, 2):
+                examples[i] = np.concatenate(examples[i] or [[]]), list(map(len, examples[i]))
+        n_tok, (start, start_len), (end, end_len), *spans = examples
+        ints = np.array([n_tok, start_len, end_len, *spans], dtype=np.int64).T
         wrong = (ints[:, 1:3] != ints[:, :1]).any(axis=1)
         if wrong.any():
             raise LengthViolation(int(np.argmax(wrong)))
         self.n_tokens = ints[:, 0].copy()
         self.gold, self.predicted = ints[:, 3:5].copy(), ints[:, 5:].copy()
         real = np.arange(self.n_tokens.max(initial=1)) < self.n_tokens[:, None]
-        for name in ("start_logits", "end_logits"):
+        for name, values in (("start_logits", start), ("end_logits", end)):
             mat = np.full(real.shape, -np.inf)
-            if examples:
-                mat[real] = np.concatenate([getattr(ex, name) for ex in examples])
+            mat[real] = values
             setattr(self, name, mat)
 
     def __len__(self):
@@ -242,14 +248,31 @@ def _read_text(path) -> str:
                               f"not UTF-8: {exc.reason}") from exc
 
 
-def _parse_json_line(path, lineno, line):
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
-        raise MalformedRecord(path, lineno, str(exc)) from exc
-    if not isinstance(obj, dict):
-        raise MalformedRecord(path, lineno, "expected a JSON object")
-    return obj
+_scan = json.JSONDecoder().scan_once  # the C scanner: one JSON value from an index
+
+
+def _records(path):
+    """Line numbers and objects of the non-blank lines up to the first that is not
+    one JSON object, and that line's MalformedRecord (or None) to raise after them."""
+    linenos, records = [], []
+    # split on "\n" only: JSON strings may hold other line breaks such as U+2028
+    lines = _read_text(path).split("\n")[::-1]  # popped, so a line is freed once parsed
+    for lineno in range(1, len(lines) + 1):
+        line = lines.pop()
+        body = line.strip(" \t\r")  # JSON whitespace only: a record is alone on its line
+        try:
+            rec, end = _scan(body, 0)
+            detail = None if end == len(body) and type(rec) is dict else "not one JSON object"
+        except StopIteration:
+            detail = "expecting a JSON value"
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
+            detail = str(exc)
+        if detail is None:
+            linenos.append(lineno)
+            records.append(rec)
+        elif line.strip():
+            return linenos, records, MalformedRecord(path, lineno, detail)
+    return linenos, records, None
 
 
 def _require(obj, key, path, lineno, convert=None):
@@ -278,63 +301,73 @@ def _int64(value) -> int:
     return value
 
 
-def _float_vector(value) -> np.ndarray:
-    vec = np.array(value, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError("expected a list of numbers")
-    return vec
+def _ints(column) -> np.ndarray:
+    """int64 array of a column of JSON integers; one value at a time only if some is not an int."""
+    if set(map(type, column)) != {int}:
+        column = [_int64(value) for value in column]
+    return np.array(column, dtype=np.int64)  # OverflowError beyond int64
+
+
+def _floats(rows, width=None):
+    """(float64 values, row lengths) of a column of lists of JSON numbers, flattened
+    once; with ``width``, every list must have that many."""
+    if set(map(type, rows)) - {list} or set(map(type, chain.from_iterable(rows))) - {float, int}:
+        raise ValueError("expected a list of numbers")  # not a list, or a str, bool or null in it
+    values = np.fromiter(chain.from_iterable(rows), np.float64)
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    if width is not None and (lengths != width).any():
+        raise ValueError(f"logit width {lengths[np.argmax(lengths != width)]} != n_classes {width}")
+    return values, lengths
+
+
+def _columns(path, linenos, records, builds, bad):
+    """The records' fields, each checked and converted as a whole column by ``build``
+    (a key whose ``build`` is None must be in no record). When a build fails, each
+    record's fields are checked in turn, so the first bad line raises, then ``bad``."""
+    try:
+        columns = []
+        for key, build in builds:
+            if build is None and any(key in rec for rec in records):
+                raise KeyError(key)
+            columns.append(None if build is None else build([rec[key] for rec in records]))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        for rec, lineno in zip(records, linenos):
+            for key, build in builds:
+                if build is None and key in rec:
+                    raise MalformedRecord(path, lineno, f"inconsistent presence of {key}") from None
+                if build is not None:
+                    _require(rec, key, path, lineno, lambda value: build([value]))
+        raise
+    if bad is not None:
+        raise bad
+    return tuple(columns)
 
 
 def load_log(path, validate: bool = True):
-    """Load one JSON Lines log file; validates invariants by default."""
-    # split on "\n" only: JSON strings may hold other line breaks such as U+2028
-    numbered = [(lineno, ln) for lineno, ln in enumerate(_read_text(path).split("\n"), start=1)
-                if ln.strip()]
-    if not numbered:
-        raise MalformedRecord(path, 1, "empty file")
-    head_no, head = numbered[0]
-    header = _parse_json_line(path, head_no, head)
+    """Load one JSON Lines log file, one JSON object per line and the header first;
+    validates invariants by default. An error names the first bad line."""
+    linenos, records, bad = _records(path)
+    if not records:
+        raise bad or MalformedRecord(path, 1, "empty file")
+    head_no, header = linenos.pop(0), records.pop(0)
     task = _require(header, "task", path, head_no)
     model_id = _require(header, "model_id", path, head_no)
     split_id = _require(header, "split_id", path, head_no)
     if task == TASK_CLASSIFICATION:
         k = _require(header, "n_classes", path, head_no, _int64)
-        golds, preds, logit_rows = [], [], []
-        any_logits = None
-        for lineno, line in numbered[1:]:
-            rec = _parse_json_line(path, lineno, line)
-            golds.append(_require(rec, "gold", path, lineno, _int64))
-            preds.append(_require(rec, "predicted", path, lineno, _int64))
-            has = "logits" in rec
-            if any_logits is None:
-                any_logits = has
-            elif any_logits != has:
-                raise MalformedRecord(path, lineno, "inconsistent presence of logits")
-            if has:
-                logit_rows.append(_require(rec, "logits", path, lineno, _float_vector))
-                if len(logit_rows[-1]) != k:
-                    raise MalformedRecord(path, lineno,
-                                          f"logit width {len(logit_rows[-1])} != n_classes {k}")
-        logits = None
-        if any_logits:
-            logits = np.array(logit_rows, dtype=np.float64)
+        # logits in the first record, then in every record, or in none
+        logits = partial(_floats, width=k) if records and "logits" in records[0] else None
+        gold, predicted, logits = _columns(
+            path, linenos, records, (("gold", _ints), ("predicted", _ints), ("logits", logits)), bad)
         log = ClassificationLog(model_id=model_id, split_id=split_id, n_classes=k,
-                                gold=np.array(golds, dtype=np.int64),
-                                predicted=np.array(preds, dtype=np.int64),
-                                logits=logits)
+                                gold=gold, predicted=predicted,
+                                logits=None if logits is None else logits[0].reshape(len(gold), k))
     elif task == TASK_EXTRACTIVE_QA:
-        examples = []
-        for lineno, line in numbered[1:]:
-            rec = _parse_json_line(path, lineno, line)
-            examples.append(SpanExample(
-                n_tokens=_require(rec, "n_tokens", path, lineno, _int64),
-                start_logits=_require(rec, "start_logits", path, lineno, _float_vector),
-                end_logits=_require(rec, "end_logits", path, lineno, _float_vector),
-                gold_start=_require(rec, "gold_start", path, lineno, _int64),
-                gold_end=_require(rec, "gold_end", path, lineno, _int64),
-                pred_start=_require(rec, "pred_start", path, lineno, _int64),
-                pred_end=_require(rec, "pred_end", path, lineno, _int64)))
-        log = SpanLog(model_id=model_id, split_id=split_id, examples=examples)
+        builds = [(f.name, _floats if f.name.endswith("_logits") else _ints)
+                  for f in fields(SpanExample)]
+        columns = _columns(path, linenos, records, builds, bad)
+        del records  # packed from the columns
+        log = SpanLog(model_id=model_id, split_id=split_id, examples=columns)
     else:
         raise MalformedRecord(path, head_no, f"unknown task {task!r}")
     if validate:
@@ -410,14 +443,10 @@ def _pair_from_split_maps(id_logs, ood_logs, metric):
     ood_ids = [log.model_id for log in ood_logs]
     if model_ids != ood_ids:
         raise ShapeMismatch("*", f"model ids differ between splits: {model_ids} vs {ood_ids}")
-    ref_len_id = len(id_logs[0])
-    ref_len_ood = len(ood_logs[0])
-    for log in id_logs:
-        if len(log) != ref_len_id:
-            raise ShapeMismatch(log.model_id, "ID log length differs from ensemble")
-    for log in ood_logs:
-        if len(log) != ref_len_ood:
-            raise ShapeMismatch(log.model_id, "OOD log length differs from ensemble")
+    for split, logs in (("ID", id_logs), ("OOD", ood_logs)):
+        for log in logs:
+            if len(log) != len(logs[0]):
+                raise ShapeMismatch(log.model_id, f"{split} log length differs from ensemble")
     if isinstance(id_logs[0], ClassificationLog):
         ks = {log.n_classes for log in id_logs} | {log.n_classes for log in ood_logs}
         if len(ks) != 1:
@@ -437,17 +466,11 @@ def load_manifest(path, metric_override=None) -> SplitPair:
         raise MetricTaskMismatch(metric, manifest.task)
     base_dir = os.path.dirname(os.path.abspath(path))
     logs = _load_entries(manifest, base_dir)
-    split_order = []
-    for e in manifest.entries:
-        if e.split_id not in split_order:
-            split_order.append(e.split_id)
+    split_order = list(dict.fromkeys(e.split_id for e in manifest.entries))
     if len(split_order) != 2:
         raise ShapeMismatch("*", f"manifest must reference exactly 2 splits, got {split_order}")
     id_split, ood_split = split_order
-    model_order = []
-    for e in manifest.entries:
-        if e.model_id not in model_order:
-            model_order.append(e.model_id)
+    model_order = dict.fromkeys(e.model_id for e in manifest.entries)
     id_logs, ood_logs = [], []
     for m in model_order:
         for split, dest in ((id_split, id_logs), (ood_split, ood_logs)):

@@ -66,7 +66,6 @@ class ReportOptions:
 @dataclass
 class EstimateReport:
     model_ids: list[str]
-    metric: str
     id_perf: np.ndarray
     true_ood_perf: np.ndarray | None
     agr_id: np.ndarray  # (n, n), kept for export_scatter, not serialized
@@ -153,7 +152,7 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: np.ndarray,
     logs the confidence methods need.
     """
     report = EstimateReport(
-        model_ids=model_ids, metric=metric, id_perf=id_perf, true_ood_perf=true_ood,
+        model_ids=model_ids, id_perf=id_perf, true_ood_perf=true_ood,
         agr_id=agr_id, agr_ood=agr_ood,
         metadata={"metric": metric, "id_split": splits[0], "ood_split": splits[1],
                   "gate_threshold": options.gate_threshold,

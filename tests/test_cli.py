@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import aglkit
 from aglkit.cli import EXIT_ESTIMATION_FAILURE, EXIT_INPUT_ERROR, EXIT_OK, main
 
 
@@ -62,6 +66,26 @@ def test_validate_ok_and_corrupted(tmp_path, capsys):
     lines[1] = json.dumps(rec, sort_keys=True)
     target.write_text("\n".join(lines) + "\n")
     assert main(["validate", "--manifest", str(manifest)]) == EXIT_INPUT_ERROR
+
+
+def test_estimate_and_validate_do_not_load_scipy_integrate(tmp_path):
+    """Only ``aglkit synth`` needs scipy.integrate; importing the CLI, and
+    validating and estimating in a fresh process, leave it unloaded."""
+    manifest = _synth(tmp_path) / "manifest.json"
+    script = (
+        "import sys\n"
+        "from aglkit.cli import main\n"
+        "assert 'scipy.integrate' not in sys.modules, 'import'\n"
+        f"assert main(['validate', '--manifest', {str(manifest)!r}]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'validate'\n"
+        f"assert main(['estimate', '--id-manifest', {str(manifest)!r}, '--ood-manifest',"
+        f" {str(manifest)!r}, '--out', {str(tmp_path / 'report')!r}]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'estimate'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aglkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validate_missing_manifest(tmp_path):

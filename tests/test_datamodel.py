@@ -11,6 +11,7 @@ from aglkit.datamodel import (
     METRIC_F1,
     TASK_CLASSIFICATION,
     TASK_EXTRACTIVE_QA,
+    ClassificationLog,
     Manifest,
     ManifestEntry,
     SpanExample,
@@ -22,6 +23,7 @@ from aglkit.datamodel import (
     save_log,
     save_manifest,
     validate_log,
+    _read_text,
 )
 from aglkit.errors import (
     ArgmaxMismatch,
@@ -32,6 +34,7 @@ from aglkit.errors import (
     MissingFile,
     RangeViolation,
     ShapeMismatch,
+    ToolkitError,
 )
 
 from conftest import make_classification_log, make_span_log
@@ -401,6 +404,12 @@ def _qa_record(**overrides):
     (None, _qa_record(n_tokens=2.5), 2),
     (None, _qa_record(gold_end=1e29), 2),
     (None, _qa_record(pred_start=-(2**63) - 1), 2),
+    # logits must be JSON numbers, not strings, booleans or null
+    ({"n_classes": 2}, {"gold": 0, "predicted": 1, "logits": ["0.9", True]}, 2),
+    ({"n_classes": 2}, {"gold": 0, "predicted": 1, "logits": [False, "1e3"]}, 2),
+    ({"n_classes": 2}, {"gold": 0, "predicted": 1, "logits": [None, 0.5]}, 2),
+    (None, _qa_record(start_logits=["1.0", 0.0]), 2),
+    (None, _qa_record(end_logits=[False, True]), 2),
 ])
 def test_load_log_bad_field_type_reports_position(tmp_path, header, record, line_number):
     head = {"model_id": "m", "split_id": "s"}
@@ -594,3 +603,277 @@ def test_json_beyond_parser_limits_is_malformed(tmp_path, literal):
     manifest.write_text('{"version": ' + literal + "}\n")
     with pytest.raises(MalformedRecord):
         read_manifest(manifest)
+
+
+# --- the one-scan loader against the per-line loader it replaced ---
+
+def _oracle_parse_line(path, lineno, line):
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedRecord(path, lineno, str(exc)) from exc
+    if not isinstance(obj, dict):
+        raise MalformedRecord(path, lineno, "expected a JSON object")
+    return obj
+
+
+def _oracle_require(obj, key, path, lineno, convert=None):
+    if key not in obj:
+        raise MalformedRecord(path, lineno, f"missing key {key!r}")
+    if convert is None:
+        return obj[key]
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedRecord(path, lineno, f"bad {key!r}: {exc}") from exc
+
+
+def _oracle_int64(value):
+    if type(value) is not int:
+        if not (type(value) is float and value.is_integer()):
+            raise ValueError(f"{value!r} is not an integer")
+        value = int(value)
+    if not -(2**63) <= value <= 2**63 - 1:
+        raise OverflowError(f"{value} does not fit in int64")
+    return value
+
+
+def _oracle_float_vector(value):
+    vec = np.array(value, dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError("expected a list of numbers")
+    return vec
+
+
+def _oracle_load_log(path):
+    """The loader before the one-scan rewrite: one json.loads and one set of
+    field checks per line. It still turns JSON strings and booleans in logit
+    lists into numbers, so corruptions of that kind are tested on their own."""
+    numbered = [(lineno, ln) for lineno, ln in enumerate(_read_text(path).split("\n"), start=1)
+                if ln.strip()]
+    if not numbered:
+        raise MalformedRecord(path, 1, "empty file")
+    head_no, head = numbered[0]
+    header = _oracle_parse_line(path, head_no, head)
+    task = _oracle_require(header, "task", path, head_no)
+    model_id = _oracle_require(header, "model_id", path, head_no)
+    split_id = _oracle_require(header, "split_id", path, head_no)
+    if task == TASK_CLASSIFICATION:
+        k = _oracle_require(header, "n_classes", path, head_no, _oracle_int64)
+        golds, preds, logit_rows = [], [], []
+        any_logits = None
+        for lineno, line in numbered[1:]:
+            rec = _oracle_parse_line(path, lineno, line)
+            golds.append(_oracle_require(rec, "gold", path, lineno, _oracle_int64))
+            preds.append(_oracle_require(rec, "predicted", path, lineno, _oracle_int64))
+            has = "logits" in rec
+            if any_logits is None:
+                any_logits = has
+            elif any_logits != has:
+                raise MalformedRecord(path, lineno, "inconsistent presence of logits")
+            if has:
+                logit_rows.append(_oracle_require(rec, "logits", path, lineno,
+                                                  _oracle_float_vector))
+                if len(logit_rows[-1]) != k:
+                    raise MalformedRecord(path, lineno, "logit width")
+        log = ClassificationLog(model_id=model_id, split_id=split_id, n_classes=k,
+                                gold=np.array(golds, dtype=np.int64),
+                                predicted=np.array(preds, dtype=np.int64),
+                                logits=np.array(logit_rows, dtype=np.float64)
+                                if any_logits else None)
+    elif task == TASK_EXTRACTIVE_QA:
+        examples = []
+        for lineno, line in numbered[1:]:
+            rec = _oracle_parse_line(path, lineno, line)
+            examples.append(SpanExample(
+                n_tokens=_oracle_require(rec, "n_tokens", path, lineno, _oracle_int64),
+                start_logits=_oracle_require(rec, "start_logits", path, lineno,
+                                             _oracle_float_vector),
+                end_logits=_oracle_require(rec, "end_logits", path, lineno, _oracle_float_vector),
+                gold_start=_oracle_require(rec, "gold_start", path, lineno, _oracle_int64),
+                gold_end=_oracle_require(rec, "gold_end", path, lineno, _oracle_int64),
+                pred_start=_oracle_require(rec, "pred_start", path, lineno, _oracle_int64),
+                pred_end=_oracle_require(rec, "pred_end", path, lineno, _oracle_int64)))
+        log = SpanLog(model_id=model_id, split_id=split_id, examples=examples)
+    else:
+        raise MalformedRecord(path, head_no, f"unknown task {task!r}")
+    validate_log(log)
+    return log
+
+
+_LOG_ARRAYS = ("gold", "predicted", "logits", "n_tokens", "start_logits", "end_logits")
+
+
+def _assert_same_log(log, expected):
+    assert type(log) is type(expected)
+    assert (log.model_id, log.split_id, log.task) == (expected.model_id, expected.split_id,
+                                                       expected.task)
+    assert getattr(log, "n_classes", None) == getattr(expected, "n_classes", None)
+    for name in _LOG_ARRAYS:
+        got, want = getattr(log, name, None), getattr(expected, name, None)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name  # bit-identical, NaN-safe
+
+
+def _log_lines(tmp_path, kind, seed, n=40):
+    """A valid log and the lines it is saved as: classification with or
+    without logits, or QA with ragged n_tokens."""
+    rng = np.random.default_rng(seed)
+    if kind == "qa":
+        log = SpanLog(model_id="m q", split_id="s", examples=_span_records(rng, n))
+    else:
+        predicted = rng.integers(0, 3, n)
+        log = make_classification_log(
+            predicted, rng.integers(0, 3, n), 3, model_id="m", split_id="s",
+            logits=_logits_for(predicted, 3, rng) if kind == "logits" else None)
+    save_log(log, tmp_path / "saved.jsonl")
+    return log, (tmp_path / "saved.jsonl").read_text().splitlines()
+
+
+def _variant(lines, how, rng):
+    """The same records, laid out as ``how`` says."""
+    if how == "blank lines":
+        out = []
+        for line in lines:
+            out += [line] + [rng.choice(["", "  ", "\t", "\r", "\f", " ", " \xa0 "])
+                             for _ in range(int(rng.integers(0, 3)))]
+        return "\n".join(["", " "] + out)
+    if how == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    if how == "json whitespace":
+        return "\n".join(f" \t{line}\t \r" for line in lines)
+    if how == "u2028 in strings":
+        return "\n".join(line[:-1] + ', "note": "a\u2028b\x85c\u2029"}' for line in lines)
+    if how == "integral floats":
+        return "\n".join(lines).replace('"gold": 1,', '"gold": 1.0,').replace(
+            '"gold_start": 0,', '"gold_start": 0.0,')
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["logits", "no logits", "qa"])
+@pytest.mark.parametrize("how", ["plain", "blank lines", "crlf", "json whitespace",
+                                 "u2028 in strings", "integral floats"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_load_log_matches_per_line_loader(tmp_path, kind, how, seed):
+    """Bit-identical arrays, with equal dtypes, on valid logs of every shape."""
+    saved, lines = _log_lines(tmp_path, kind, seed)
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(_variant(lines, how, np.random.default_rng(seed)).encode())
+    expected = _oracle_load_log(path)
+    _assert_same_log(load_log(path), expected)
+    _assert_same_log(expected, saved)
+
+
+def test_load_log_integer_logits_match_per_line_loader(tmp_path):
+    """JSON integers in logit lists, up to and past int64, round like the old loader's."""
+    path = tmp_path / "ints.jsonl"
+    path.write_text("\n".join(json.dumps(rec) for rec in [
+        {"task": "classification", "model_id": "m", "split_id": "s", "n_classes": 3},
+        {"gold": 1, "predicted": 1, "logits": [3, 2**53 + 1, -(2**63) - 1]},
+        {"gold": 0, "predicted": 2, "logits": [0.5, -7, 2**64 + 3]}]))
+    _assert_same_log(load_log(path), _oracle_load_log(path))
+    path.write_text("\n".join(json.dumps(rec) for rec in [
+        {"task": "extractive_qa", "model_id": "m", "split_id": "s"},
+        _qa_record(start_logits=[2**60, 1], end_logits=[0, 2**53 + 1])]))
+    _assert_same_log(load_log(path), _oracle_load_log(path))
+
+
+def test_load_log_matches_per_line_loader_when_empty(tmp_path):
+    for head in ('{"task": "classification", "model_id": "m", "split_id": "s", "n_classes": 2}',
+                 '{"task": "extractive_qa", "model_id": "m", "split_id": "s"}'):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(head + "\n\n")
+        _assert_same_log(load_log(path), _oracle_load_log(path))
+
+
+def _set(line, **fields):
+    rec = json.loads(line)
+    rec.update(fields)
+    return json.dumps(rec)
+
+
+def _drop(line, key):
+    rec = json.loads(line)
+    del rec[key]
+    return json.dumps(rec)
+
+
+def _nan_first_logit(line):
+    rec = json.loads(line)
+    rec["logits"][0] = float("nan")
+    return json.dumps(rec)
+
+
+# (log kind, {line index: new text or a function of the old line}); index 0 is the header
+_CORRUPTIONS = {
+    "not json": ("logits", {5: "not json"}),
+    "truncated last record": ("logits", {40: lambda l: l[:-7]}),
+    "array record": ("no logits", {3: "[0, 1]"}),
+    "number record": ("no logits", {7: "17"}),
+    "missing gold": ("no logits", {4: lambda l: _drop(l, "gold")}),
+    "string gold": ("logits", {9: lambda l: _set(l, gold="1")}),
+    "bool predicted": ("no logits", {9: lambda l: _set(l, predicted=False)}),
+    "fractional gold": ("no logits", {12: lambda l: _set(l, gold=1.5)}),
+    "huge float predicted": ("logits", {30: lambda l: _set(l, predicted=1e29)}),
+    "huge int gold": ("no logits", {40: lambda l: _set(l, gold=10**29)}),
+    "logits go missing": ("logits", {6: lambda l: _drop(l, "logits")}),
+    "logits appear": ("no logits", {6: lambda l: _set(l, logits=[0.0, 1.0, 2.0])}),
+    "logit width": ("logits", {11: lambda l: _set(l, logits=[0.0, 1.0])}),
+    "null logits": ("logits", {2: lambda l: _set(l, logits=None)}),
+    "scalar logits": ("logits", {2: lambda l: _set(l, logits=0.5)}),
+    "nested logits": ("logits", {2: lambda l: _set(l, logits=[[0.5, 1.0, 2.0]])}),
+    "logit past the float range": ("logits", {8: lambda l: _set(l, logits=[1, 2, 10**400])}),
+    "argmax mismatch": ("logits", {14: lambda l: _set(l, predicted=(json.loads(l)["predicted"]
+                                                                    + 1) % 3)}),
+    "gold out of range": ("no logits", {20: lambda l: _set(l, gold=3)}),
+    "nan logit": ("logits", {21: _nan_first_logit}),
+    "qa n_tokens string": ("qa", {3: lambda l: _set(l, n_tokens="4")}),
+    "qa logit count": ("qa", {5: lambda l: _set(l, end_logits=json.loads(l)["end_logits"][1:])}),
+    "qa missing gold_end": ("qa", {7: lambda l: _drop(l, "gold_end")}),
+    "qa pred_start below int64": ("qa", {9: lambda l: _set(l, pred_start=-(2**63) - 1)}),
+    "qa inverted gold span": ("qa", {11: lambda l: _set(l, gold_start=2, gold_end=1)}),
+    "header missing task": ("no logits", {0: lambda l: _drop(l, "task")}),
+    "header unknown task": ("logits", {0: lambda l: _set(l, task="ranking")}),
+    "header n_classes": ("logits", {0: lambda l: _set(l, n_classes="3")}),
+    "header not json": ("qa", {0: "{"}),
+    "deep nesting": ("no logits", {3: '{"gold": ' + "[" * 100_000}),
+    "too many digits": ("no logits", {3: '{"gold": ' + "1" * 5000 + ', "predicted": 0}'}),
+    "parse error after a bad field": ("logits", {4: lambda l: _set(l, gold=None), 9: "{"}),
+    "bad field after a parse error": ("logits", {9: lambda l: _set(l, gold=None), 4: "{"}),
+    "bad predicted before bad gold": ("no logits", {9: lambda l: _set(l, gold="x"),
+                                                    4: lambda l: _set(l, predicted="x")}),
+    "width before a later bad gold": ("logits", {3: lambda l: _set(l, logits=[1.0]),
+                                                 5: lambda l: _set(l, gold="x")}),
+    "presence after an earlier bad gold": ("no logits", {6: lambda l: _set(l, logits=[1.0]),
+                                                         4: lambda l: _set(l, gold=2.5)}),
+    "qa bad index after a logit count": ("qa", {8: lambda l: _set(l, start_logits=[1.0]),
+                                                 20: lambda l: _set(l, pred_end=True)}),
+    # rejected by the per-line loader, and by a loader that parsed the joined lines would not be
+    "record split across two lines": ("no logits", {
+        5: '{"gold": 0, "predicted": 0}, {"gold": 1, "predicted": 1, "x": [1', 6: "2]}"}),
+    "two records on one line": ("no logits", {5: lambda l: l + " " + l}),
+    "form feed before a record": ("logits", {7: lambda l: "\f" + l}),
+    "nbsp before a record": ("qa", {7: lambda l: "\xa0" + l}),
+    "nbsp after a record": ("no logits", {7: lambda l: l + "\xa0"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+def test_load_log_corruption_matches_per_line_loader(tmp_path, name):
+    """The same exception type, and the same line (or example index), as the
+    per-line loader: the first bad line in the file wins."""
+    kind, edits = _CORRUPTIONS[name]
+    _, lines = _log_lines(tmp_path, kind, 7)
+    for i, edit in edits.items():
+        lines[i] = edit(lines[i]) if callable(edit) else edit
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ToolkitError) as expected:
+        _oracle_load_log(path)
+    with pytest.raises(type(expected.value)) as exc:
+        load_log(path)
+    for attr in ("line_number", "example_index"):
+        assert getattr(exc.value, attr, None) == getattr(expected.value, attr, None)
