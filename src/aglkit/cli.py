@@ -19,6 +19,7 @@ from .report import (
     export_scatter,
     scatter_to_csv,
 )
+from .synth import SynthConfig, write_ensemble
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -76,7 +77,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .synth import SynthConfig, write_ensemble  # loads scipy.integrate, which only synth needs
     try:
         config = SynthConfig.from_file(args.config) if args.config else SynthConfig()
         config.seed = args.seed

@@ -386,10 +386,31 @@ def save_manifest(manifest: Manifest, path) -> None:
         fh.write("\n")
 
 
+def _entry_line(text, k) -> int:
+    """Line on which the k-th manifest entry's JSON object opens (1 if it is not an
+    object or cannot be located). Only a bad entry pays for this second decode."""
+    starts = {}  # id() of each decoded object -> index of its "{"
+
+    def parse_object(s_and_end, *args):
+        obj, end = json.decoder.JSONObject(s_and_end, *args)
+        starts[id(obj)] = s_and_end[1] - 1
+        return obj, end
+
+    decoder = json.JSONDecoder()
+    decoder.parse_object = parse_object
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)  # the C scanner takes no hook
+    try:
+        entry = decoder.decode(text)["entries"][k]
+    except RecursionError:  # nesting the C scanner accepts can be too deep for the Python one
+        return 1
+    return text.count("\n", 0, starts.get(id(entry), 0)) + 1
+
+
 def read_manifest(path) -> Manifest:
     """Parse a manifest file without loading the logs it references."""
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
         raise MalformedRecord(path, getattr(exc, "lineno", 1), str(exc)) from exc
     if not isinstance(doc, dict):
@@ -409,10 +430,12 @@ def read_manifest(path) -> Manifest:
     seen = set()
     for k, e in enumerate(doc["entries"]):
         if not (isinstance(e, dict) and {"model_id", "split_id", "path"} <= e.keys()):
-            raise MalformedRecord(path, 1, f"entry {k} needs model_id, split_id and path")
+            raise MalformedRecord(path, _entry_line(text, k),
+                                  f"entry {k} needs model_id, split_id and path")
         for key in ("model_id", "split_id", "path"):
             if not isinstance(e[key], str):
-                raise MalformedRecord(path, 1, f"entry {k}: {key} must be a string")
+                raise MalformedRecord(path, _entry_line(text, k),
+                                      f"entry {k}: {key} must be a string")
         entry = ManifestEntry(model_id=e["model_id"], split_id=e["split_id"], path=e["path"])
         key = (entry.model_id, entry.split_id)
         if key in seen:

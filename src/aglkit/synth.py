@@ -13,6 +13,8 @@ independent errors. The sharpened mapping keeps rho near 0 in the
 clone-like regime long enough for the near-diagonal agreement trend to
 survive moderate rho, while large rho still decorrelates errors enough
 for the agreement line to track the accuracy line.
+The closed-form agreements use P(both correct), the bivariate normal CDF
+at correlation r, in Owen's (1956) closed form via Owen's T function.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from .datamodel import (
     FORMAT_VERSION,
@@ -88,8 +89,8 @@ class SynthConfig:
     def skills(self) -> np.ndarray:
         return np.linspace(self.skill_min, self.skill_max, self.n_models)
 
-    def threshold(self, model_index: int, split: str) -> float:
-        s = float(self.skills[model_index])
+    def threshold(self, model_index, split: str):
+        s = self.skills[model_index]
         if split == "id":
             return s
         if split == "ood":
@@ -133,7 +134,6 @@ class SynthTruth:
     """Closed-form per-model accuracies implied by the config."""
     true_id_acc: np.ndarray
     true_ood_acc: np.ndarray
-    config: SynthConfig = field(repr=False, default=None)
 
 
 def _wrong_label(gold: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
@@ -180,8 +180,7 @@ def _generate_split(config: SynthConfig, rng: np.random.Generator,
 def truth_for(config: SynthConfig) -> SynthTruth:
     skills = config.skills
     return SynthTruth(true_id_acc=normal_cdf(skills),
-                      true_ood_acc=normal_cdf(config.line_slope * skills + config.line_bias),
-                      config=config)
+                      true_ood_acc=normal_cdf(config.line_slope * skills + config.line_bias))
 
 
 def generate(config: SynthConfig):
@@ -209,26 +208,34 @@ def wrong_match_probability(n_classes: int, coherence: float,
     return r * r + (1.0 - r * r) * base
 
 
-def both_correct_probability(theta_i: float, theta_j: float, correlation: float) -> float:
-    """P(z_i <= theta_i, z_j <= theta_j) for latents with the given correlation."""
-    if correlation >= 1.0:
-        return normal_cdf(min(theta_i, theta_j))
-    if correlation <= 0.0:
-        return normal_cdf(theta_i) * normal_cdf(theta_j)
-    shared = math.sqrt(correlation)
-    own = math.sqrt(1.0 - correlation)
+def both_correct_probability(theta_i, theta_j, correlation):
+    """P(z_i <= theta_i, z_j <= theta_j) for latents with the given correlation,
+    elementwise over broadcastable arrays: the bivariate normal CDF Phi2(h, k; r)
+    = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta (Owen, 1956)."""
+    h, k, rho = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
+                                      for x in (theta_i, theta_j, correlation)))
+    rho_c = np.clip(rho, 0.0, 1.0)
+    one_minus = 1.0 - rho_c  # exact for rho >= 0.5, so k - rho*h keeps its digits near rho = 1
+    spread = np.sqrt(one_minus * (1.0 + rho_c))
+    with np.errstate(divide="ignore", invalid="ignore"):  # at h = 0, k = 0 or rho = 1; replaced
+        t_h = _owen_term(h, k, one_minus, spread)
+        t_k = _owen_term(k, h, one_minus, spread)
+    beta = 0.5 * ((h * k < 0) | ((h * k == 0) & (h + k < 0)))
+    p = 0.5 * (normal_cdf(h) + normal_cdf(k)) - t_h - t_k - beta
+    p = np.where((h == 0) & (k == 0), 0.25 + np.arcsin(rho_c) / (2.0 * math.pi), p)
+    p = np.where(rho >= 1.0, normal_cdf(np.minimum(h, k)), p)
+    p = np.where(rho <= 0.0, normal_cdf(h) * normal_cdf(k), p)
+    return p[()]  # a 0-d result as a numpy scalar
 
-    def integrand(w):
-        return (math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
-                * normal_cdf((theta_i - shared * w) / own)
-                * normal_cdf((theta_j - shared * w) / own))
 
-    value, _ = quad(integrand, -9.0, 9.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return value
+def _owen_term(h, k, one_minus, spread):
+    """T(h, a_h) with a_h = (k - rho*h) / (h*sqrt(1 - rho**2)); its h -> 0 limit is sign(k)/4."""
+    a = ((k - h) + one_minus * h) / (h * spread)
+    return np.where(h == 0, 0.25 * np.sign(k), owens_t(h, a))
 
 
-def closed_form_agreement(config: SynthConfig, i: int, j: int, split: str) -> float:
-    """Expected agreement between models i and j on one split."""
+def closed_form_agreement(config: SynthConfig, i, j, split: str):
+    """Expected agreement between models i and j (ints or index arrays) on one split."""
     theta_i = config.threshold(i, split)
     theta_j = config.threshold(j, split)
     r = latent_correlation(config.diversity)
@@ -253,14 +260,12 @@ def exact_agl_inputs(config: SynthConfig):
     n = config.n_models
     truth = truth_for(config)
     a, b = config.line_slope, config.line_bias
+    iu = np.triu_indices(n, k=1)
+    g = closed_form_agreement(config, *iu, "id")
     agr_id = np.ones((n, n))
     agr_ood = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = closed_form_agreement(config, i, j, "id")
-            g_ood = normal_cdf(a * probit(g) + b)
-            agr_id[i, j] = agr_id[j, i] = g
-            agr_ood[i, j] = agr_ood[j, i] = g_ood
+    agr_id[iu] = agr_id[iu[::-1]] = g
+    agr_ood[iu] = agr_ood[iu[::-1]] = normal_cdf(a * probit(g) + b)
     true_ood = normal_cdf(a * probit(truth.true_id_acc) + b)
     return truth.true_id_acc, agr_id, agr_ood, true_ood
 

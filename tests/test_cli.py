@@ -68,19 +68,27 @@ def test_validate_ok_and_corrupted(tmp_path, capsys):
     assert main(["validate", "--manifest", str(manifest)]) == EXIT_INPUT_ERROR
 
 
-def test_estimate_and_validate_do_not_load_scipy_integrate(tmp_path):
-    """Only ``aglkit synth`` needs scipy.integrate; importing the CLI, and
-    validating and estimating in a fresh process, leave it unloaded."""
+def test_no_command_or_module_import_loads_scipy_integrate(tmp_path):
+    """No aglkit module needs scipy.integrate: importing every module, and
+    validating, estimating and synthesizing in a fresh process, leave it
+    unloaded."""
     manifest = _synth(tmp_path) / "manifest.json"
     script = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
+        "import aglkit\n"
         "from aglkit.cli import main\n"
         "assert 'scipy.integrate' not in sys.modules, 'import'\n"
+        "for mod in pkgutil.iter_modules(aglkit.__path__):\n"
+        "    importlib.import_module('aglkit.' + mod.name)\n"
+        "    assert 'scipy.integrate' not in sys.modules, mod.name\n"
         f"assert main(['validate', '--manifest', {str(manifest)!r}]) == 0\n"
         "assert 'scipy.integrate' not in sys.modules, 'validate'\n"
         f"assert main(['estimate', '--id-manifest', {str(manifest)!r}, '--ood-manifest',"
         f" {str(manifest)!r}, '--out', {str(tmp_path / 'report')!r}]) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'estimate'\n")
+        "assert 'scipy.integrate' not in sys.modules, 'estimate'\n"
+        f"assert main(['synth', '--config', {str(tmp_path / 'synth.cfg')!r}, '--seed', '1',"
+        f" '--out', {str(tmp_path / 'synth')!r}]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'synth'\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(aglkit.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -485,6 +485,39 @@ def test_manifest_duplicate_entry(tmp_path):
         read_manifest(path)
 
 
+_GOOD_ENTRY = '{"model_id": "m0", "split_id": "a", "path": "x.jsonl"}'
+
+
+@pytest.mark.parametrize("entries, line, detail", [
+    pytest.param(f'\n  {_GOOD_ENTRY},\n  {{"model_id": "m1", "split_id": "a",\n   "path": 5}}',
+                 5, "entry 1: path must be a string", id="opens-line-5-bad-path-line-6"),
+    pytest.param(f'\n  {_GOOD_ENTRY},\n\n  {{"model_id": "m1", "path": "y.jsonl"}}',
+                 6, "entry 1 needs model_id, split_id and path", id="after-blank-line"),
+    pytest.param(f'{{\n"model_id": ["m0"], "split_id": "a", "path": "x.jsonl"}}',
+                 3, "entry 0: model_id must be a string", id="opens-on-entries-line"),
+    pytest.param(f'{{"model_id": "m0", "split_id": "a", "path": "x.jsonl", "meta": {{}}}},\n'
+                 f'{{"model_id": "m1", "split_id": {{}}, "path": "y.jsonl"}}',
+                 4, "entry 1: split_id must be a string", id="after-nested-object"),
+    pytest.param(f'{_GOOD_ENTRY}, {{"model_id": "m1", "split_id": 0, "path": "y.jsonl"}}',
+                 3, "entry 1: split_id must be a string", id="two-on-one-line"),
+    # an entry that is not an object has no line of its own
+    pytest.param(f'\n  {_GOOD_ENTRY},\n  "y.jsonl"',
+                 1, "entry 1 needs model_id, split_id and path", id="not-an-object"),
+    # nesting the C scanner accepts but the Python one cannot follow falls back to line 1
+    pytest.param('\n{"model_id": ' + "[" * 600 + "]" * 600 + ', "split_id": "a", "path": "x"}',
+                 1, "entry 0: model_id must be a string", id="too-deep-to-locate"),
+])
+def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"version": "1", "task": "classification",\n'
+                    ' "metric": "accuracy",\n'
+                    ' "entries": [' + entries + ']}\n')
+    with pytest.raises(MalformedRecord) as exc:
+        read_manifest(path)
+    assert exc.value.line_number == line
+    assert detail in str(exc.value)
+
+
 def test_manifest_metric_task_mismatch(tmp_path):
     doc = {"version": "1", "task": TASK_CLASSIFICATION, "metric": METRIC_F1,
            "entries": []}

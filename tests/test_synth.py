@@ -1,8 +1,11 @@
 import json
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from aglkit.datamodel import load_manifest
 from aglkit.errors import InvalidConfig
@@ -101,6 +104,160 @@ def test_both_correct_probability_limits_and_monte_carlo():
     p = both_correct_probability(0.0, 0.5, 0.5)
     se = math.sqrt(p * (1 - p) / n)
     assert abs(emp - p) < 3 * se
+
+
+def _oracle_both_correct(theta_i, theta_j, correlation):
+    """The numerical integral both_correct_probability used before its closed form."""
+    if correlation >= 1.0:
+        return normal_cdf(min(theta_i, theta_j))
+    if correlation <= 0.0:
+        return normal_cdf(theta_i) * normal_cdf(theta_j)
+    shared = math.sqrt(correlation)
+    own = math.sqrt(1.0 - correlation)
+
+    def integrand(w):
+        return (math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
+                * normal_cdf((theta_i - shared * w) / own)
+                * normal_cdf((theta_j - shared * w) / own))
+
+    value, _ = quad(integrand, -9.0, 9.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return value
+
+
+def _mp_both_correct(h, k, rho):
+    """P(z_i <= h, z_j <= k) at 30 digits, with its quadrature error estimate:
+    the integral over the shared effect w of
+    phi(w) * Phi((h - sqrt(rho) w) / sqrt(1 - rho)) * Phi((k - sqrt(rho) w) / sqrt(1 - rho)),
+    written with erfc and the constants taken out.
+
+    Below a = max(-10, c - 10 d), with c = min(h, k)/sqrt(rho) and
+    d = sqrt((1 - rho)/rho), both Phi factors are 1 to within Phi(-10) ~ 8e-24,
+    so that tail is Phi(a); above c + 10 d (or 10) the integrand is below
+    8e-24 * phi(w). Gauss-Legendre covers the rest, split at 0 and where
+    either factor steps.
+    """
+    with mpmath.workdps(30):
+        h, k, rho = mpmath.mpf(h), mpmath.mpf(k), mpmath.mpf(rho)
+        if rho <= 0:
+            return mpmath.ncdf(h) * mpmath.ncdf(k), 0
+        if rho >= 1:
+            return mpmath.ncdf(min(h, k)), 0
+        shared, own = mpmath.sqrt(rho), mpmath.sqrt(1 - rho)
+        scale = own * mpmath.sqrt(2)
+
+        def integrand(w):
+            return (mpmath.exp(-w * w / 2) * mpmath.erfc((shared * w - h) / scale)
+                    * mpmath.erfc((shared * w - k) / scale))
+
+        c, d = min(h, k) / shared, own / shared
+        a, b = max(-10, c - 10 * d), min(10, c + 10 * d)
+        if a >= b:
+            return mpmath.ncdf(b), 0
+        cuts = sorted({a, b} | {x for x in (h / shared, k / shared, 0) if a < x < b})
+        value, err = mpmath.quad(integrand, cuts, method="gauss-legendre", maxdegree=5,
+                                 error=True)
+        norm = 4 * mpmath.sqrt(2 * mpmath.pi)
+        return mpmath.ncdf(a) + value / norm, err / norm
+
+
+_PHI2_RNG = np.random.default_rng(2024)
+_PHI2_RANDOM = [(float(h), float(k), float(r)) for h, k, r in zip(
+    _PHI2_RNG.uniform(-3, 3, 200), _PHI2_RNG.uniform(-3, 3, 200),
+    _PHI2_RNG.uniform(1e-3, 1 - 1e-3, 200))]
+_PHI2_EDGES = [
+    (0.0, 1.2, 0.5), (0.0, -1.2, 0.5), (0.0, 0.7, 0.999),   # h = 0
+    (1.2, 0.0, 0.5), (-1.2, 0.0, 0.5), (-0.4, 0.0, 0.05),   # k = 0
+    (0.0, 0.0, 0.5), (0.0, 0.0, 0.999), (0.0, 0.0, 1e-12), (-0.0, 0.0, 0.3),  # h = k = 0
+    (0.7, 0.7, 0.5), (-0.7, -0.7, 0.9), (2.5, 2.5, 0.2),   # h = k != 0
+    (0.8, -0.3, 0.4), (-0.3, 0.8, 0.4), (2.0, -2.0, 0.95), (-2.0, 2.0, 0.95),  # hk < 0
+    (0.5, 1.2, 1e-12), (-1.0, 0.3, 1e-12), (0.0, 0.3, 1e-12),
+    (0.5, 1.2, 1 - 1e-9), (0.9, 0.9, 1 - 1e-9), (-0.9, -0.9, 1 - 1e-9),
+    (0.3, -0.3, 1 - 1e-9), (0.0, 0.5, 1 - 1e-9), (0.5, 0.5000001, 1 - 1e-9),
+    # the old numerical integral was 5.6e-12 off here (default skills, diversity 0.05)
+    (-0.09, -0.09, latent_correlation(0.05)),
+    (0.5, 1.2, 0.0), (-0.5, 1.2, 0.0), (0.0, 0.0, 0.0),     # exact rho = 0 branch
+    (0.5, 1.2, 1.0), (1.2, -0.5, 1.0), (0.0, 0.0, 1.0),     # exact rho = 1 branch
+]
+
+
+@pytest.fixture(scope="module")
+def phi2_reference():
+    rows = _PHI2_RANDOM + _PHI2_EDGES
+    ref = [_mp_both_correct(*row) for row in rows]
+    assert max(err for _, err in ref) < 1e-20  # every quadrature converged
+    return np.array(rows), np.array([float(value) for value, _ in ref])
+
+
+def test_both_correct_probability_matches_mpmath(phi2_reference):
+    rows, expected = phi2_reference
+    got = both_correct_probability(rows[:, 0], rows[:, 1], rows[:, 2])
+    worst = np.abs(got - expected)
+    assert worst.max() < 1e-15, rows[worst.argmax()]
+
+
+def test_both_correct_probability_scalar_and_array_calls(phi2_reference):
+    rows, _ = phi2_reference
+    array = both_correct_probability(rows[:, 0], rows[:, 1], rows[:, 2])
+    for row, value in zip(rows, array):
+        scalar = both_correct_probability(*row)
+        assert np.ndim(scalar) == 0
+        assert scalar == value  # bit-identical: one code path
+    h = rows[:5, 0]
+    assert np.array_equal(both_correct_probability(h, 0.4, 0.6),
+                          [both_correct_probability(x, 0.4, 0.6) for x in h])
+    grid = both_correct_probability(h[:, None], h[None, :], 0.6)
+    assert grid.shape == (5, 5)
+    assert np.array_equal(grid, grid.T)
+
+
+def test_both_correct_probability_exact_branches():
+    h, k = np.array([0.5, -0.5, 0.0, 1.2]), np.array([1.2, 1.2, 0.0, -0.5])
+    for rho in (0.0, -0.3):
+        assert np.array_equal(both_correct_probability(h, k, rho),
+                              normal_cdf(h) * normal_cdf(k))
+    for rho in (1.0, 1.5):
+        assert np.array_equal(both_correct_probability(h, k, rho),
+                              normal_cdf(np.minimum(h, k)))
+
+
+@pytest.mark.parametrize("diversity", [0.2, 0.6, 0.9, 1.0])
+def test_both_correct_probability_matches_quad_oracle(diversity):
+    """Against the numerical integral it replaced, on the default skill grid.
+
+    Near-clone diversities are left to the mpmath rows: at 0.05 the old
+    integral itself is 5.6e-12 off at h = k = -0.09.
+    """
+    config = SynthConfig(diversity=diversity)
+    r = latent_correlation(diversity)
+    n = config.n_models
+    for split in ("id", "ood"):
+        theta = config.threshold(np.arange(n), split)
+        got = both_correct_probability(theta[:, None], theta[None, :], r)
+        for i in range(n):
+            for j in range(n):
+                assert abs(got[i, j] - _oracle_both_correct(theta[i], theta[j], r)) < 1e-12
+
+
+def test_closed_form_agreement_takes_index_arrays():
+    config = SynthConfig(n_models=6, diversity=0.7)
+    i, j = np.triu_indices(6, k=1)
+    for split in ("id", "ood"):
+        got = closed_form_agreement(config, i, j, split)
+        assert got.shape == i.shape
+        assert np.array_equal(got, [closed_form_agreement(config, int(a), int(b), split)
+                                    for a, b in zip(i, j)])
+
+
+def test_exact_agl_inputs_many_models_in_closed_form():
+    """All 8,128 pairs at 128 models in one array pass (the numerical
+    integral it replaced took about 2 s)."""
+    start = time.perf_counter()
+    _, agr_id, agr_ood, _ = exact_agl_inputs(SynthConfig(n_models=128))
+    assert time.perf_counter() - start < 1.0
+    assert agr_id.shape == agr_ood.shape == (128, 128)
+    assert np.array_equal(agr_id, agr_id.T) and np.array_equal(agr_ood, agr_ood.T)
+    assert np.all(np.diag(agr_id) == 1.0)
+    assert agr_id[3, 97] == closed_form_agreement(SynthConfig(n_models=128), 3, 97, "id")
 
 
 def _mc_agreement(config, i, j, split, n, seed):
