@@ -1,9 +1,10 @@
 """Core domain types, on-disk prediction-log formats, and validated ingestion.
 
 Log files are JSON Lines: one header object followed by one object per
-example. Floats use Python's shortest round-trip decimal representation,
-so save -> load reproduces values bit-for-bit. Example identity is
-positional: logs compared across models must have equal length.
+example. ``save_log`` writes sorted keys, ", " and ": " separators, floats in
+Python's shortest round-trip repr and NaN/Infinity as ``json`` does, so
+save -> load is bit-for-bit; the loader takes keys in any order. Example
+identity is positional: logs compared across models must have equal length.
 """
 
 from __future__ import annotations
@@ -209,30 +210,30 @@ def validate_log(log) -> None:
 # --- JSON Lines log I/O ---
 
 def save_log(log, path) -> None:
-    lines = []
+    """Write ``log`` in the layout above from whole columns: one ``%d`` template per
+    record, every float through the json encoder; unequal columns raise ValueError."""
     if isinstance(log, ClassificationLog):
         header = {"model_id": log.model_id, "split_id": log.split_id,
                   "task": log.task, "n_classes": log.n_classes}
-        lines.append(json.dumps(header, sort_keys=True))
-        for i in range(len(log)):
-            rec = {"gold": int(log.gold[i]), "predicted": int(log.predicted[i])}
-            if log.logits is not None:
-                rec["logits"] = [float(v) for v in log.logits[i]]
-            lines.append(json.dumps(rec, sort_keys=True))
+        columns, template = [log.gold.tolist(), log.predicted.tolist()], '{"gold": %d, "predicted": %d}'
+        if log.logits is not None:  # one encoder call, split into rows; "[]" has no rows
+            logits = np.asarray(log.logits, dtype=np.float64).tolist()
+            columns.insert(1, json.dumps(logits)[2:-2].split("], [") if logits else [])
+            template = '{"gold": %d, "logits": [%s], "predicted": %d}'
     elif isinstance(log, SpanLog):
         header = {"model_id": log.model_id, "split_id": log.split_id, "task": log.task}
-        lines.append(json.dumps(header, sort_keys=True))
-        for n_tok, start, end, (gs, ge), (ps, pe) in zip(
-                log.n_tokens.tolist(), log.start_logits, log.end_logits,
-                log.gold.tolist(), log.predicted.tolist()):
-            rec = {"n_tokens": n_tok, "start_logits": start[:n_tok].tolist(),
-                   "end_logits": end[:n_tok].tolist(), "gold_start": gs, "gold_end": ge,
-                   "pred_start": ps, "pred_end": pe}
-            lines.append(json.dumps(rec, sort_keys=True))
+        n_tok = log.n_tokens.tolist()
+        (gs, ge), (ps, pe) = log.gold.T.tolist(), log.predicted.T.tolist()
+        ends, starts = ([json.dumps(row[:n].tolist()) for row, n in zip(rows, n_tok)]
+                        for rows in (log.end_logits, log.start_logits))
+        columns = [ends, ge, gs, n_tok, pe, ps, starts]
+        template = ('{"end_logits": %s, "gold_end": %d, "gold_start": %d, "n_tokens": %d, '
+                    '"pred_end": %d, "pred_start": %d, "start_logits": %s}')
     else:
         raise TypeError(f"unsupported log type {type(log)!r}")
+    records = (template % values for values in zip(*columns, strict=True))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([json.dumps(header, sort_keys=True), *records]) + "\n")
 
 
 def _read_text(path) -> str:
@@ -386,24 +387,34 @@ def save_manifest(manifest: Manifest, path) -> None:
         fh.write("\n")
 
 
-def _entry_line(text, k) -> int:
-    """Line on which the k-th manifest entry's JSON object opens (1 if it is not an
-    object or cannot be located). Only a bad entry pays for this second decode."""
-    starts = {}  # id() of each decoded object -> index of its "{"
+def _line_of(text, key, k=None) -> int:
+    """Line on which the manifest's ``key`` value starts or, given ``k``, on which the
+    k-th object of that list opens (1 if it is not an object or cannot be located).
+    Only a bad manifest pays for this second decode."""
+    starts = {}  # id() of each decoded object -> {None: index of its "{", key: its value's}
 
-    def parse_object(s_and_end, *args):
-        obj, end = json.decoder.JSONObject(s_and_end, *args)
-        starts[id(obj)] = s_and_end[1] - 1
+    def parse_object(s_and_end, strict, scan_once, *args):
+        values = []  # where each of this object's values starts, in order
+
+        def scan(s, idx):
+            values.append(idx)
+            return scan_once(s, idx)
+        pairs, end = json.decoder.JSONObject(s_and_end, strict, scan, None, list, *args[2:])
+        obj = dict(pairs)  # a repeated key keeps its last value, and here its last start
+        starts[id(obj)] = {None: s_and_end[1] - 1, **{n: i for (n, _), i in zip(pairs, values)}}
         return obj, end
 
     decoder = json.JSONDecoder()
     decoder.parse_object = parse_object
     decoder.scan_once = json.scanner.py_make_scanner(decoder)  # the C scanner takes no hook
     try:
-        entry = decoder.decode(text)["entries"][k]
+        doc = decoder.decode(text)
     except RecursionError:  # nesting the C scanner accepts can be too deep for the Python one
         return 1
-    return text.count("\n", 0, starts.get(id(entry), 0)) + 1
+    if k is None:
+        return text.count("\n", 0, starts[id(doc)][key]) + 1
+    entry = doc[key][k]
+    return text.count("\n", 0, starts[id(entry)][None]) + 1 if isinstance(entry, dict) else 1
 
 
 def read_manifest(path) -> Manifest:
@@ -421,20 +432,20 @@ def read_manifest(path) -> Manifest:
     task = doc["task"]
     metric = doc["metric"]
     if not isinstance(task, str) or task not in METRICS_BY_TASK:
-        raise MalformedRecord(path, 1, f"unknown task {task!r}")
+        raise MalformedRecord(path, _line_of(text, "task"), f"unknown task {task!r}")
     if metric not in METRICS_BY_TASK[task]:
         raise MetricTaskMismatch(metric, task)
     if not isinstance(doc["entries"], list):
-        raise MalformedRecord(path, 1, "entries must be a list")
+        raise MalformedRecord(path, _line_of(text, "entries"), "entries must be a list")
     entries = []
     seen = set()
     for k, e in enumerate(doc["entries"]):
         if not (isinstance(e, dict) and {"model_id", "split_id", "path"} <= e.keys()):
-            raise MalformedRecord(path, _entry_line(text, k),
+            raise MalformedRecord(path, _line_of(text, "entries", k),
                                   f"entry {k} needs model_id, split_id and path")
         for key in ("model_id", "split_id", "path"):
             if not isinstance(e[key], str):
-                raise MalformedRecord(path, _entry_line(text, k),
+                raise MalformedRecord(path, _line_of(text, "entries", k),
                                       f"entry {k}: {key} must be a string")
         entry = ManifestEntry(model_id=e["model_id"], split_id=e["split_id"], path=e["path"])
         key = (entry.model_id, entry.split_id)

@@ -1,8 +1,12 @@
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aglkit.datamodel import (
     FORMAT_VERSION,
@@ -104,6 +108,98 @@ def test_span_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(back.predicted, log.predicted)
     save_log(back, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def _reference_save_log(log, path) -> None:
+    """The per-record writer save_log replaced (one json.dumps per record): the
+    reference its bytes are held to."""
+    lines = []
+    if isinstance(log, ClassificationLog):
+        header = {"model_id": log.model_id, "split_id": log.split_id,
+                  "task": log.task, "n_classes": log.n_classes}
+        lines.append(json.dumps(header, sort_keys=True))
+        for i in range(len(log)):
+            rec = {"gold": int(log.gold[i]), "predicted": int(log.predicted[i])}
+            if log.logits is not None:
+                rec["logits"] = [float(v) for v in log.logits[i]]
+            lines.append(json.dumps(rec, sort_keys=True))
+    elif isinstance(log, SpanLog):
+        header = {"model_id": log.model_id, "split_id": log.split_id, "task": log.task}
+        lines.append(json.dumps(header, sort_keys=True))
+        for n_tok, start, end, (gs, ge), (ps, pe) in zip(
+                log.n_tokens.tolist(), log.start_logits, log.end_logits,
+                log.gold.tolist(), log.predicted.tolist()):
+            rec = {"n_tokens": n_tok, "start_logits": start[:n_tok].tolist(),
+                   "end_logits": end[:n_tok].tolist(), "gold_start": gs, "gold_end": ge,
+                   "pred_start": ps, "pred_end": pe}
+            lines.append(json.dumps(rec, sort_keys=True))
+    else:
+        raise TypeError(f"unsupported log type {type(log)!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _written(save, log) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.jsonl")
+        save(log, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# the writer does not validate: any int64 index and any float, non-finite too
+_INDEX = st.one_of(st.integers(-3, 12), st.integers(-2**63, 2**63 - 1),
+                   st.sampled_from([-2**63, 2**63 - 1]))
+_LOGIT = st.one_of(st.floats(), st.sampled_from(
+    [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]))
+_ID = st.text(max_size=4)
+
+
+@st.composite
+def _classification_logs(draw):
+    n, k = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    gold, predicted = (np.array(draw(st.lists(_INDEX, min_size=n, max_size=n)), dtype=np.int64)
+                       for _ in range(2))
+    logits = draw(st.none() | st.lists(_LOGIT, min_size=n * k, max_size=n * k))
+    return ClassificationLog(model_id=draw(_ID), split_id=draw(_ID), n_classes=k,
+                             gold=gold, predicted=predicted,
+                             logits=None if logits is None else np.reshape(logits, (n, k)))
+
+
+@st.composite
+def _span_logs(draw):
+    examples = []
+    for n_tok in draw(st.lists(st.integers(1, 5), max_size=5)):  # ragged, 1 included
+        start, end = (np.array(draw(st.lists(_LOGIT, min_size=n_tok, max_size=n_tok)))
+                      for _ in range(2))
+        gs, ge, ps, pe = (draw(_INDEX) for _ in range(4))
+        examples.append(SpanExample(n_tokens=n_tok, start_logits=start, end_logits=end,
+                                    gold_start=gs, gold_end=ge, pred_start=ps, pred_end=pe))
+    return SpanLog(model_id=draw(_ID), split_id=draw(_ID), examples=examples)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_classification_logs(), _span_logs()))
+def test_save_log_bytes_equal_reference_writer(log):
+    assert _written(save_log, log) == _written(_reference_save_log, log)
+
+
+@pytest.mark.parametrize("logits", [
+    np.zeros((0, 3)), np.zeros((1, 0)), np.zeros((2, 0)),
+    np.array([[1, -2, 3]]), np.array([[0.1, -2.5, 3e38]], dtype=np.float32),
+    [[0.5, -0.0], [np.nan, np.inf]],
+], ids=["no-rows", "one-empty-row", "two-empty-rows", "int", "float32", "nested-lists"])
+def test_save_log_logits_edge_shapes_and_dtypes(logits):
+    n = len(logits)
+    log = ClassificationLog(model_id="m", split_id="s", n_classes=3, logits=logits,
+                            gold=np.zeros(n, dtype=np.int64), predicted=np.arange(n))
+    assert _written(save_log, log) == _written(_reference_save_log, log)
+
+
+def test_save_log_rejects_columns_of_unequal_length():
+    log = make_classification_log([0, 1, 1], [0, 1], n_classes=2)
+    with pytest.raises(ValueError):
+        _written(save_log, log)
 
 
 def test_validate_catches_argmax_mismatch(rng):
@@ -512,6 +608,27 @@ def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
     path.write_text('{"version": "1", "task": "classification",\n'
                     ' "metric": "accuracy",\n'
                     ' "entries": [' + entries + ']}\n')
+    with pytest.raises(MalformedRecord) as exc:
+        read_manifest(path)
+    assert exc.value.line_number == line
+    assert detail in str(exc.value)
+
+
+@pytest.mark.parametrize("text, line, detail", [
+    pytest.param('{"version": "1",\n "metric": "accuracy",\n "entries": [],\n "task":\n   "nope"}',
+                 5, "unknown task 'nope'", id="task-value-below-its-key"),
+    pytest.param('{"version": "1", "task": "classification",\n "metric": "accuracy",\n'
+                 ' "entries": {"path": "x.jsonl"}}', 3, "entries must be a list", id="entries"),
+    # a repeated key keeps its last value, and the error names that value's line
+    pytest.param('{"version": "1", "task": "classification", "metric": "accuracy",\n'
+                 ' "entries": [],\n "entries": 5}', 3, "entries must be a list", id="repeated-key"),
+    pytest.param('\n\n["version", "task"]\n', 1, "manifest must be a JSON object", id="not-object"),
+    pytest.param('{"version": "1",\n "task": "classification",\n "entries": []}',
+                 1, "missing key 'metric'", id="missing-key"),
+])
+def test_manifest_document_error_names_value_line(tmp_path, text, line, detail):
+    path = tmp_path / "bad.json"
+    path.write_text(text + "\n")
     with pytest.raises(MalformedRecord) as exc:
         read_manifest(path)
     assert exc.value.line_number == line

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -393,6 +394,22 @@ def test_write_ensemble_rerun_byte_identical(tmp_path):
     write_ensemble(config, tmp_path / "b")
     for rel in ("manifest.json", "truth.json", "id/m00.jsonl", "ood/m01.jsonl"):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+# Computed with the per-record json.dumps writer, before save_log formatted whole
+# columns: any drift in the generator, the log writer, the manifest or truth.json
+# changes it.
+WRITE_ENSEMBLE_SHA256 = "da4d2f4260a76ffae1157a5ae559125ba72e5924a731e78a735590ed7c680500"
+
+
+def test_write_ensemble_golden_digest(tmp_path):
+    write_ensemble(SynthConfig(n_models=4, n_examples_id=50, n_examples_ood=50, seed=7), tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.rglob("*"), key=lambda p: p.relative_to(tmp_path).as_posix()):
+        if path.is_file():  # relative path, a NUL, then the file's bytes
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == WRITE_ENSEMBLE_SHA256
 
 
 def test_generated_agreement_tracks_closed_form_smoke():
