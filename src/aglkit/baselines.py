@@ -34,15 +34,6 @@ TEMP_BOX = (-5.0, 5.0)
 TEMP_TOL = 1e-6
 
 
-@dataclass
-class BaselineComparison:
-    """Raw and temperature-scaled variants of one confidence estimate."""
-    raw: float
-    temp_scaled: float
-    selected: float | None = None
-    used_temperature: bool = False
-
-
 @dataclass(frozen=True)
 class ConfidenceScores:
     """One model's ID accuracy and (ID, OOD) confidences, raw and scaled by
@@ -147,7 +138,8 @@ def _id_accuracy(log) -> float:
                        else METRIC_EXACT_MATCH)
 
 
-def _atc_threshold(id_accuracy: float, id_conf: np.ndarray) -> float:
+def atc_threshold(id_accuracy: float, id_conf: np.ndarray) -> float:
+    """Threshold whose ID coverage reproduces the ID accuracy."""
     conf = np.sort(id_conf)
     n = len(conf)
     n_errors = n - int(round(id_accuracy * n))
@@ -161,7 +153,7 @@ def _ac(id_accuracy, id_conf, ood_conf) -> float:
 
 
 def _atc(id_accuracy, id_conf, ood_conf) -> float:
-    return float(np.mean(ood_conf >= _atc_threshold(id_accuracy, id_conf)))
+    return float(np.mean(ood_conf >= atc_threshold(id_accuracy, id_conf)))
 
 
 def _doc_feat(id_accuracy, id_conf, ood_conf) -> float:
@@ -170,29 +162,6 @@ def _doc_feat(id_accuracy, id_conf, ood_conf) -> float:
 
 
 _SCORE_METHODS = {METHOD_AC: _ac, METHOD_ATC: _atc, METHOD_DOC_FEAT: _doc_feat}
-
-
-def ac_estimate(ood_log, temperature: tuple[float, ...] | None = None) -> float:
-    """Average confidence on the OOD split."""
-    return _ac(None, None, confidence(ood_log, temperature))
-
-
-def atc_threshold(id_log, temperature: tuple[float, ...] | None = None) -> float:
-    """Threshold whose ID coverage reproduces the ID accuracy."""
-    return _atc_threshold(_id_accuracy(id_log), confidence(id_log, temperature))
-
-
-def atc_estimate(id_log, ood_log, temperature: tuple[float, ...] | None = None) -> float:
-    """Fraction of OOD examples whose confidence clears the ID-fit threshold."""
-    return _atc(_id_accuracy(id_log), confidence(id_log, temperature),
-                confidence(ood_log, temperature))
-
-
-def doc_feat_estimate(id_log, ood_log,
-                      temperature: tuple[float, ...] | None = None) -> float:
-    """ID accuracy shifted by the drop in mean confidence, clamped to [0, 1]."""
-    return _doc_feat(_id_accuracy(id_log), confidence(id_log, temperature),
-                     confidence(ood_log, temperature))
 
 
 def naive_agreement_estimate(agr_ood: np.ndarray) -> np.ndarray:
@@ -211,20 +180,8 @@ def confidence_scores(id_log, ood_log) -> ConfidenceScores:
                             scaled=(confidence(id_log, temp), confidence(ood_log, temp)))
 
 
-def with_and_without_temperature(method: str, scores: ConfidenceScores,
-                                 ood_truth: float | None = None) -> BaselineComparison:
-    """Run one confidence baseline raw and temperature-scaled on a model's
-    ``confidence_scores``.
-
-    With an OOD truth value (evaluation mode) the closer variant is
-    selected, preferring the raw one on ties; otherwise both variants are
-    reported unselected.
-    """
+def with_and_without_temperature(method: str, scores: ConfidenceScores) -> tuple[float, float]:
+    """One confidence baseline's ``(raw, temp_scaled)`` estimates from a model's
+    ``confidence_scores``."""
     fn = _SCORE_METHODS[method]
-    raw = fn(scores.id_accuracy, *scores.raw)
-    scaled = fn(scores.id_accuracy, *scores.scaled)
-    cmp = BaselineComparison(raw=raw, temp_scaled=scaled)
-    if ood_truth is not None:
-        cmp.used_temperature = abs(scaled - ood_truth) < abs(raw - ood_truth)
-        cmp.selected = scaled if cmp.used_temperature else raw
-    return cmp
+    return fn(scores.id_accuracy, *scores.raw), fn(scores.id_accuracy, *scores.scaled)

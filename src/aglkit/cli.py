@@ -42,7 +42,9 @@ def _fail(message: str, code: int) -> int:
 
 def cmd_estimate(args) -> int:
     try:
-        methods = [_METHOD_FLAGS[m.strip()] for m in args.methods.split(",") if m.strip()]
+        # in order, once each: exit code 3 compares failures with this count
+        methods = list(dict.fromkeys(_METHOD_FLAGS[m.strip()]
+                                     for m in args.methods.split(",") if m.strip()))
     except KeyError as exc:
         return _fail(f"unknown method {exc.args[0]!r} (choose from {', '.join(_METHOD_FLAGS)})",
                      EXIT_INPUT_ERROR)

@@ -70,20 +70,17 @@ class EstimateReport:
     true_ood_perf: np.ndarray | None
     agr_id: np.ndarray  # (n, n), kept for export_scatter, not serialized
     agr_ood: np.ndarray
-    # method -> per-model estimate vector, or {"raw": v, "temp_scaled": v}
+    # name -> (n,) estimates, each confidence method as "<method>.raw" and
+    # "<method>.temp_scaled"; no estimate reads OOD labels
     estimates: dict = field(default_factory=dict)
-    used_temperature: dict = field(default_factory=dict)
     method_errors: dict = field(default_factory=dict)
     agreement_fit: LineFit | None = None
     accuracy_fit: LineFit | None = None
     gates: dict = field(default_factory=dict)
-    mape_by_method: dict | None = None
+    mape_by_method: dict | None = None  # name -> MAPE; all None if an OOD score is 0
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def vec(v):
-            return [float(x) for x in v]
-
         def fit_dict(f):
             if f is None:
                 return None
@@ -93,54 +90,24 @@ class EstimateReport:
 
         per_model = []
         for i, mid in enumerate(self.model_ids):
-            row = {"model_id": mid, "id_perf": float(self.id_perf[i]), "estimates": {}}
+            row = {"model_id": mid, "id_perf": float(self.id_perf[i]),
+                   "estimates": {name: float(est[i]) for name, est in self.estimates.items()}}
             if self.true_ood_perf is not None:
                 row["true_ood_perf"] = float(self.true_ood_perf[i])
-            for method, est in self.estimates.items():
-                if isinstance(est, dict):
-                    row["estimates"][method] = {k: float(v[i]) for k, v in est.items()}
-                else:
-                    row["estimates"][method] = float(est[i])
             per_model.append(row)
         return {
             "per_model": per_model,
             "fits": {"agreement_fit": fit_dict(self.agreement_fit),
                      "accuracy_fit": fit_dict(self.accuracy_fit)},
             "gates": dict(sorted(self.gates.items())),
-            "used_temperature": dict(sorted(self.used_temperature.items())),
             "method_errors": dict(sorted(self.method_errors.items())),
             "mape": (None if self.mape_by_method is None
-                     else {k: float(v) for k, v in sorted(self.mape_by_method.items())}),
+                     else dict(sorted(self.mape_by_method.items()))),
             "metadata": self.metadata,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def _confidence_estimates(report: EstimateReport, method: str, scores):
-    """Raw and temperature-scaled estimates per model from its
-    ``confidence_scores``; with OOD truth, the variant closer to it is kept
-    and its choice recorded."""
-    n = len(scores)
-    truth = report.true_ood_perf
-    raw = np.empty(n)
-    scaled = np.empty(n)
-    selected = np.empty(n)
-    used = []
-    for i in range(n):
-        truth_i = float(truth[i]) if truth is not None else None
-        cmp = with_and_without_temperature(method, scores[i], truth_i)
-        raw[i] = cmp.raw
-        scaled[i] = cmp.temp_scaled
-        if cmp.selected is not None:
-            selected[i] = cmp.selected
-            used.append(cmp.used_temperature)
-    if truth is not None:
-        report.estimates[method] = selected
-        report.used_temperature[method] = used
-    else:
-        report.estimates[method] = {"raw": raw, "temp_scaled": scaled}
 
 
 def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: np.ndarray,
@@ -179,7 +146,8 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: np.ndarray,
                 if scores is None:
                     scores = [confidence_scores(id_log, ood_log)
                               for id_log, ood_log in zip(pair.id_logs, pair.ood_logs)]
-                _confidence_estimates(report, method, scores)
+                report.estimates[f"{method}.raw"], report.estimates[f"{method}.temp_scaled"] = \
+                    np.array([with_and_without_temperature(method, s) for s in scores]).T
             else:
                 raise ToolkitError(f"unknown method {method!r}")
         except ToolkitError as exc:
@@ -191,9 +159,11 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: np.ndarray,
                                            probit(clamp_rate(true_ood, options.clamp_eps)))
         except ToolkitError:
             report.accuracy_fit = None
-        report.mape_by_method = {method: mape(est, true_ood)
-                                 for method, est in report.estimates.items()
-                                 if not isinstance(est, dict)}
+        try:
+            report.mape_by_method = {name: mape(est, true_ood)
+                                     for name, est in report.estimates.items()}
+        except ZeroTruth:  # a model scores 0 OOD: no percentage error is defined
+            report.mape_by_method = dict.fromkeys(report.estimates)
     return report
 
 

@@ -14,14 +14,16 @@ import pytest
 
 from aglkit.aline import AlineInput, agreement_line, aline_d, aline_s, gate
 from aglkit.baselines import (
+    METHOD_AC,
+    METHOD_ATC,
+    METHOD_DOC_FEAT,
     _mean_ce,
-    ac_estimate,
-    atc_estimate,
     atc_threshold,
     confidence,
-    doc_feat_estimate,
+    confidence_scores,
     fit_temperature,
     naive_agreement_estimate,
+    with_and_without_temperature,
 )
 from aglkit.cli import EXIT_OK, main
 from aglkit.datamodel import (
@@ -243,17 +245,19 @@ def test_criterion_5_metric_oracles():
                                           logits=logits_ood, split_id="ood")
         conf_id = confidence(id_log)
         conf_ood = confidence(ood_log)
-        assert abs(ac_estimate(ood_log) - float(np.mean(conf_ood))) < 1e-12
+        scores = confidence_scores(id_log, ood_log)
+        raw = {m: with_and_without_temperature(m, scores)[0]
+               for m in (METHOD_AC, METHOD_ATC, METHOD_DOC_FEAT)}
+        assert abs(raw[METHOD_AC] - float(np.mean(conf_ood))) < 1e-12
         acc_id = accuracy(id_log)
         candidates = list(np.sort(conf_id)) + [math.inf]
         tau = min(candidates,
                   key=lambda t: (abs(float(np.mean(conf_id >= t)) - acc_id), t))
-        assert atc_threshold(id_log) == tau
-        assert abs(atc_estimate(id_log, ood_log)
-                   - float(np.mean(conf_ood >= tau))) < 1e-12
+        assert atc_threshold(acc_id, conf_id) == tau
+        assert abs(raw[METHOD_ATC] - float(np.mean(conf_ood >= tau))) < 1e-12
         doc = min(1.0, max(0.0, acc_id - (float(np.mean(conf_id))
                                           - float(np.mean(conf_ood)))))
-        assert abs(doc_feat_estimate(id_log, ood_log) - doc) < 1e-12
+        assert abs(raw[METHOD_DOC_FEAT] - doc) < 1e-12
         # naive agreement
         vals = rng.uniform(0.4, 1.0, size=(4, 4))
         vals = (vals + vals.T) / 2

@@ -10,12 +10,9 @@ from aglkit.baselines import (
     TEMP_BOX,
     TEMP_TOL,
     _mean_ce,
-    ac_estimate,
-    atc_estimate,
     atc_threshold,
     confidence,
     confidence_scores,
-    doc_feat_estimate,
     fit_temperature,
     naive_agreement_estimate,
     with_and_without_temperature,
@@ -163,11 +160,16 @@ def test_argmax_invariant_under_temperature(rng):
                               logits.argmax(axis=1))
 
 
+def _raw(method, id_log, ood_log):
+    """The raw (unscaled) estimate of one confidence baseline."""
+    return with_and_without_temperature(method, confidence_scores(id_log, ood_log))[0]
+
+
 def test_ac_is_mean_confidence(rng):
     logits = rng.normal(size=(40, 3))
     log = make_classification_log(logits.argmax(axis=1), rng.integers(0, 3, 40),
                                   3, logits=logits)
-    assert ac_estimate(log) == pytest.approx(float(np.mean(confidence(log))), abs=1e-15)
+    assert _raw(METHOD_AC, log, log) == pytest.approx(float(np.mean(confidence(log))), abs=1e-15)
 
 
 def _random_logit_log(rng, n, k, model_id="m0", split_id="id"):
@@ -186,14 +188,14 @@ def test_atc_threshold_matches_exhaustive_scan(rng):
         candidates = list(np.sort(conf)) + [math.inf]
         best = min(candidates,
                    key=lambda tau: (abs(float(np.mean(conf >= tau)) - acc), tau))
-        assert atc_threshold(log) == best
+        assert atc_threshold(acc, conf) == best
 
 
 def test_atc_identity_on_same_split(rng):
     for seed in range(5):
         r = np.random.default_rng(seed)
         log = _random_logit_log(r, 200, 3)
-        assert atc_estimate(log, log) == pytest.approx(accuracy(log), abs=1e-12)
+        assert _raw(METHOD_ATC, log, log) == pytest.approx(accuracy(log), abs=1e-12)
 
 
 def test_atc_all_wrong(rng):
@@ -201,8 +203,8 @@ def test_atc_all_wrong(rng):
     pred = logits.argmax(axis=1)
     gold = (pred + 1) % 3
     log = make_classification_log(pred, gold, 3, logits=logits)
-    assert atc_threshold(log) == math.inf
-    assert atc_estimate(log, log) == 0.0
+    assert atc_threshold(accuracy(log), confidence(log)) == math.inf
+    assert _raw(METHOD_ATC, log, log) == 0.0
 
 
 def test_doc_feat_formula_and_clamp(rng):
@@ -212,7 +214,7 @@ def test_doc_feat_formula_and_clamp(rng):
                 - (float(np.mean(confidence(id_log)))
                    - float(np.mean(confidence(ood_log)))))
     expected = min(1.0, max(0.0, expected))
-    assert doc_feat_estimate(id_log, ood_log) == pytest.approx(expected, abs=1e-12)
+    assert _raw(METHOD_DOC_FEAT, id_log, ood_log) == pytest.approx(expected, abs=1e-12)
     # force the unclamped value negative: confident ID, diffuse wrong OOD
     sharp = _random_logit_log(rng, 40, 3)
     sharp.logits = sharp.logits * 50.0
@@ -220,7 +222,7 @@ def test_doc_feat_formula_and_clamp(rng):
     sharp.gold = (sharp.predicted + 1) % 3  # ID accuracy 0
     flat = _random_logit_log(rng, 40, 3, split_id="ood")
     flat.logits = flat.logits * 1e-6
-    assert doc_feat_estimate(sharp, flat) == 0.0
+    assert _raw(METHOD_DOC_FEAT, sharp, flat) == 0.0
 
 
 def test_naive_agreement_loop_oracle(rng):
@@ -231,23 +233,6 @@ def test_naive_agreement_loop_oracle(rng):
     for i in range(4):
         manual = sum(vals[i, j] for j in range(4) if j != i) / 3
         assert est[i] == pytest.approx(manual, abs=1e-15)
-
-
-def test_with_and_without_temperature_selection(rng):
-    id_log = _random_logit_log(rng, 150, 3)
-    ood_log = _random_logit_log(rng, 150, 3, split_id="ood")
-    scores = confidence_scores(id_log, ood_log)
-    for method in (METHOD_AC, METHOD_ATC, METHOD_DOC_FEAT):
-        cmp_blind = with_and_without_temperature(method, scores)
-        assert cmp_blind.selected is None
-        assert not cmp_blind.used_temperature
-        truth = 0.6
-        cmp_eval = with_and_without_temperature(method, scores, truth)
-        closer = min((cmp_eval.raw, cmp_eval.temp_scaled),
-                     key=lambda v: abs(v - truth))
-        assert cmp_eval.selected == closer
-        expect_temp = abs(cmp_eval.temp_scaled - truth) < abs(cmp_eval.raw - truth)
-        assert cmp_eval.used_temperature == expect_temp
 
 
 # --- the fit as it was before the safeguarded Newton solve, kept as an oracle ---

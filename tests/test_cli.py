@@ -229,6 +229,45 @@ def test_estimate_total_failure_exit_code(tmp_path):
     assert code == EXIT_ESTIMATION_FAILURE
 
 
+def _rewrite_records(path, edit):
+    """Apply ``edit`` to every example record (not the header) of a log."""
+    header, *records = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [json.dumps(edit(json.loads(line)), sort_keys=True)
+                                          for line in records]) + "\n")
+
+
+@pytest.mark.parametrize("flags", [["--methods", "ac,ac"], ["--methods", "atc,doc-feat,atc"]])
+def test_estimate_repeated_methods_still_exit_3(tmp_path, capsys, flags):
+    """Each method runs once, so failing every requested method exits 3."""
+    out = _synth(tmp_path)
+    for log in out.glob("*/*.jsonl"):
+        _rewrite_records(log, lambda rec: {k: v for k, v in rec.items() if k != "logits"})
+    manifest = str(out / "manifest.json")
+    code = main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                 "--out", str(tmp_path / "rep"), *flags])
+    assert code == EXIT_ESTIMATION_FAILURE
+    assert capsys.readouterr().err.count("failed: MissingLogits") == len(set(flags[1].split(",")))
+
+
+def test_estimate_eval_with_a_zero_ood_score_writes_null_mape(tmp_path):
+    """One model wrong on every OOD example: MAPE is undefined, the report is still written."""
+    out = _synth(tmp_path)
+    n_classes = json.loads((out / "ood" / "m01.jsonl").read_text().splitlines()[0])["n_classes"]
+    _rewrite_records(out / "ood" / "m01.jsonl",
+                     lambda rec: {**rec, "gold": (rec["predicted"] + 1) % n_classes})
+    manifest = str(out / "manifest.json")
+    for name, flags in (("blind", []), ("eval", ["--eval"])):
+        assert main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                     "--out", str(tmp_path / name), *flags]) == EXIT_OK
+    blind, scored = (json.loads((tmp_path / name / "report.json").read_text())
+                     for name in ("blind", "eval"))
+    assert scored["per_model"][1]["true_ood_perf"] == 0.0
+    assert scored["mape"] == dict.fromkeys(scored["per_model"][0]["estimates"])
+    assert len(scored["mape"]) == 9
+    assert [row["estimates"] for row in scored["per_model"]] == \
+        [row["estimates"] for row in blind["per_model"]]
+
+
 def test_estimate_does_not_mutate_inputs(tmp_path):
     out = _synth(tmp_path)
     manifest = str(out / "manifest.json")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import aglkit.baselines
-from aglkit.datamodel import METRIC_ACCURACY, SplitPair
+from aglkit.datamodel import METRIC_ACCURACY, METRIC_F1, SplitPair
 from aglkit.errors import InsufficientModels, LengthMismatch, ToolkitError, ZeroTruth
 from aglkit.probit import clamp_rate, probit
 from aglkit.report import (
@@ -22,6 +22,12 @@ from aglkit.report import (
     scatter_to_csv,
 )
 from aglkit.synth import SynthConfig, exact_agl_inputs, generate
+
+from conftest import calibrated_span_log
+
+# every estimate a full report holds: each confidence method once per variant
+ESTIMATE_NAMES = ({m for m in ALL_METHODS if m not in CONFIDENCE_METHODS}
+                  | {f"{m}.{v}" for m in CONFIDENCE_METHODS for v in ("raw", "temp_scaled")})
 
 
 def test_mape_matches_loop_oracle(rng):
@@ -63,18 +69,16 @@ def _synth_pair(n_models=3, n=300, seed=6):
 def test_build_report_eval_mode():
     pair, _ = _synth_pair()
     report = build_report(pair, options=ReportOptions(evaluation_mode=True))
-    assert set(report.estimates) == set(ALL_METHODS)
+    assert set(report.estimates) == ESTIMATE_NAMES
     assert not report.method_errors
-    for method in ALL_METHODS:
-        est = report.estimates[method]
+    for name in ESTIMATE_NAMES:
+        est = report.estimates[name]
         assert isinstance(est, np.ndarray)
         assert est.shape == (3,)
         assert np.all((est >= 0) & (est <= 1))
-    for method in CONFIDENCE_METHODS:
-        assert len(report.used_temperature[method]) == 3
     assert report.agreement_fit is not None
     assert report.accuracy_fit is not None
-    assert set(report.mape_by_method) == set(ALL_METHODS)
+    assert set(report.mape_by_method) == ESTIMATE_NAMES
     assert report.true_ood_perf is not None
     assert set(report.gates) == set(ALINE_METHODS)
 
@@ -85,10 +89,31 @@ def test_build_report_blind_mode():
     assert report.true_ood_perf is None
     assert report.mape_by_method is None
     assert report.accuracy_fit is None
+    assert set(report.estimates) == ESTIMATE_NAMES
     for method in CONFIDENCE_METHODS:
-        est = report.estimates[method]
-        assert set(est) == {"raw", "temp_scaled"}
-        assert est["raw"].shape == (3,)
+        assert report.estimates[f"{method}.raw"].shape == (3,)
+        assert report.estimates[f"{method}.temp_scaled"].shape == (3,)
+
+
+def _qa_pair():
+    id_logs = [calibrated_span_log(60, 10, 1.0 + 0.5 * m, seed=m, model_id=f"m{m}")
+               for m in range(3)]
+    ood_logs = [calibrated_span_log(60, 10, 0.5 + 0.5 * m, seed=50 + m, model_id=f"m{m}",
+                                    split_id="ood") for m in range(3)]
+    return SplitPair(id_logs=id_logs, ood_logs=ood_logs, metric=METRIC_F1)
+
+
+@pytest.mark.parametrize("make_pair", [lambda: _synth_pair()[0], _qa_pair],
+                         ids=["classification", "qa"])
+def test_eval_mode_never_changes_an_estimate(make_pair):
+    """--eval only adds truth, the accuracy fit and one MAPE per estimate."""
+    pair = make_pair()
+    blind, scored = (build_report(pair, options=ReportOptions(evaluation_mode=mode)).to_dict()
+                     for mode in (False, True))
+    assert blind["per_model"][0]["estimates"].keys() == ESTIMATE_NAMES
+    assert [row["estimates"] for row in scored["per_model"]] == \
+        [row["estimates"] for row in blind["per_model"]]
+    assert scored["mape"].keys() == ESTIMATE_NAMES
 
 
 def test_build_report_records_method_errors():
@@ -144,7 +169,9 @@ def test_report_json_structure():
     assert doc["fits"]["agreement_fit"]["n_points"] == 3
     assert doc["metadata"]["metric"] == METRIC_ACCURACY
     assert doc["metadata"]["evaluation_mode"] is True
-    assert set(doc["mape"]) == set(ALL_METHODS)
+    assert set(doc["mape"]) == ESTIMATE_NAMES
+    assert set(row["estimates"]) == ESTIMATE_NAMES
+    assert "used_temperature" not in doc
 
 
 def test_matrix_report_on_exact_fixture():
