@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, ClassificationLog, SpanLog
+from .datamodel import ClassificationLog, SpanLog
 from .errors import EmptyLog, InsufficientModels, MissingLogits
-from .metrics import performance
 
 METHOD_AC = "ac"
 METHOD_ATC = "atc"
@@ -36,9 +35,9 @@ TEMP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ConfidenceScores:
-    """One model's ID accuracy and (ID, OOD) confidences, raw and scaled by
-    the temperature fitted on its ID log."""
-    id_accuracy: float
+    """One model's ID performance in the report's metric and (ID, OOD)
+    confidences, raw and scaled by the temperature fitted on its ID log."""
+    id_perf: float
     raw: tuple[np.ndarray, np.ndarray]
     scaled: tuple[np.ndarray, np.ndarray]
 
@@ -132,32 +131,26 @@ def confidence(log, temperature: tuple[float, ...] | None = None) -> np.ndarray:
     return math.prod(_max_prob(logits, t) for (logits, _), t in zip(heads, ts, strict=True))
 
 
-def _id_accuracy(log) -> float:
-    # Baselines estimate the exact-match rate for QA logs.
-    return performance(log, METRIC_ACCURACY if isinstance(log, ClassificationLog)
-                       else METRIC_EXACT_MATCH)
-
-
-def atc_threshold(id_accuracy: float, id_conf: np.ndarray) -> float:
-    """Threshold whose ID coverage reproduces the ID accuracy."""
+def atc_threshold(id_perf: float, id_conf: np.ndarray) -> float:
+    """Threshold whose ID coverage reproduces the ID performance."""
     conf = np.sort(id_conf)
     n = len(conf)
-    n_errors = n - int(round(id_accuracy * n))
+    n_errors = n - int(round(id_perf * n))
     if n_errors >= n:
         return math.inf
     return float(conf[n_errors])
 
 
-def _ac(id_accuracy, id_conf, ood_conf) -> float:
+def _ac(id_perf, id_conf, ood_conf) -> float:
     return float(np.mean(ood_conf))
 
 
-def _atc(id_accuracy, id_conf, ood_conf) -> float:
-    return float(np.mean(ood_conf >= atc_threshold(id_accuracy, id_conf)))
+def _atc(id_perf, id_conf, ood_conf) -> float:
+    return float(np.mean(ood_conf >= atc_threshold(id_perf, id_conf)))
 
 
-def _doc_feat(id_accuracy, id_conf, ood_conf) -> float:
-    est = id_accuracy - (float(np.mean(id_conf)) - float(np.mean(ood_conf)))
+def _doc_feat(id_perf, id_conf, ood_conf) -> float:
+    est = id_perf - (float(np.mean(id_conf)) - float(np.mean(ood_conf)))
     return min(1.0, max(0.0, est))
 
 
@@ -172,11 +165,12 @@ def naive_agreement_estimate(agr_ood: np.ndarray) -> np.ndarray:
     return (agr_ood.sum(axis=1) - np.diag(agr_ood)) / (n - 1)
 
 
-def confidence_scores(id_log, ood_log) -> ConfidenceScores:
-    """Fit the ID log's temperatures once; score both splits raw and scaled."""
+def confidence_scores(id_log, ood_log, id_perf: float) -> ConfidenceScores:
+    """Fit the ID log's temperatures once; score both splits raw and scaled.
+    ATC and DOC-Feat calibrate to ``id_perf``, so they estimate its metric."""
     raw = (confidence(id_log), confidence(ood_log))
     temp = fit_temperature(id_log)
-    return ConfidenceScores(id_accuracy=_id_accuracy(id_log), raw=raw,
+    return ConfidenceScores(id_perf=id_perf, raw=raw,
                             scaled=(confidence(id_log, temp), confidence(ood_log, temp)))
 
 
@@ -184,4 +178,4 @@ def with_and_without_temperature(method: str, scores: ConfidenceScores) -> tuple
     """One confidence baseline's ``(raw, temp_scaled)`` estimates from a model's
     ``confidence_scores``."""
     fn = _SCORE_METHODS[method]
-    return fn(scores.id_accuracy, *scores.raw), fn(scores.id_accuracy, *scores.scaled)
+    return fn(scores.id_perf, *scores.raw), fn(scores.id_perf, *scores.scaled)

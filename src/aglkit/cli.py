@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .datamodel import load_split_pair, read_manifest, load_log
+from .datamodel import load_entries, load_split_pair
 from .errors import ToolkitError
 from .report import (
     ALL_METHODS,
@@ -92,15 +92,12 @@ def cmd_synth(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        manifest = read_manifest(args.manifest)
-        if not manifest.entries:
-            return _fail(f"manifest {args.manifest} lists no entries", EXIT_INPUT_ERROR)
-        base_dir = os.path.dirname(os.path.abspath(args.manifest))
-        for entry in manifest.entries:
-            load_log(os.path.join(base_dir, entry.path))
+        _, logs = load_entries(args.manifest)
     except ToolkitError as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
-    print(f"ok: {len(manifest.entries)} logs validated")
+    if not logs:
+        return _fail(f"manifest {args.manifest} lists no entries", EXIT_INPUT_ERROR)
+    print(f"ok: {len(logs)} logs validated")
     return EXIT_OK
 
 

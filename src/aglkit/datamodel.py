@@ -456,86 +456,61 @@ def read_manifest(path) -> Manifest:
     return Manifest(version=str(doc["version"]), task=task, metric=metric, entries=entries)
 
 
-def _load_entries(manifest: Manifest, base_dir):
-    """Load and validate all logs of a manifest, keyed by (model_id, split_id)."""
-    logs = {}
+def load_entries(path) -> tuple[Manifest, list]:
+    """Read a manifest, then load and validate the log of each entry, in entry order.
+    A log whose header names another model or split than its entry raises
+    ShapeMismatch, and one of another task than the manifest MetricTaskMismatch."""
+    manifest = read_manifest(path)
+    base_dir = os.path.dirname(os.path.abspath(path))
+    logs = []
     for e in manifest.entries:
-        path = os.path.join(base_dir, e.path)
-        log = load_log(path)
+        log_path = os.path.join(base_dir, e.path)
+        log = load_log(log_path)
         if log.model_id != e.model_id or log.split_id != e.split_id:
-            raise ShapeMismatch(e.model_id, f"log header at {path} does not match manifest entry")
+            raise ShapeMismatch(e.model_id, f"log header at {log_path} does not match manifest entry")
         if log.task != manifest.task:
             raise MetricTaskMismatch(manifest.metric, log.task)
-        logs[(e.model_id, e.split_id)] = log
-    return logs
-
-
-def _pair_from_split_maps(id_logs, ood_logs, metric):
-    if len(id_logs) < 2:
-        raise ShapeMismatch("*", f"need at least 2 models, got {len(id_logs)}")
-    model_ids = [log.model_id for log in id_logs]
-    ood_ids = [log.model_id for log in ood_logs]
-    if model_ids != ood_ids:
-        raise ShapeMismatch("*", f"model ids differ between splits: {model_ids} vs {ood_ids}")
-    for split, logs in (("ID", id_logs), ("OOD", ood_logs)):
-        for log in logs:
-            if len(log) != len(logs[0]):
-                raise ShapeMismatch(log.model_id, f"{split} log length differs from ensemble")
-    if isinstance(id_logs[0], ClassificationLog):
-        ks = {log.n_classes for log in id_logs} | {log.n_classes for log in ood_logs}
-        if len(ks) != 1:
-            raise ShapeMismatch("*", f"inconsistent n_classes {sorted(ks)}")
-    return SplitPair(id_logs=list(id_logs), ood_logs=list(ood_logs), metric=metric)
-
-
-def load_manifest(path, metric_override=None) -> SplitPair:
-    """Load a manifest holding both splits into a validated SplitPair.
-
-    The manifest must reference exactly two split_ids; the one appearing
-    first is treated as in-distribution.
-    """
-    manifest = read_manifest(path)
-    metric = metric_override or manifest.metric
-    if metric not in METRICS_BY_TASK[manifest.task]:
-        raise MetricTaskMismatch(metric, manifest.task)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    logs = _load_entries(manifest, base_dir)
-    split_order = list(dict.fromkeys(e.split_id for e in manifest.entries))
-    if len(split_order) != 2:
-        raise ShapeMismatch("*", f"manifest must reference exactly 2 splits, got {split_order}")
-    id_split, ood_split = split_order
-    model_order = dict.fromkeys(e.model_id for e in manifest.entries)
-    id_logs, ood_logs = [], []
-    for m in model_order:
-        for split, dest in ((id_split, id_logs), (ood_split, ood_logs)):
-            if (m, split) not in logs:
-                raise ShapeMismatch(m, f"missing log for split {split!r}")
-            dest.append(logs[(m, split)])
-    return _pair_from_split_maps(id_logs, ood_logs, metric)
+        logs.append(log)
+    return manifest, logs
 
 
 def load_split_pair(id_path, ood_path, metric_override=None) -> SplitPair:
-    """Build a SplitPair from separate ID and OOD manifests.
+    """Load the ensemble that one manifest (passed twice) or two manifests list.
 
-    Passing the same path twice falls back to the two-split single
-    manifest layout of load_manifest.
+    The entries of both, ID manifest first, must name exactly two splits, each
+    (model_id, split_id) once and every model in both splits. The split that
+    appears first is in-distribution; models keep the order of first appearance.
     """
-    if os.path.abspath(id_path) == os.path.abspath(ood_path):
-        return load_manifest(id_path, metric_override)
-    id_manifest = read_manifest(id_path)
-    ood_manifest = read_manifest(ood_path)
-    if id_manifest.task != ood_manifest.task:
-        raise MetricTaskMismatch(id_manifest.metric, ood_manifest.task)
-    metric = metric_override or id_manifest.metric
-    if metric not in METRICS_BY_TASK[id_manifest.task]:
-        raise MetricTaskMismatch(metric, id_manifest.task)
-    id_logs_map = _load_entries(id_manifest, os.path.dirname(os.path.abspath(id_path)))
-    ood_logs_map = _load_entries(ood_manifest, os.path.dirname(os.path.abspath(ood_path)))
-    id_logs = [id_logs_map[k] for k in (tuple((e.model_id, e.split_id) for e in id_manifest.entries))]
-    ood_by_model = {e.model_id: ood_logs_map[(e.model_id, e.split_id)] for e in ood_manifest.entries}
-    ordered_ood = []
-    for log in id_logs:
-        if log.model_id not in ood_by_model:
-            raise ShapeMismatch(log.model_id, "no OOD log for model")
-        ordered_ood.append(ood_by_model[log.model_id])
-    return _pair_from_split_maps(id_logs, ordered_ood, metric)
+    loaded = [load_entries(p) for p in dict.fromkeys(map(os.path.abspath, (id_path, ood_path)))]
+    manifest = loaded[0][0]
+    for other, _ in loaded[1:]:
+        if other.task != manifest.task:
+            raise MetricTaskMismatch(manifest.metric, other.task)
+    metric = metric_override or manifest.metric
+    if metric not in METRICS_BY_TASK[manifest.task]:
+        raise MetricTaskMismatch(metric, manifest.task)
+    logs = {}
+    for m, m_logs in loaded:
+        for e, log in zip(m.entries, m_logs):
+            if (e.model_id, e.split_id) in logs:
+                raise DuplicateEntry(e.model_id, e.split_id)
+            logs[e.model_id, e.split_id] = log
+    splits = list(dict.fromkeys(split for _, split in logs))
+    if len(splits) != 2:
+        raise ShapeMismatch("*", f"manifests must reference exactly 2 splits, got {splits}")
+    models = list(dict.fromkeys(model for model, _ in logs))
+    for model in models:
+        for split in splits:
+            if (model, split) not in logs:
+                raise ShapeMismatch(model, f"missing log for split {split!r}")
+    if len(models) < 2:
+        raise ShapeMismatch("*", f"need at least 2 models, got {len(models)}")
+    id_logs, ood_logs = ([logs[model, split] for model in models] for split in splits)
+    for split, split_logs in (("ID", id_logs), ("OOD", ood_logs)):
+        for log in split_logs:
+            if len(log) != len(split_logs[0]):
+                raise ShapeMismatch(log.model_id, f"{split} log length differs from ensemble")
+    ks = {getattr(log, "n_classes", None) for log in id_logs + ood_logs}
+    if len(ks) != 1:
+        raise ShapeMismatch("*", f"inconsistent n_classes {sorted(ks)}")
+    return SplitPair(id_logs=id_logs, ood_logs=ood_logs, metric=metric)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,13 +81,6 @@ class EstimateReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def fit_dict(f):
-            if f is None:
-                return None
-            return {"slope": f.slope, "bias": f.bias, "r_squared": f.r_squared,
-                    "n_points": f.n_points, "residual_ss": f.residual_ss,
-                    "r_squared_defined": f.r_squared_defined}
-
         per_model = []
         for i, mid in enumerate(self.model_ids):
             row = {"model_id": mid, "id_perf": float(self.id_perf[i]),
@@ -97,8 +90,8 @@ class EstimateReport:
             per_model.append(row)
         return {
             "per_model": per_model,
-            "fits": {"agreement_fit": fit_dict(self.agreement_fit),
-                     "accuracy_fit": fit_dict(self.accuracy_fit)},
+            "fits": {name: None if fit is None else asdict(fit) for name, fit in
+                     (("agreement_fit", self.agreement_fit), ("accuracy_fit", self.accuracy_fit))},
             "gates": dict(sorted(self.gates.items())),
             "method_errors": dict(sorted(self.method_errors.items())),
             "mape": (None if self.mape_by_method is None
@@ -144,8 +137,8 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: np.ndarray,
                 report.estimates[method] = naive_agreement_estimate(agr_ood)
             elif method in CONFIDENCE_METHODS:
                 if scores is None:
-                    scores = [confidence_scores(id_log, ood_log)
-                              for id_log, ood_log in zip(pair.id_logs, pair.ood_logs)]
+                    scores = [confidence_scores(id_log, ood_log, perf) for id_log, ood_log, perf
+                              in zip(pair.id_logs, pair.ood_logs, id_perf.tolist())]
                 report.estimates[f"{method}.raw"], report.estimates[f"{method}.temp_scaled"] = \
                     np.array([with_and_without_temperature(method, s) for s in scores]).T
             else:

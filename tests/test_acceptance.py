@@ -245,7 +245,7 @@ def test_criterion_5_metric_oracles():
                                           logits=logits_ood, split_id="ood")
         conf_id = confidence(id_log)
         conf_ood = confidence(ood_log)
-        scores = confidence_scores(id_log, ood_log)
+        scores = confidence_scores(id_log, ood_log, accuracy(id_log))
         raw = {m: with_and_without_temperature(m, scores)[0]
                for m in (METHOD_AC, METHOD_ATC, METHOD_DOC_FEAT)}
         assert abs(raw[METHOD_AC] - float(np.mean(conf_ood))) < 1e-12

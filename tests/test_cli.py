@@ -157,7 +157,7 @@ def test_estimate_happy_path(tmp_path):
 def test_estimate_scatter_reuses_report_agreement_matrices(tmp_path, monkeypatch):
     """--scatter reads the two matrices the report built instead of rebuilding them."""
     import aglkit.report
-    from aglkit.datamodel import load_manifest
+    from aglkit.datamodel import load_split_pair
     calls = []
     original = aglkit.report.agreement_matrix
 
@@ -171,7 +171,7 @@ def test_estimate_scatter_reuses_report_agreement_matrices(tmp_path, monkeypatch
     assert main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
                  "--out", str(out), "--eval", "--scatter"]) == EXIT_OK
     assert len(calls) == 2
-    pair = load_manifest(manifest)
+    pair = load_split_pair(manifest, manifest)
     rows = [r for r in csv.DictReader(io.StringIO((out / "scatter.csv").read_text()))
             if r["kind"] == "agreement"]
     pairs = [(0, 1), (0, 2), (1, 2)]
@@ -213,6 +213,60 @@ def test_estimate_missing_manifest(tmp_path):
     assert main(["estimate", "--id-manifest", str(tmp_path / "no.json"),
                  "--ood-manifest", str(tmp_path / "no.json"),
                  "--out", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
+
+
+def _sub_manifest(out, name, keep):
+    """A copy of ``out``'s manifest holding the entries ``keep`` accepts."""
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["entries"] = [e for e in doc["entries"] if keep(e)]
+    (out / name).write_text(json.dumps(doc))
+    return str(out / name)
+
+
+@pytest.mark.parametrize("id_keep, ood_keep, error", [
+    pytest.param(lambda e: True, lambda e: True, "duplicate manifest entry", id="combined-and-its-copy"),
+    pytest.param(lambda e: e["split_id"] == "synth_id", lambda e: e["split_id"] == "synth_id",
+                 "duplicate manifest entry", id="id-only-and-its-copy"),
+    pytest.param(lambda e: e["split_id"] == "synth_id" and e["model_id"] != "m02",
+                 lambda e: e["split_id"] == "synth_ood", "shape mismatch for model 'm02'", id="model-only-in-ood"),
+])
+def test_estimate_rejects_manifests_that_are_not_one_ensemble(tmp_path, capsys, id_keep,
+                                                              ood_keep, error):
+    out = _synth(tmp_path)
+    id_manifest = _sub_manifest(out, "id.json", id_keep)
+    ood_manifest = _sub_manifest(out, "ood.json", ood_keep)
+    report_dir = tmp_path / "report"
+    assert main(["estimate", "--id-manifest", id_manifest, "--ood-manifest", ood_manifest,
+                 "--out", str(report_dir), "--eval"]) == EXIT_INPUT_ERROR
+    assert not (report_dir / "report.json").exists()
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+def test_two_manifest_estimate_matches_one_manifest(tmp_path):
+    out = _synth(tmp_path)
+    manifest = str(out / "manifest.json")
+    id_manifest = _sub_manifest(out, "id.json", lambda e: e["split_id"] == "synth_id")
+    ood_manifest = _sub_manifest(out, "ood.json", lambda e: e["split_id"] == "synth_ood")
+    for name, pair in (("one", (manifest, manifest)), ("two", (id_manifest, ood_manifest))):
+        assert main(["estimate", "--id-manifest", pair[0], "--ood-manifest", pair[1],
+                     "--out", str(tmp_path / name), "--eval"]) == EXIT_OK
+    assert (tmp_path / "one" / "report.json").read_bytes() == \
+        (tmp_path / "two" / "report.json").read_bytes()
+
+
+def test_validate_checks_log_header_against_entry(tmp_path, capsys):
+    """validate rejects an entry whose log header names another model, as estimate does."""
+    out = _synth(tmp_path)
+    doc = json.loads((out / "manifest.json").read_text())
+    entry = {(e["model_id"], e["split_id"]): e for e in doc["entries"]}
+    entry["m00", "synth_id"]["path"] = entry["m01", "synth_id"]["path"]
+    (out / "manifest.json").write_text(json.dumps(doc))
+    manifest = str(out / "manifest.json")
+    assert main(["validate", "--manifest", manifest]) == EXIT_INPUT_ERROR
+    assert "does not match manifest entry" in capsys.readouterr().err
+    assert main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                 "--out", str(tmp_path / "report")]) == EXIT_INPUT_ERROR
+    assert not (tmp_path / "report" / "report.json").exists()
 
 
 def test_estimate_total_failure_exit_code(tmp_path):

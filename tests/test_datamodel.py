@@ -21,7 +21,6 @@ from aglkit.datamodel import (
     SpanExample,
     SpanLog,
     load_log,
-    load_manifest,
     load_split_pair,
     read_manifest,
     save_log,
@@ -560,7 +559,7 @@ def _write_pair_tree(tmp_path, rng, n_models=3, n=25, k=3):
 
 def test_single_manifest_two_splits(tmp_path, rng):
     path = _write_pair_tree(tmp_path, rng)
-    pair = load_manifest(path)
+    pair = load_split_pair(path, path)
     assert pair.n_models == 3
     assert pair.model_ids == ["m0", "m1", "m2"]
     # first-appearing split is in-distribution
@@ -651,7 +650,7 @@ def test_manifest_missing_split_log(tmp_path, rng):
                       if not (e["model_id"] == "m1" and e["split_id"] == "shift")]
     path.write_text(json.dumps(doc))
     with pytest.raises(ShapeMismatch) as exc:
-        load_manifest(path)
+        load_split_pair(path, path)
     assert exc.value.model_id == "m1"
 
 
@@ -664,7 +663,7 @@ def test_manifest_three_splits_rejected(tmp_path, rng):
     doc["entries"].append({"model_id": "m0", "split_id": "third", "path": "extra.jsonl"})
     path.write_text(json.dumps(doc))
     with pytest.raises(ShapeMismatch):
-        load_manifest(path)
+        load_split_pair(path, path)
 
 
 def test_two_manifest_split_pair(tmp_path, rng):
@@ -691,6 +690,59 @@ def test_two_manifest_split_pair(tmp_path, rng):
     assert pair.ood_logs[1].split_id == "shift"
 
 
+def _write_sub_manifest(tmp_path, path, name, keep):
+    """A copy of the manifest at ``path`` holding the entries ``keep`` accepts."""
+    doc = json.loads(path.read_text())
+    doc["entries"] = [e for e in doc["entries"] if keep(e)]
+    sub = tmp_path / name
+    sub.write_text(json.dumps(doc))
+    return sub
+
+
+def test_split_pair_combined_manifest_and_its_copy(tmp_path, rng):
+    """Each (model, split) once across both manifests: a copy of the combined
+    manifest as the OOD manifest is not a second ensemble of ID models."""
+    path = _write_pair_tree(tmp_path, rng)
+    copy = _write_sub_manifest(tmp_path, path, "copy.json", lambda e: True)
+    with pytest.raises(DuplicateEntry):
+        load_split_pair(path, copy)
+
+
+def test_split_pair_one_split_manifest_and_its_copy(tmp_path, rng):
+    """An ID-only manifest and its copy name one split, not an ID and an OOD split."""
+    path = _write_pair_tree(tmp_path, rng)
+    id_only = _write_sub_manifest(tmp_path, path, "id.json", lambda e: e["split_id"] == "clean")
+    copy = _write_sub_manifest(tmp_path, path, "copy.json", lambda e: e["split_id"] == "clean")
+    with pytest.raises(DuplicateEntry):
+        load_split_pair(id_only, copy)
+    with pytest.raises(ShapeMismatch):
+        load_split_pair(id_only, id_only)
+
+
+def test_split_pair_model_only_in_ood_manifest(tmp_path, rng):
+    path = _write_pair_tree(tmp_path, rng)
+    id_manifest = _write_sub_manifest(
+        tmp_path, path, "id.json", lambda e: e["split_id"] == "clean" and e["model_id"] != "m2")
+    ood_manifest = _write_sub_manifest(tmp_path, path, "ood.json",
+                                       lambda e: e["split_id"] == "shift")
+    with pytest.raises(ShapeMismatch) as exc:
+        load_split_pair(id_manifest, ood_manifest)
+    assert exc.value.model_id == "m2"
+
+
+def test_split_pair_two_manifests_match_one(tmp_path, rng):
+    """Per-split manifests give the ensemble the combined manifest gives."""
+    path = _write_pair_tree(tmp_path, rng)
+    id_manifest = _write_sub_manifest(tmp_path, path, "id.json", lambda e: e["split_id"] == "clean")
+    ood_manifest = _write_sub_manifest(tmp_path, path, "ood.json",
+                                       lambda e: e["split_id"] == "shift")
+    one, two = load_split_pair(path, path), load_split_pair(id_manifest, ood_manifest)
+    assert two.model_ids == one.model_ids == ["m0", "m1", "m2"]
+    for a, b in zip(one.id_logs + one.ood_logs, two.id_logs + two.ood_logs):
+        assert (a.model_id, a.split_id) == (b.model_id, b.split_id)
+        assert np.array_equal(a.predicted, b.predicted)
+
+
 def test_split_pair_length_mismatch(tmp_path, rng):
     path = _write_pair_tree(tmp_path, rng)
     # shorten one OOD log on disk
@@ -698,7 +750,7 @@ def test_split_pair_length_mismatch(tmp_path, rng):
     lines = target.read_text().splitlines()
     target.write_text("\n".join(lines[:-5]) + "\n")
     with pytest.raises(ShapeMismatch):
-        load_manifest(path)
+        load_split_pair(path, path)
 
 
 def test_metric_override(tmp_path, rng):
@@ -714,10 +766,10 @@ def test_metric_override(tmp_path, rng):
     path = log_dir / "manifest.json"
     save_manifest(Manifest(version=FORMAT_VERSION, task=TASK_EXTRACTIVE_QA,
                            metric=METRIC_EXACT_MATCH, entries=entries), path)
-    assert load_manifest(path).metric == METRIC_EXACT_MATCH
-    assert load_manifest(path, metric_override=METRIC_F1).metric == METRIC_F1
+    assert load_split_pair(path, path).metric == METRIC_EXACT_MATCH
+    assert load_split_pair(path, path, METRIC_F1).metric == METRIC_F1
     with pytest.raises(MetricTaskMismatch):
-        load_manifest(path, metric_override=METRIC_ACCURACY)
+        load_split_pair(path, path, METRIC_ACCURACY)
 
 
 def test_load_log_not_utf8_reports_line(tmp_path):

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 import aglkit.baselines
-from aglkit.datamodel import METRIC_ACCURACY, METRIC_F1, SplitPair
+from aglkit.datamodel import METRIC_ACCURACY, METRIC_F1, SpanExample, SpanLog, SplitPair
 from aglkit.errors import InsufficientModels, LengthMismatch, ToolkitError, ZeroTruth
 from aglkit.probit import clamp_rate, probit
 from aglkit.report import (
@@ -114,6 +115,39 @@ def test_eval_mode_never_changes_an_estimate(make_pair):
     assert [row["estimates"] for row in scored["per_model"]] == \
         [row["estimates"] for row in blind["per_model"]]
     assert scored["mape"].keys() == ESTIMATE_NAMES
+
+
+def _peaked_span_log(peaks, model_id, split_id):
+    """Four 4-token QA examples whose start and end logits are 0 except ``peak`` at
+    the predicted tokens; the spans give exact match 1/4 and F1 (1 + 0.8 + 0.4 + 0)/4."""
+    examples = []
+    for (ps, pe), (gs, ge), peak in zip([(0, 1), (0, 2), (1, 1), (2, 3)],
+                                        [(0, 1), (0, 1), (0, 3), (0, 0)], peaks):
+        start, end = np.zeros(4), np.zeros(4)
+        start[ps] = end[pe] = peak
+        examples.append(SpanExample(n_tokens=4, start_logits=start, end_logits=end,
+                                    gold_start=gs, gold_end=ge, pred_start=ps, pred_end=pe))
+    return SpanLog(model_id=model_id, split_id=split_id, examples=examples)
+
+
+def test_confidence_baselines_estimate_the_report_metric():
+    """On QA scored by F1, ATC and DOC-Feat calibrate to the ID F1 (0.55),
+    not to the ID exact match (0.25)."""
+    id_peaks, ood_peaks = [1.0, 2.0, 3.0, 4.0], [0.5, 2.5, 3.5, 5.0]
+
+    def conf(peak):  # max start probability times max end probability
+        return (math.exp(peak) / (math.exp(peak) + 3.0)) ** 2
+    id_f1 = (1.0 + 2 * 2 / (3 + 2) + 2 * 1 / (1 + 4) + 0.0) / 4
+    # round(0.55 * 4) = 2 ID examples right: the threshold is the third-lowest ID confidence
+    atc = sum(conf(p) >= conf(id_peaks[2]) for p in ood_peaks) / 4
+    doc = id_f1 - (sum(map(conf, id_peaks)) - sum(map(conf, ood_peaks))) / 4
+    assert (atc, round(doc, 3)) == (0.5, 0.596)
+    pair = SplitPair(*([_peaked_span_log(peaks, f"m{m}", split) for m in range(2)]
+                       for split, peaks in (("id", id_peaks), ("ood", ood_peaks))), METRIC_F1)
+    report = build_report(pair, methods=["atc", "doc_feat"])
+    assert report.id_perf.tolist() == pytest.approx([id_f1, id_f1], abs=1e-15)
+    assert report.estimates["atc.raw"].tolist() == [atc, atc]
+    assert report.estimates["doc_feat.raw"].tolist() == pytest.approx([doc, doc], abs=1e-12)
 
 
 def test_build_report_records_method_errors():

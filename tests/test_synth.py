@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from aglkit.datamodel import load_manifest
+from aglkit.datamodel import load_split_pair
 from aglkit.errors import InvalidConfig
 from aglkit.metrics import agreement
 from aglkit.probit import normal_cdf, probit
@@ -376,7 +376,7 @@ def test_config_validation(overrides):
 def test_write_ensemble_round_trip(tmp_path):
     config = SynthConfig(n_models=3, n_examples_id=120, n_examples_ood=100, seed=21)
     paths = write_ensemble(config, tmp_path / "out")
-    pair = load_manifest(paths["manifest"])
+    pair = load_split_pair(paths["manifest"], paths["manifest"])
     assert pair.n_models == 3
     assert pair.id_logs[0].split_id == "synth_id"
     assert pair.ood_logs[0].split_id == "synth_ood"
