@@ -22,8 +22,6 @@ from .probit import CLAMP_EPS, LineFit, clamp_rate, fit_line, normal_cdf, probit
 METHOD_ALINE_S = "aline_s"
 METHOD_ALINE_D = "aline_d"
 
-DEFAULT_GATE_THRESHOLD = 0.95
-
 
 @dataclass
 class AlineInput:
@@ -31,7 +29,6 @@ class AlineInput:
     id_perf: np.ndarray
     agr_id: np.ndarray
     agr_ood: np.ndarray
-    gate_threshold: float = DEFAULT_GATE_THRESHOLD
     clamp_eps: float = CLAMP_EPS
 
     def __post_init__(self):
@@ -46,13 +43,6 @@ class AlineInput:
     @property
     def n(self):
         return len(self.id_perf)
-
-
-@dataclass
-class AlineOutput:
-    estimates: np.ndarray
-    agreement_fit: LineFit
-    gated: bool
 
 
 def gate(fit: LineFit, threshold: float) -> bool:
@@ -74,18 +64,15 @@ def agreement_line(inp: AlineInput) -> LineFit:
     return fit_line(x, y)
 
 
-def _output(inp: AlineInput, probit_est, fit: LineFit) -> AlineOutput:
-    return AlineOutput(estimates=normal_cdf(probit_est), agreement_fit=fit,
-                       gated=gate(fit, inp.gate_threshold))
-
-
-def aline_s(inp: AlineInput) -> AlineOutput:
+def aline_s(inp: AlineInput) -> tuple[np.ndarray, LineFit]:
+    """The (n,) estimates and the agreement line they come from."""
     fit = agreement_line(inp)
     id_probit = probit(clamp_rate(inp.id_perf, inp.clamp_eps))
-    return _output(inp, fit.slope * id_probit + fit.bias, fit)
+    return normal_cdf(fit.slope * id_probit + fit.bias), fit
 
 
-def aline_d(inp: AlineInput) -> AlineOutput:
+def aline_d(inp: AlineInput) -> tuple[np.ndarray, LineFit]:
+    """The (n,) estimates and the agreement line they come from."""
     n = inp.n
     if n < 3:
         raise InsufficientModels(f"ALine-D needs at least 3 models, got {n}")
@@ -96,4 +83,4 @@ def aline_d(inp: AlineInput) -> AlineOutput:
     # (A^T rhs)_m is half the sum of rhs over the pairs that contain model m.
     atb = 0.5 * (np.bincount(i, rhs, minlength=n) + np.bincount(j, rhs, minlength=n))
     sol = 4.0 / (n - 2) * (atb - atb.sum() / (2 * n - 2))
-    return _output(inp, sol, fit)
+    return normal_cdf(sol), fit

@@ -17,7 +17,6 @@ ID log once and shares them with AC, ATC and DOC-Feat
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +30,6 @@ METHOD_NAIVE_AGREEMENT = "naive_agreement"
 
 TEMP_BOX = (-5.0, 5.0)
 TEMP_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ConfidenceScores:
-    """One model's ID performance in the report's metric and (ID, OOD)
-    confidences, raw and scaled by the temperature fitted on its ID log."""
-    id_perf: float
-    raw: tuple[np.ndarray, np.ndarray]
-    scaled: tuple[np.ndarray, np.ndarray]
 
 
 def _heads(log):
@@ -165,17 +155,17 @@ def naive_agreement_estimate(agr_ood: np.ndarray) -> np.ndarray:
     return (agr_ood.sum(axis=1) - np.diag(agr_ood)) / (n - 1)
 
 
-def confidence_scores(id_log, ood_log, id_perf: float) -> ConfidenceScores:
-    """Fit the ID log's temperatures once; score both splits raw and scaled.
-    ATC and DOC-Feat calibrate to ``id_perf``, so they estimate its metric."""
+def confidence_scores(id_log, ood_log):
+    """``(raw, scaled)``: the (ID, OOD) confidences of one model, as logged and
+    scaled by the temperatures fitted once on its ID log."""
     raw = (confidence(id_log), confidence(ood_log))
     temp = fit_temperature(id_log)
-    return ConfidenceScores(id_perf=id_perf, raw=raw,
-                            scaled=(confidence(id_log, temp), confidence(ood_log, temp)))
+    return raw, (confidence(id_log, temp), confidence(ood_log, temp))
 
 
-def with_and_without_temperature(method: str, scores: ConfidenceScores) -> tuple[float, float]:
+def with_and_without_temperature(method: str, id_perf: float, scores) -> tuple[float, float]:
     """One confidence baseline's ``(raw, temp_scaled)`` estimates from a model's
-    ``confidence_scores``."""
+    ``confidence_scores``. ATC and DOC-Feat calibrate to ``id_perf``, the ID
+    performance in the report's metric, so they estimate that metric."""
     fn = _SCORE_METHODS[method]
-    return fn(scores.id_perf, *scores.raw), fn(scores.id_perf, *scores.scaled)
+    return tuple(fn(id_perf, *pair) for pair in scores)

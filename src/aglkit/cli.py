@@ -67,7 +67,7 @@ def cmd_estimate(args) -> int:
         if args.scatter:
             scatter_path = os.path.join(args.out, "scatter.csv")
             with open(scatter_path, "w") as fh:
-                fh.write(scatter_to_csv(export_scatter(report, args.clamp_eps)))
+                fh.write(scatter_to_csv(export_scatter(report)))
             print(f"wrote {scatter_path}")
     except OSError as exc:
         return _fail(f"cannot write to --out {args.out}: {exc.strerror or exc}", EXIT_INPUT_ERROR)
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--methods", default=",".join(k for k in _METHOD_FLAGS))
     est.add_argument("--out", required=True)
     est.add_argument("--metric", default=None)
-    est.add_argument("--gate-threshold", type=float, default=0.95)
-    est.add_argument("--clamp-eps", type=float, default=1e-4)
+    est.add_argument("--gate-threshold", type=float, default=ReportOptions.gate_threshold)
+    est.add_argument("--clamp-eps", type=float, default=ReportOptions.clamp_eps)
     est.add_argument("--eval", action="store_true",
                      help="score estimates against OOD gold labels")
     est.add_argument("--scatter", action="store_true", help="also write scatter.csv")

@@ -344,9 +344,9 @@ def _columns(path, linenos, records, builds, bad):
     return tuple(columns)
 
 
-def load_log(path, validate: bool = True):
-    """Load one JSON Lines log file, one JSON object per line and the header first;
-    validates invariants by default. An error names the first bad line."""
+def load_log(path):
+    """Load and validate one JSON Lines log file, one JSON object per line and the
+    header first. An error names the first bad line."""
     linenos, records, bad = _records(path)
     if not records:
         raise bad or MalformedRecord(path, 1, "empty file")
@@ -371,8 +371,7 @@ def load_log(path, validate: bool = True):
         log = SpanLog(model_id=model_id, split_id=split_id, examples=columns)
     else:
         raise MalformedRecord(path, head_no, f"unknown task {task!r}")
-    if validate:
-        validate_log(log)
+    validate_log(log)
     return log
 
 
@@ -429,6 +428,9 @@ def read_manifest(path) -> Manifest:
     for key in ("version", "task", "metric", "entries"):
         if key not in doc:
             raise MalformedRecord(path, 1, f"missing key {key!r}")
+    if doc["version"] != FORMAT_VERSION:
+        raise MalformedRecord(path, _line_of(text, "version"), f"unsupported version "
+                              f"{doc['version']!r} (expected {FORMAT_VERSION!r})")
     task = doc["task"]
     metric = doc["metric"]
     if not isinstance(task, str) or task not in METRICS_BY_TASK:
@@ -453,7 +455,7 @@ def read_manifest(path) -> Manifest:
             raise DuplicateEntry(*key)
         seen.add(key)
         entries.append(entry)
-    return Manifest(version=str(doc["version"]), task=task, metric=metric, entries=entries)
+    return Manifest(version=FORMAT_VERSION, task=task, metric=metric, entries=entries)
 
 
 def load_entries(path) -> tuple[Manifest, list]:

@@ -10,14 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__ as toolkit_version
-from .aline import (
-    DEFAULT_GATE_THRESHOLD,
-    METHOD_ALINE_D,
-    METHOD_ALINE_S,
-    AlineInput,
-    aline_d,
-    aline_s,
-)
+from .aline import METHOD_ALINE_D, METHOD_ALINE_S, AlineInput, aline_d, aline_s, gate
 from .baselines import (
     METHOD_AC,
     METHOD_ATC,
@@ -52,7 +45,7 @@ def mape(estimates, truths) -> float:
 
 @dataclass
 class ReportOptions:
-    gate_threshold: float = DEFAULT_GATE_THRESHOLD
+    gate_threshold: float = 0.95
     clamp_eps: float = CLAMP_EPS
     evaluation_mode: bool = False
 
@@ -122,25 +115,23 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: np.ndarray,
     aline_input = None
     if any(m in methods for m in ALINE_METHODS):
         aline_input = AlineInput(id_perf=id_perf, agr_id=agr_id, agr_ood=agr_ood,
-                                 gate_threshold=options.gate_threshold,
                                  clamp_eps=options.clamp_eps)
     scores = None  # one temperature fit and four confidence vectors per model
     for method in methods:
         try:
             if method in ALINE_METHODS:
                 estimator = aline_s if method == METHOD_ALINE_S else aline_d
-                out = estimator(aline_input)
-                report.estimates[method] = out.estimates
-                report.agreement_fit = out.agreement_fit
-                report.gates[method] = out.gated
+                report.estimates[method], report.agreement_fit = estimator(aline_input)
+                report.gates[method] = gate(report.agreement_fit, options.gate_threshold)
             elif method == METHOD_NAIVE_AGREEMENT:
                 report.estimates[method] = naive_agreement_estimate(agr_ood)
             elif method in CONFIDENCE_METHODS:
                 if scores is None:
-                    scores = [confidence_scores(id_log, ood_log, perf) for id_log, ood_log, perf
-                              in zip(pair.id_logs, pair.ood_logs, id_perf.tolist())]
+                    scores = [confidence_scores(id_log, ood_log)
+                              for id_log, ood_log in zip(pair.id_logs, pair.ood_logs)]
                 report.estimates[f"{method}.raw"], report.estimates[f"{method}.temp_scaled"] = \
-                    np.array([with_and_without_temperature(method, s) for s in scores]).T
+                    np.array([with_and_without_temperature(method, perf, s)
+                              for perf, s in zip(id_perf.tolist(), scores)]).T
             else:
                 raise ToolkitError(f"unknown method {method!r}")
         except ToolkitError as exc:
@@ -197,10 +188,12 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
                   ALINE_METHODS + (METHOD_NAIVE_AGREEMENT,), options or ReportOptions())
 
 
-def export_scatter(report: EstimateReport, clamp_eps=CLAMP_EPS):
+def export_scatter(report: EstimateReport):
     """Rows for a Figure-style ID/OOD scatter: accuracy points, agreement
     points (from the report's agreement matrices), fitted-line endpoints,
-    and probit-scaled axis ticks."""
+    and probit-scaled axis ticks. Rates are clamped at the report's ε, as
+    its fits were."""
+    clamp_eps = report.metadata["clamp_eps"]
     ids = report.model_ids
     n = len(ids)
     i, j = np.triu_indices(n, k=1)

@@ -79,11 +79,11 @@ def test_criterion_2_exact_agl_recovery():
     inp = AlineInput(id_perf=id_acc, agr_id=agr_id, agr_ood=agr_ood)
     worst = 0.0
     for fn in (aline_s, aline_d):
-        out = fn(inp)
-        worst = max(worst, float(np.max(np.abs(out.estimates - true_ood))))
-        assert np.max(np.abs(out.estimates - true_ood)) < 1e-6
-        assert abs(out.agreement_fit.slope - 0.7) < 1e-8
-        assert abs(out.agreement_fit.bias - (-0.3)) < 1e-8
+        estimates, fit = fn(inp)
+        worst = max(worst, float(np.max(np.abs(estimates - true_ood))))
+        assert np.max(np.abs(estimates - true_ood)) < 1e-6
+        assert abs(fit.slope - 0.7) < 1e-8
+        assert abs(fit.bias - (-0.3)) < 1e-8
     elapsed = _budget(start, 1.0, "criterion 2")
     print(f"[criterion 2] PASS exact-AGL recovery, worst estimate error "
           f"{worst:.2e} in {elapsed:.2f}s")
@@ -136,8 +136,8 @@ def test_criterion_3_aline_d_elimination_oracle():
                 rhs.append(probit(agr_ood[i, j])
                            + fit.slope * ((idp[i] + idp[j]) / 2 - probit(agr_id[i, j])))
         oracle = np.array(_gaussian_elimination(rows, rhs))
-        out = aline_d(inp)
-        solved = np.array([probit(v) for v in out.estimates])
+        estimates, _ = aline_d(inp)
+        solved = np.array([probit(v) for v in estimates])
         worst = max(worst, float(np.max(np.abs(solved - oracle))))
     assert worst < 1e-9
     elapsed = _budget(start, 1.0, "criterion 3")
@@ -158,7 +158,7 @@ def _ensemble_lines_and_mapes(diversity, seed):
     inp = AlineInput(id_perf=id_acc, agr_id=agr_id, agr_ood=agr_ood)
     acc_fit = fit_line(probit(id_acc), probit(ood_acc))
     agr_fit = agreement_line(inp)
-    mape_d = mape(aline_d(inp).estimates, ood_acc)
+    mape_d = mape(aline_d(inp)[0], ood_acc)
     mape_naive = mape(naive_agreement_estimate(agr_ood), ood_acc)
     return acc_fit, agr_fit, mape_d, mape_naive
 
@@ -245,8 +245,8 @@ def test_criterion_5_metric_oracles():
                                           logits=logits_ood, split_id="ood")
         conf_id = confidence(id_log)
         conf_ood = confidence(ood_log)
-        scores = confidence_scores(id_log, ood_log, accuracy(id_log))
-        raw = {m: with_and_without_temperature(m, scores)[0]
+        scores = confidence_scores(id_log, ood_log)
+        raw = {m: with_and_without_temperature(m, accuracy(id_log), scores)[0]
                for m in (METHOD_AC, METHOD_ATC, METHOD_DOC_FEAT)}
         assert abs(raw[METHOD_AC] - float(np.mean(conf_ood))) < 1e-12
         acc_id = accuracy(id_log)

@@ -45,12 +45,12 @@ def test_agreement_line_matches_manual_extraction(rng):
 def test_aline_s_single_point_formula():
     """With a known line, the estimate is the CDF of the mapped probit."""
     inp = _random_input(np.random.default_rng(7), n=4, slope=0.7, bias=-0.3)
-    out = aline_s(inp)
-    assert out.agreement_fit.slope == pytest.approx(0.7, abs=1e-9)
-    assert out.agreement_fit.bias == pytest.approx(-0.3, abs=1e-9)
-    for est, p in zip(out.estimates, inp.id_perf):
+    estimates, fit = aline_s(inp)
+    assert fit.slope == pytest.approx(0.7, abs=1e-9)
+    assert fit.bias == pytest.approx(-0.3, abs=1e-9)
+    for est, p in zip(estimates, inp.id_perf):
         assert est == pytest.approx(normal_cdf(0.7 * probit(p) - 0.3), abs=1e-9)
-    assert np.all((out.estimates >= 0) & (out.estimates <= 1))
+    assert np.all((estimates >= 0) & (estimates <= 1))
 
 
 def test_aline_s_identity_line(rng):
@@ -62,10 +62,10 @@ def test_aline_s_identity_line(rng):
             agr[i, j] = agr[j, i] = float(rng.uniform(0.6, 0.9))
     id_perf = rng.uniform(0.6, 0.9, n)
     inp = AlineInput(id_perf=id_perf, agr_id=agr, agr_ood=agr.copy())
-    out = aline_s(inp)
-    assert out.agreement_fit.slope == pytest.approx(1.0, abs=1e-9)
-    assert out.agreement_fit.bias == pytest.approx(0.0, abs=1e-9)
-    np.testing.assert_allclose(out.estimates, id_perf, atol=1e-9)
+    estimates, fit = aline_s(inp)
+    assert fit.slope == pytest.approx(1.0, abs=1e-9)
+    assert fit.bias == pytest.approx(0.0, abs=1e-9)
+    np.testing.assert_allclose(estimates, id_perf, atol=1e-9)
 
 
 def _gaussian_elimination(A, b):
@@ -106,8 +106,8 @@ def test_aline_d_matches_elimination_oracle_3_models(rng):
                            + fit.slope * ((idp[i] + idp[j]) / 2
                                           - probit(inp.agr_id[i, j])))
         oracle = [normal_cdf(z) for z in _gaussian_elimination(rows, rhs)]
-        out = aline_d(inp)
-        np.testing.assert_allclose(out.estimates, oracle, atol=1e-9)
+        estimates, _ = aline_d(inp)
+        np.testing.assert_allclose(estimates, oracle, atol=1e-9)
 
 
 def test_aline_exact_recovery():
@@ -117,29 +117,29 @@ def test_aline_exact_recovery():
     id_acc, agr_id, agr_ood, true_ood = exact_agl_inputs(config)
     inp = AlineInput(id_perf=id_acc, agr_id=agr_id, agr_ood=agr_ood)
     for fn in (aline_s, aline_d):
-        out = fn(inp)
-        np.testing.assert_allclose(out.estimates, true_ood, atol=1e-6)
-        assert out.agreement_fit.slope == pytest.approx(0.7, abs=1e-8)
-        assert out.agreement_fit.bias == pytest.approx(-0.3, abs=1e-8)
+        estimates, fit = fn(inp)
+        np.testing.assert_allclose(estimates, true_ood, atol=1e-6)
+        assert fit.slope == pytest.approx(0.7, abs=1e-8)
+        assert fit.bias == pytest.approx(-0.3, abs=1e-8)
 
 
 def test_aline_d_permutation_equivariance(rng):
     inp = _random_input(rng, n=5, noise=0.1)
-    out = aline_d(inp)
+    estimates, _ = aline_d(inp)
     perm = rng.permutation(5)
     agr_id_p = inp.agr_id[np.ix_(perm, perm)]
     agr_ood_p = inp.agr_ood[np.ix_(perm, perm)]
     inp_p = AlineInput(id_perf=inp.id_perf[perm], agr_id=agr_id_p, agr_ood=agr_ood_p)
-    out_p = aline_d(inp_p)
-    np.testing.assert_allclose(out_p.estimates, out.estimates[perm], atol=1e-9)
+    estimates_p, _ = aline_d(inp_p)
+    np.testing.assert_allclose(estimates_p, estimates[perm], atol=1e-9)
 
 
 def test_aline_d_solution_is_least_squares_optimal(rng):
     """Perturbing the solved probit vector never lowers the residual."""
     inp = _random_input(rng, n=4, noise=0.15)
     fit = agreement_line(inp)
-    out = aline_d(inp)
-    sol = np.array([probit(v) for v in out.estimates])
+    estimates, _ = aline_d(inp)
+    sol = np.array([probit(v) for v in estimates])
     idp = np.array([probit(p) for p in inp.id_perf])
     A, rhs = [], []
     for i in range(4):
@@ -192,7 +192,7 @@ def test_estimates_bounded(rng):
     """Even wild lines map through the CDF into [0, 1]."""
     inp = _random_input(rng, n=6, slope=3.0, bias=-4.0, noise=0.3)
     for fn in (aline_s, aline_d):
-        est = fn(inp).estimates
+        est, _ = fn(inp)
         assert np.all((est >= 0.0) & (est <= 1.0))
 
 
@@ -212,4 +212,4 @@ def test_aline_d_matches_lstsq_on_pair_design(rng, n):
                        + fit.slope * ((idp[i] + idp[j]) / 2
                                       - probit(inp.agr_id[i, j])))
     expected, *_ = np.linalg.lstsq(np.array(A), np.array(rhs), rcond=None)
-    np.testing.assert_allclose(probit(aline_d(inp).estimates), expected, atol=1e-12)
+    np.testing.assert_allclose(probit(aline_d(inp)[0]), expected, atol=1e-12)

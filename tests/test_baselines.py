@@ -162,7 +162,7 @@ def test_argmax_invariant_under_temperature(rng):
 
 def _raw(method, id_log, ood_log):
     """The raw (unscaled) estimate of one confidence baseline."""
-    return with_and_without_temperature(method, confidence_scores(id_log, ood_log, accuracy(id_log)))[0]
+    return with_and_without_temperature(method, accuracy(id_log), confidence_scores(id_log, ood_log))[0]
 
 
 def test_ac_is_mean_confidence(rng):

@@ -269,6 +269,20 @@ def test_validate_checks_log_header_against_entry(tmp_path, capsys):
     assert not (tmp_path / "report" / "report.json").exists()
 
 
+@pytest.mark.parametrize("version", [2, "2"], ids=["int", "str"])
+def test_manifest_of_another_version_exits_2(tmp_path, capsys, version):
+    out = _synth(tmp_path)
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["version"] = version
+    manifest = out / "manifest-v2.json"
+    manifest.write_text(json.dumps(doc))
+    assert main(["validate", "--manifest", str(manifest)]) == EXIT_INPUT_ERROR
+    assert "unsupported version" in capsys.readouterr().err
+    assert main(["estimate", "--id-manifest", str(manifest), "--ood-manifest", str(manifest),
+                 "--out", str(tmp_path / "report")]) == EXIT_INPUT_ERROR
+    assert not (tmp_path / "report" / "report.json").exists()
+
+
 def test_estimate_total_failure_exit_code(tmp_path):
     out = _synth(tmp_path, extra_cfg="", seed=9)
     # rewrite the tree with only 2 models so ALine-D cannot run

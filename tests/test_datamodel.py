@@ -394,7 +394,7 @@ def test_span_log_rejects_vectors_of_the_wrong_length(tmp_path, rng):
                     + "\n" + json.dumps(_qa_record()) + "\n"
                     + json.dumps(_qa_record(start_logits=[1.0, 0.0, 0.0])) + "\n")
     with pytest.raises(LengthViolation) as exc:
-        load_log(path, validate=False)
+        load_log(path)
     assert exc.value.example_index == 1
 
 
@@ -632,6 +632,20 @@ def test_manifest_document_error_names_value_line(tmp_path, text, line, detail):
         read_manifest(path)
     assert exc.value.line_number == line
     assert detail in str(exc.value)
+
+
+@pytest.mark.parametrize("version", [2, "2", None, ["1"]], ids=["int", "str", "null", "list"])
+def test_manifest_version_must_be_the_format_version(tmp_path, version):
+    """Only FORMAT_VERSION is read; any other value names the line it starts on."""
+    path = tmp_path / "manifest.json"
+    path.write_text('{"task": "classification", "metric": "accuracy", "entries": [],\n'
+                    ' "version":\n  ' + json.dumps(version) + "}\n")
+    with pytest.raises(MalformedRecord) as exc:
+        read_manifest(path)
+    assert exc.value.line_number == 3
+    assert "version" in str(exc.value)
+    path.write_text(path.read_text().replace(json.dumps(version), '"1"'))
+    assert read_manifest(path).version == FORMAT_VERSION
 
 
 def test_manifest_metric_task_mismatch(tmp_path):

@@ -262,6 +262,25 @@ def test_export_scatter_rows():
     assert p1["y_probit"] == pytest.approx(fit.predict(p1["x_probit"]), abs=1e-12)
 
 
+def test_export_scatter_clamps_at_the_report_eps():
+    """Scatter points are the ones the report's agreement line was fitted to,
+    clamped at the report's ε rather than the default."""
+    config = SynthConfig(n_models=6, skill_min=1.5, skill_max=3.5, diversity=0.3)
+    id_acc, agr_id, agr_ood, true_ood = exact_agl_inputs(config)
+    report = build_report_from_matrices(id_acc, agr_id, agr_ood, [f"m{i}" for i in range(6)],
+                                        true_ood_perf=true_ood,
+                                        options=ReportOptions(clamp_eps=0.01))
+    points = [r for r in export_scatter(report) if r["kind"] in ("accuracy", "agreement")]
+    assert max(r["x_raw"] for r in points) > 0.99  # the clamp is in play
+    for r in points:
+        assert r["x_probit"] == probit(clamp_rate(r["x_raw"], 0.01))
+        assert r["y_probit"] == probit(clamp_rate(r["y_raw"], 0.01))
+    fit = report.agreement_fit
+    rss = sum((r["y_probit"] - fit.predict(r["x_probit"])) ** 2
+              for r in points if r["kind"] == "agreement")
+    assert rss == pytest.approx(fit.residual_ss, rel=1e-12)
+
+
 def test_scatter_csv_round_trip():
     pair, _ = _synth_pair()
     report = build_report(pair, options=ReportOptions(evaluation_mode=True))

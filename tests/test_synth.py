@@ -126,16 +126,10 @@ def _oracle_both_correct(theta_i, theta_j, correlation):
 
 
 def _mp_both_correct(h, k, rho):
-    """P(z_i <= h, z_j <= k) at 30 digits, with its quadrature error estimate:
-    the integral over the shared effect w of
-    phi(w) * Phi((h - sqrt(rho) w) / sqrt(1 - rho)) * Phi((k - sqrt(rho) w) / sqrt(1 - rho)),
-    written with erfc and the constants taken out.
-
-    Below a = max(-10, c - 10 d), with c = min(h, k)/sqrt(rho) and
-    d = sqrt((1 - rho)/rho), both Phi factors are 1 to within Phi(-10) ~ 8e-24,
-    so that tail is Phi(a); above c + 10 d (or 10) the integrand is below
-    8e-24 * phi(w). Gauss-Legendre covers the rest, split at 0 and where
-    either factor steps.
+    """P(z_i <= h, z_j <= k) at 30 digits, with its quadrature error estimate, in
+    the arcsin form of Drezner & Wesolowsky (1990):
+    Phi(h) Phi(k) + (1 / 2 pi) * the integral over theta from 0 to asin(rho) of
+    exp(-(h^2 + k^2 - 2 h k sin(theta)) / (2 cos(theta)^2)).
     """
     with mpmath.workdps(30):
         h, k, rho = mpmath.mpf(h), mpmath.mpf(k), mpmath.mpf(rho)
@@ -143,22 +137,14 @@ def _mp_both_correct(h, k, rho):
             return mpmath.ncdf(h) * mpmath.ncdf(k), 0
         if rho >= 1:
             return mpmath.ncdf(min(h, k)), 0
-        shared, own = mpmath.sqrt(rho), mpmath.sqrt(1 - rho)
-        scale = own * mpmath.sqrt(2)
 
-        def integrand(w):
-            return (mpmath.exp(-w * w / 2) * mpmath.erfc((shared * w - h) / scale)
-                    * mpmath.erfc((shared * w - k) / scale))
+        def integrand(theta):
+            return mpmath.exp(-(h * h + k * k - 2 * h * k * mpmath.sin(theta))
+                              / (2 * mpmath.cos(theta) ** 2))
 
-        c, d = min(h, k) / shared, own / shared
-        a, b = max(-10, c - 10 * d), min(10, c + 10 * d)
-        if a >= b:
-            return mpmath.ncdf(b), 0
-        cuts = sorted({a, b} | {x for x in (h / shared, k / shared, 0) if a < x < b})
-        value, err = mpmath.quad(integrand, cuts, method="gauss-legendre", maxdegree=5,
-                                 error=True)
-        norm = 4 * mpmath.sqrt(2 * mpmath.pi)
-        return mpmath.ncdf(a) + value / norm, err / norm
+        value, err = mpmath.quad(integrand, [0, mpmath.asin(rho)], error=True)
+        norm = 2 * mpmath.pi
+        return mpmath.ncdf(h) * mpmath.ncdf(k) + value / norm, err / norm
 
 
 _PHI2_RNG = np.random.default_rng(2024)
