@@ -3,8 +3,10 @@
 Log files are JSON Lines: one header object followed by one object per
 example. ``save_log`` writes sorted keys, ", " and ": " separators, floats in
 Python's shortest round-trip repr and NaN/Infinity as ``json`` does, so
-save -> load is bit-for-bit; the loader takes keys in any order. Example
-identity is positional: logs compared across models must have equal length.
+save -> load is bit-for-bit; the loader takes keys in any order. It decodes a
+file of short lines with no ``null`` in one ``json.loads`` call and any other
+file line by line, with the same result. Example identity is positional: logs
+compared across models must have equal length.
 """
 
 from __future__ import annotations
@@ -251,13 +253,43 @@ def _read_text(path) -> str:
 
 _scan = json.JSONDecoder().scan_once  # the C scanner: one JSON value from an index
 
+# Files whose mean line is this many characters or more are read line by line. One
+# json.loads of the whole file pays only where the fixed cost of each record dominates:
+# an in-process sweep of _records (min of 31 runs) timed it at 0.68-0.71 of the
+# per-line loop at 28 B per line, 0.92 at 102 B, 1.01 at 164 B, and 1.05-1.25 from
+# 1.3 to 20 KB, where the extra passes over the text cost time and memory.
+_ONE_DECODE_MAX_MEAN_LINE = 1024
+
 
 def _records(path):
     """Line numbers and objects of the non-blank lines up to the first that is not
-    one JSON object, and that line's MalformedRecord (or None) to raise after them."""
+    one JSON object, and that line's MalformedRecord (or None) to raise after them.
+
+    A file of short lines with no ``null`` in it is decoded in one ``json.loads``
+    call, with ``,null,`` put before every line break but a final one. JSON strings
+    hold no raw line break and the text no ``null`` of its own, so n - 1 top-level
+    ``None`` between n objects means each line held exactly one object. Any other
+    outcome falls back to the per-line loop, which alone reports errors."""
+    text = _read_text(path)
+    n = text.count("\n") + (not text.endswith("\n"))  # a final "\n" ends the last line
+    if len(text) < _ONE_DECODE_MAX_MEAN_LINE * n and "null" not in text:
+        joined = "[" + text.replace("\n", ",null,\n", n - 1) + "]"
+        del text  # one copy of the file at a time
+        try:
+            items = json.loads(joined)
+        except (ValueError, RecursionError):
+            items = []
+        del joined
+        records = items[::2]
+        if (len(items) == 2 * n - 1 and items[1::2] == [None] * (n - 1)
+                and set(map(type, records)) == {dict}):
+            return list(range(1, n + 1)), records, None
+        del items, records
+        text = _read_text(path)
     linenos, records = [], []
     # split on "\n" only: JSON strings may hold other line breaks such as U+2028
-    lines = _read_text(path).split("\n")[::-1]  # popped, so a line is freed once parsed
+    lines = text.split("\n")[::-1]  # popped, so a line is freed once parsed
+    del text
     for lineno in range(1, len(lines) + 1):
         line = lines.pop()
         body = line.strip(" \t\r")  # JSON whitespace only: a record is alone on its line

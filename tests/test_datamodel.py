@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aglkit import datamodel
 from aglkit.datamodel import (
     FORMAT_VERSION,
     METRIC_ACCURACY,
@@ -963,6 +964,12 @@ def _variant(lines, how, rng):
         return "\n".join(f" \t{line}\t \r" for line in lines)
     if how == "u2028 in strings":
         return "\n".join(line[:-1] + ', "note": "a\u2028b\x85c\u2029"}' for line in lines)
+    if how == "null header field":
+        return "\n".join([lines[0][:-1] + ', "note": null}', *lines[1:]]) + "\n"
+    if how == "string holding ,null,":
+        return "\n".join(line[:-1] + ', "note": "a,null,b"}' for line in lines) + "\n"
+    if how == "no final newline":
+        return "\n".join(lines)
     if how == "integral floats":
         return "\n".join(lines).replace('"gold": 1,', '"gold": 1.0,').replace(
             '"gold_start": 0,', '"gold_start": 0.0,')
@@ -971,7 +978,8 @@ def _variant(lines, how, rng):
 
 @pytest.mark.parametrize("kind", ["logits", "no logits", "qa"])
 @pytest.mark.parametrize("how", ["plain", "blank lines", "crlf", "json whitespace",
-                                 "u2028 in strings", "integral floats"])
+                                 "u2028 in strings", "integral floats", "null header field",
+                                 "string holding ,null,", "no final newline"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_load_log_matches_per_line_loader(tmp_path, kind, how, seed):
     """Bit-identical arrays, with equal dtypes, on valid logs of every shape."""
@@ -1003,6 +1011,59 @@ def test_load_log_matches_per_line_loader_when_empty(tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text(head + "\n\n")
         _assert_same_log(load_log(path), _oracle_load_log(path))
+
+
+def _assert_loads_like_per_line_loader(path):
+    """An equal log, or the same exception type and line, as the per-line loader."""
+    try:
+        expected = _oracle_load_log(path)
+    except ToolkitError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_log(path)
+        for attr in ("line_number", "example_index"):
+            assert getattr(got.value, attr, None) == getattr(exc, attr, None)
+    else:
+        _assert_same_log(load_log(path), expected)
+
+
+# pieces of records that a one-decode guard could misread as one object per line
+_FRAGMENTS = ["{", "}", "[[", "]]", ",", " ", "null", '"x": ', '"gold": 1', '"predicted": 1',
+              '"x": "a,null,b"', '{"gold": 0, "predicted": 0}']
+_FRAGMENT_LINES = st.one_of(st.sampled_from(["", " ", "\t", " \r"]),
+                            st.lists(st.sampled_from(_FRAGMENTS), min_size=1,
+                                     max_size=8).map("".join))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_FRAGMENT_LINES, max_size=6), st.booleans())
+def test_load_log_of_fragment_lines_matches_per_line_loader(lines, final_newline):
+    """Lines built from pieces of records load as the per-line loader loads them."""
+    header = '{"task": "classification", "model_id": "m", "split_id": "s", "n_classes": 2}'
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(("\n".join([header, *lines]) + "\n" * final_newline).encode())
+        _assert_loads_like_per_line_loader(path)
+
+
+def _must_not_run(*args):
+    raise AssertionError("this decoder must not run on this log")
+
+
+def test_short_line_log_is_decoded_in_one_call(tmp_path, monkeypatch):
+    """A saved log of 28-byte lines never reaches the per-line scanner."""
+    saved, _ = _log_lines(tmp_path, "no logits", 0)
+    monkeypatch.setattr(datamodel, "_scan", _must_not_run)
+    _assert_same_log(load_log(tmp_path / "saved.jsonl"), saved)
+
+
+def test_long_line_log_is_read_line_by_line(tmp_path, monkeypatch, rng):
+    """A saved QA log of 128-token lines never reaches the one decode."""
+    spans = [tuple(sorted(rng.integers(0, 128, 2))) for _ in range(10)]
+    saved = make_span_log(spans, spans, n_tokens=128, rng=rng)
+    save_log(saved, tmp_path / "qa.jsonl")
+    monkeypatch.setattr(datamodel.json, "loads", _must_not_run)
+    _assert_same_log(load_log(tmp_path / "qa.jsonl"), saved)
 
 
 def _set(line, **fields):
@@ -1070,6 +1131,12 @@ _CORRUPTIONS = {
     # rejected by the per-line loader, and by a loader that parsed the joined lines would not be
     "record split across two lines": ("no logits", {
         5: '{"gold": 0, "predicted": 0}, {"gold": 1, "predicted": 1, "x": [1', 6: "2]}"}),
+    # accepted by one decode of the joined lines without its scan for "null" (the first),
+    # or without its check that every odd item is a separator's None (the second)
+    "null in a record split across two lines": ("no logits", {
+        5: '{"gold": 0, "predicted": 0}, null, {"gold": 1, "predicted": 1, "x": [[1', 6: "2]]}"}),
+    "split record beside two records on a line": ("no logits", {
+        5: '{"gold": 0, "predicted": 0, "x": [1', 6: lambda l: "2]}, " + l + ", " + l}),
     "two records on one line": ("no logits", {5: lambda l: l + " " + l}),
     "form feed before a record": ("logits", {7: lambda l: "\f" + l}),
     "nbsp before a record": ("qa", {7: lambda l: "\xa0" + l}),
