@@ -22,12 +22,14 @@ import numpy as np
 from .errors import (
     ArgmaxMismatch,
     DuplicateEntry,
+    ExampleError,
     LengthViolation,
     MalformedRecord,
     MetricTaskMismatch,
     MissingFile,
     RangeViolation,
     ShapeMismatch,
+    UnreadableFile,
 )
 
 FORMAT_VERSION = "1"
@@ -239,11 +241,15 @@ def save_log(log, path) -> None:
 
 
 def _read_text(path) -> str:
-    """The file's text; MalformedRecord at the line of a byte that is not UTF-8."""
+    """The file's text; UnreadableFile if the OS refuses it, MalformedRecord at the
+    line of a byte that is not UTF-8."""
     if not os.path.isfile(path):
         raise MissingFile(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise UnreadableFile(path, exc.strerror or str(exc)) from exc
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -378,7 +384,8 @@ def _columns(path, linenos, records, builds, bad):
 
 def load_log(path):
     """Load and validate one JSON Lines log file, one JSON object per line and the
-    header first. An error names the first bad line."""
+    header first. An error names the first bad line; an ``ExampleError`` names the
+    file and the line of its example (the header's when it is about the whole log)."""
     linenos, records, bad = _records(path)
     if not records:
         raise bad or MalformedRecord(path, 1, "empty file")
@@ -386,24 +393,29 @@ def load_log(path):
     task = _require(header, "task", path, head_no)
     model_id = _require(header, "model_id", path, head_no)
     split_id = _require(header, "split_id", path, head_no)
-    if task == TASK_CLASSIFICATION:
-        k = _require(header, "n_classes", path, head_no, _int64)
-        # logits in the first record, then in every record, or in none
-        logits = partial(_floats, width=k) if records and "logits" in records[0] else None
-        gold, predicted, logits = _columns(
-            path, linenos, records, (("gold", _ints), ("predicted", _ints), ("logits", logits)), bad)
-        log = ClassificationLog(model_id=model_id, split_id=split_id, n_classes=k,
-                                gold=gold, predicted=predicted,
-                                logits=None if logits is None else logits[0].reshape(len(gold), k))
-    elif task == TASK_EXTRACTIVE_QA:
-        builds = [(f.name, _floats if f.name.endswith("_logits") else _ints)
-                  for f in fields(SpanExample)]
-        columns = _columns(path, linenos, records, builds, bad)
-        del records  # packed from the columns
-        log = SpanLog(model_id=model_id, split_id=split_id, examples=columns)
-    else:
-        raise MalformedRecord(path, head_no, f"unknown task {task!r}")
-    validate_log(log)
+    try:
+        if task == TASK_CLASSIFICATION:
+            k = _require(header, "n_classes", path, head_no, _int64)
+            # logits in the first record, then in every record, or in none
+            logits = partial(_floats, width=k) if records and "logits" in records[0] else None
+            builds = (("gold", _ints), ("predicted", _ints), ("logits", logits))
+            gold, predicted, logits = _columns(path, linenos, records, builds, bad)
+            log = ClassificationLog(
+                model_id=model_id, split_id=split_id, n_classes=k, gold=gold, predicted=predicted,
+                logits=None if logits is None else logits[0].reshape(len(gold), k))
+        elif task == TASK_EXTRACTIVE_QA:
+            builds = [(f.name, _floats if f.name.endswith("_logits") else _ints)
+                      for f in fields(SpanExample)]
+            columns = _columns(path, linenos, records, builds, bad)
+            del records  # packed from the columns
+            log = SpanLog(model_id=model_id, split_id=split_id, examples=columns)
+        else:
+            raise MalformedRecord(path, head_no, f"unknown task {task!r}")
+        validate_log(log)
+    except ExampleError as exc:
+        i = exc.example_index
+        exc.at(path, linenos[i] if i >= 0 else head_no)
+        raise
     return log
 
 
@@ -490,12 +502,17 @@ def read_manifest(path) -> Manifest:
     return Manifest(version=FORMAT_VERSION, task=task, metric=metric, entries=entries)
 
 
-def load_entries(path) -> tuple[Manifest, list]:
+def load_entries(path, golds=None) -> tuple[Manifest, list]:
     """Read a manifest, then load and validate the log of each entry, in entry order.
     A log whose header names another model or split than its entry raises
-    ShapeMismatch, and one of another task than the manifest MetricTaskMismatch."""
+    ShapeMismatch, and one of another task than the manifest MetricTaskMismatch.
+
+    The first gold array loaded for a split is made read-only and kept in ``golds``
+    (split_id -> array; pass one dict to share across calls), and each later log of
+    that split with equal gold labels holds it in place of its own array."""
     manifest = read_manifest(path)
     base_dir = os.path.dirname(os.path.abspath(path))
+    golds = {} if golds is None else golds
     logs = []
     for e in manifest.entries:
         log_path = os.path.join(base_dir, e.path)
@@ -504,6 +521,11 @@ def load_entries(path) -> tuple[Manifest, list]:
             raise ShapeMismatch(e.model_id, f"log header at {log_path} does not match manifest entry")
         if log.task != manifest.task:
             raise MetricTaskMismatch(manifest.metric, log.task)
+        first = golds.setdefault(log.split_id, log.gold)
+        if first is log.gold:
+            first.flags.writeable = False
+        elif np.array_equal(first, log.gold):
+            log.gold = first
         logs.append(log)
     return manifest, logs
 
@@ -515,7 +537,9 @@ def load_split_pair(id_path, ood_path, metric_override=None) -> SplitPair:
     (model_id, split_id) once and every model in both splits. The split that
     appears first is in-distribution; models keep the order of first appearance.
     """
-    loaded = [load_entries(p) for p in dict.fromkeys(map(os.path.abspath, (id_path, ood_path)))]
+    golds = {}
+    loaded = [load_entries(p, golds)
+              for p in dict.fromkeys(map(os.path.abspath, (id_path, ood_path)))]
     manifest = loaded[0][0]
     for other, _ in loaded[1:]:
         if other.task != manifest.task:

@@ -13,6 +13,12 @@ class MissingFile(ToolkitError):
         self.path = path
 
 
+class UnreadableFile(ToolkitError):
+    def __init__(self, path, reason):
+        super().__init__(f"cannot read {path}: {reason}")
+        self.path = path
+
+
 class MalformedRecord(ToolkitError):
     def __init__(self, path, line_number, detail=""):
         msg = f"malformed record at {path}:{line_number}"
@@ -46,28 +52,30 @@ class MetricTaskMismatch(ToolkitError):
         self.task = task
 
 
-class ArgmaxMismatch(ToolkitError):
-    def __init__(self, example_index):
-        super().__init__(f"stored prediction disagrees with logit argmax at example {example_index}")
-        self.example_index = example_index
+class ExampleError(ToolkitError):
+    """An invariant broken at one example of a log (``example_index`` -1: the whole log)."""
+    summary = ""
 
-
-class RangeViolation(ToolkitError):
     def __init__(self, example_index, detail=""):
-        msg = f"index out of range at example {example_index}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        msg = f"{self.summary} at example {example_index}"
+        super().__init__(f"{msg}: {detail}" if detail else msg)
         self.example_index = example_index
 
+    def at(self, path, line_number):
+        """Name, in the message, the file and line the example was read from."""
+        self.args = (f"{self} (line {line_number} of {path})",)
 
-class LengthViolation(ToolkitError):
-    def __init__(self, example_index, detail=""):
-        msg = f"vector length mismatch at example {example_index}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.example_index = example_index
+
+class ArgmaxMismatch(ExampleError):
+    summary = "stored prediction disagrees with logit argmax"
+
+
+class RangeViolation(ExampleError):
+    summary = "index out of range"
+
+
+class LengthViolation(ExampleError):
+    summary = "vector length mismatch"
 
 
 # --- metrics / fitting ---

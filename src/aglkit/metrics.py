@@ -79,6 +79,10 @@ def agreement(a, b, metric: str) -> float:
     return float(np.mean(_scores(metric, a.predicted, b.predicted)))
 
 
+# the integer dtypes a stack of predictions may take, narrowest first
+_NARROW = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32)
+
+
 def agreement_matrix(logs, metric: str) -> np.ndarray:
     """The symmetric (n, n) pairwise agreements of an aligned ensemble of
     n >= 2 logs, in log order, with ones on the diagonal."""
@@ -88,9 +92,19 @@ def agreement_matrix(logs, metric: str) -> np.ndarray:
         raise InsufficientModels(f"need at least 2 models, got {n}")
     for log in logs[1:]:
         _check_compatible(logs[0], log, metric)
-    preds = np.stack([log.predicted for log in logs])
+    if metric == METRIC_F1:  # arithmetic on span positions
+        dtype = np.int64
+    else:  # equality only: any integer dtype that holds every prediction exactly
+        lo = min(int(log.predicted.min()) for log in logs)
+        hi = max(int(log.predicted.max()) for log in logs)
+        dtype = next((t for t in _NARROW if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max),
+                     np.int64)
+    preds = np.stack([log.predicted for log in logs], dtype=dtype, casting="unsafe")
     values = np.ones((n, n), dtype=np.float64)
     for i in range(n - 1):  # one row of pairs at a time keeps memory at n x examples
-        values[i, i + 1:] = values[i + 1:, i] = np.mean(
-            _scores(metric, preds[i], preds[i + 1:]), axis=1)
+        scores = _scores(metric, preds[i], preds[i + 1:])
+        # a count over the example count is the mean of the booleans, bit for bit
+        values[i, i + 1:] = values[i + 1:, i] = (
+            np.mean(scores, axis=1) if metric == METRIC_F1
+            else np.count_nonzero(scores, axis=1) / scores.shape[1])
     return values

@@ -399,3 +399,46 @@ def test_estimate_rejects_bad_report_options_up_front(tmp_path, capsys, flag, va
                  "--out", str(out), "--eval", flag, value]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, error", [
+    pytest.param(lambda rec, k: {**rec, "predicted": (rec["predicted"] + 1) % k},
+                 "stored prediction disagrees with logit argmax at example 4", id="argmax"),
+    pytest.param(lambda rec, k: {**rec, "gold": k},
+                 "index out of range at example 4: gold 4 not in [0, 4)", id="range"),
+])
+def test_an_error_in_a_log_names_its_file_and_line(tmp_path, capsys, edit, error):
+    out = _synth(tmp_path)
+    target = out / "ood" / "m01.jsonl"
+    lines = target.read_text().splitlines()
+    lines[5] = json.dumps(edit(json.loads(lines[5]), 4), sort_keys=True)
+    target.write_text("\n".join(lines) + "\n")
+    manifest = str(out / "manifest.json")
+    for argv in (["validate", "--manifest", manifest],
+                 ["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                  "--out", str(tmp_path / "report")]):
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {error} (line 6 of {target})\n"
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("unreadable", ["id/m02.jsonl", "manifest.json"])
+def test_an_unreadable_log_or_manifest_exits_2(tmp_path, capsys, monkeypatch, unreadable):
+    """open() is patched: a chmod cannot deny a read to a process running as root."""
+    out = _synth(tmp_path)
+    refused = str(out / unreadable)
+    real_open = open
+
+    def refusing_open(file, *args, **kwargs):
+        if os.path.abspath(file) == refused:
+            raise PermissionError(13, "Permission denied", file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refusing_open)
+    manifest = str(out / "manifest.json")
+    for argv in (["validate", "--manifest", manifest],
+                 ["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                  "--out", str(tmp_path / "report")]):
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: cannot read {refused}: Permission denied\n"
+    assert not (tmp_path / "report").exists()

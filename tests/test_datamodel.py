@@ -21,6 +21,7 @@ from aglkit.datamodel import (
     ManifestEntry,
     SpanExample,
     SpanLog,
+    load_entries,
     load_log,
     load_split_pair,
     read_manifest,
@@ -39,7 +40,9 @@ from aglkit.errors import (
     RangeViolation,
     ShapeMismatch,
     ToolkitError,
+    UnreadableFile,
 )
+from aglkit.synth import SynthConfig, write_ensemble
 
 from conftest import make_classification_log, make_span_log
 
@@ -1160,3 +1163,137 @@ def test_load_log_corruption_matches_per_line_loader(tmp_path, name):
         load_log(path)
     for attr in ("line_number", "example_index"):
         assert getattr(exc.value, attr, None) == getattr(expected.value, attr, None)
+
+
+# --- one gold array per split ---
+
+def _ensemble(tmp_path, n_models=3):
+    config = SynthConfig(n_models=n_models, n_examples_id=60, n_examples_ood=40, seed=5)
+    return write_ensemble(config, tmp_path / "ens")["manifest"]
+
+
+def _split_manifests(manifest, keeps):
+    """Manifests next to ``manifest``, each holding the entries its ``keep`` accepts."""
+    doc = json.loads(open(manifest).read())
+    paths = []
+    for name, keep in keeps:
+        path = os.path.join(os.path.dirname(manifest), name)
+        with open(path, "w") as fh:
+            json.dump(dict(doc, entries=[e for e in doc["entries"] if keep(e)]), fh)
+        paths.append(path)
+    return paths
+
+
+def _assert_one_read_only_gold(logs):
+    first = logs[0].gold
+    assert all(log.gold is first for log in logs)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1 - first[0]
+
+
+def test_logs_of_a_split_share_one_read_only_gold(tmp_path):
+    manifest = _ensemble(tmp_path)
+    pair = load_split_pair(manifest, manifest)
+    for logs in (pair.id_logs, pair.ood_logs):
+        _assert_one_read_only_gold(logs)
+    assert pair.id_logs[0].gold is not pair.ood_logs[0].gold
+    _, logs = load_entries(manifest)
+    _assert_one_read_only_gold([log for log in logs if log.split_id == "synth_id"])
+
+
+@pytest.mark.parametrize("id_keep, ood_keep", [
+    pytest.param(lambda e: e["split_id"] == "synth_id", lambda e: e["split_id"] == "synth_ood",
+                 id="one-split-each"),
+    pytest.param(lambda e: e["split_id"] == "synth_id" or e["model_id"] == "m00",
+                 lambda e: e["split_id"] == "synth_ood" and e["model_id"] != "m00",
+                 id="ood-split-in-both"),
+])
+def test_two_manifests_share_one_gold_per_split(tmp_path, id_keep, ood_keep):
+    manifest = _ensemble(tmp_path)
+    pair = load_split_pair(*_split_manifests(manifest, (("id.json", id_keep),
+                                                        ("ood.json", ood_keep))))
+    for logs in (pair.id_logs, pair.ood_logs):
+        _assert_one_read_only_gold(logs)
+
+
+def test_a_differing_gold_keeps_its_own_writable_array(tmp_path):
+    manifest = _ensemble(tmp_path, n_models=4)
+    path = os.path.join(os.path.dirname(manifest), "ood", "m02.jsonl")
+    header, *records = open(path).read().splitlines()
+    records[7] = json.dumps(dict(json.loads(records[7]), gold=3), sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *records]) + "\n")
+    pair = load_split_pair(manifest, manifest)
+    own = pair.ood_logs[2].gold
+    _assert_one_read_only_gold(pair.ood_logs[:2] + pair.ood_logs[3:])
+    assert own is not pair.ood_logs[0].gold and own[7] == 3
+    assert own.flags.writeable
+    _assert_one_read_only_gold(pair.id_logs)
+
+
+def test_qa_logs_of_a_split_share_one_gold(tmp_path, rng):
+    entries = []
+    for split_id, gold in (("qa_id", [(1, 2), (0, 0), (3, 5)]), ("qa_ood", [(2, 4), (1, 1)])):
+        for m in range(3):
+            spans = [tuple(sorted(rng.integers(0, 6, 2).tolist())) for _ in gold]
+            log = make_span_log(spans, gold, n_tokens=6, model_id=f"m{m}", split_id=split_id,
+                                rng=rng)
+            save_log(log, tmp_path / f"{split_id}-{m}.jsonl")
+            entries.append(ManifestEntry(f"m{m}", split_id, f"{split_id}-{m}.jsonl"))
+    save_manifest(Manifest(FORMAT_VERSION, TASK_EXTRACTIVE_QA, METRIC_F1, entries),
+                  tmp_path / "manifest.json")
+    manifest = str(tmp_path / "manifest.json")
+    pair = load_split_pair(manifest, manifest)
+    for logs in (pair.id_logs, pair.ood_logs):
+        _assert_one_read_only_gold(logs)
+    assert pair.ood_logs[0].gold.tolist() == [[2, 4], [1, 1]]
+
+
+# --- errors name the file ---
+
+def test_example_errors_name_the_file_and_line_of_the_example(tmp_path):
+    """The type and example index stay; the message adds the file and the line (the
+    header's when the error is about the whole log)."""
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(json.dumps({"task": "extractive_qa", "model_id": "m", "split_id": "s"})
+                  + "\n\n" + json.dumps(_qa_record()) + "\n"
+                  + json.dumps(_qa_record(start_logits=[1.0, 0.0, 0.0])) + "\n")
+    with pytest.raises(LengthViolation) as exc:
+        load_log(qa)
+    assert exc.value.example_index == 1
+    assert str(exc.value) == f"vector length mismatch at example 1 (line 4 of {qa})"
+    one_class = tmp_path / "one_class.jsonl"
+    one_class.write_text("\n" + json.dumps({"task": "classification", "model_id": "m",
+                                             "split_id": "s", "n_classes": 1})
+                         + '\n{"gold": 0, "predicted": 0}\n')
+    with pytest.raises(RangeViolation) as exc:
+        load_log(one_class)
+    assert exc.value.example_index == -1
+    assert str(exc.value) == ("index out of range at example -1: n_classes 1 < 2 "
+                              f"(line 2 of {one_class})")
+    first = tmp_path / "first.jsonl"
+    first.write_text(json.dumps({"task": "classification", "model_id": "m", "split_id": "s",
+                                 "n_classes": 2})
+                     + '\n{"gold": 0, "logits": [0.0, 1.0], "predicted": 0}\n')
+    with pytest.raises(ArgmaxMismatch) as exc:
+        load_log(first)
+    assert str(exc.value) == ("stored prediction disagrees with logit argmax at example 0 "
+                              f"(line 2 of {first})")
+
+
+def test_unreadable_file_is_a_typed_error(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    path.write_text("{}\n")
+    real_open = open
+
+    def refusing_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refusing_open)
+    for read in (load_log, read_manifest):
+        with pytest.raises(UnreadableFile) as exc:
+            read(path)
+        assert str(exc.value) == f"cannot read {path}: Permission denied"

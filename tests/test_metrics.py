@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aglkit.datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1
 from aglkit.errors import EmptyLog, InsufficientModels, MetricTaskMismatch, ShapeMismatch
@@ -247,3 +249,75 @@ def test_metric_of_the_wrong_task_rejected(rng):
             agreement(log, log, metric)
         with pytest.raises(MetricTaskMismatch):
             agreement_matrix([log, log], metric)
+
+
+def _int64_agreement_matrix(logs, metric):
+    """agreement_matrix as it was: an int64 stack and np.mean of each row of scores."""
+    n = len(logs)
+    preds = np.stack([log.predicted for log in logs]).astype(np.int64)
+    values = np.ones((n, n), dtype=np.float64)
+    for i in range(n - 1):
+        values[i, i + 1:] = values[i + 1:, i] = np.mean(
+            _scores(metric, preds[i], preds[i + 1:]), axis=1)
+    return values
+
+
+# labels at the edges of each narrow integer dtype; pairs that wrap onto each other
+# in a dtype too narrow for them (128 and -128 in int8, -1 and 255 in uint8, ...)
+_EDGES = (0, 1, -1, 127, 128, -128, -129, 255, 256, 32767, 32768, -32768, -32769,
+          65535, 65536, 2**31 - 1, 2**31, -2**31, -2**31 - 1, 2**32 - 1, 2**32,
+          2**63 - 1, -2**63)
+_WRAPPING = [(128, -128), (255, -1), (256, 0), (-129, 127), (32768, -32768), (65535, -1),
+             (65536, 0), (2**31, -2**31), (2**32 - 1, -1), (2**32, 0), (2**63 - 1, -1)]
+
+
+def _unvalidated_logs(metric, rows):
+    """In-memory logs holding ``rows`` as predictions, whatever their range: class
+    indices for accuracy, (n_examples, 2) spans for the span metrics."""
+    logs = []
+    for m, row in enumerate(rows):
+        row = np.array(row, dtype=np.int64)
+        if metric == METRIC_ACCURACY:
+            log = make_classification_log(row, np.zeros_like(row), n_classes=2, model_id=f"m{m}")
+        else:
+            log = make_span_log([(0, 0)] * len(row), [(0, 0)] * len(row), n_tokens=2,
+                                model_id=f"m{m}")
+            log.predicted = row
+        logs.append(log)
+    return logs
+
+
+@st.composite
+def _prediction_rows(draw, metric):
+    """2-5 models' predictions drawn from a pool of 1-3 edge labels, so pairs both
+    agree and disagree, on 1-30 examples."""
+    pool = draw(st.lists(st.sampled_from(_EDGES), min_size=1, max_size=3, unique=True))
+    label = st.sampled_from(pool)
+    if metric != METRIC_ACCURACY:
+        label = st.tuples(label, label)
+    n_models = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 30))
+    return [draw(st.lists(label, min_size=n, max_size=n)) for _ in range(n_models)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1]).flatmap(
+    lambda metric: st.tuples(st.just(metric), _prediction_rows(metric))))
+def test_narrow_agreement_matrix_equals_int64_mean_bitwise(case):
+    """The stack in the narrowest dtype that holds every label, and a count over
+    the example count, give the int64 np.mean matrix bit for bit; f1 keeps it."""
+    metric, rows = case
+    logs = _unvalidated_logs(metric, rows)
+    got = agreement_matrix(logs, metric)
+    assert got.dtype == np.float64
+    assert got.tobytes() == _int64_agreement_matrix(logs, metric).tobytes()
+
+
+@pytest.mark.parametrize("metric", [METRIC_ACCURACY, METRIC_EXACT_MATCH])
+@pytest.mark.parametrize("a, b", _WRAPPING)
+def test_agreement_matrix_keeps_labels_that_wrap_in_a_narrower_dtype_apart(metric, a, b):
+    """Two labels equal modulo 2**8, 2**16 or 2**32 never agree; equal labels do."""
+    pair = (lambda x: x) if metric == METRIC_ACCURACY else (lambda x: (x, x))
+    rows = [[pair(a)] * 3, [pair(b)] * 3, [pair(a), pair(b), pair(a)]]
+    got = agreement_matrix(_unvalidated_logs(metric, rows), metric)
+    assert got.tolist() == [[1.0, 0.0, 2 / 3], [0.0, 1.0, 1 / 3], [2 / 3, 1 / 3, 1.0]]
