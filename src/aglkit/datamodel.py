@@ -502,17 +502,16 @@ def read_manifest(path) -> Manifest:
     return Manifest(version=FORMAT_VERSION, task=task, metric=metric, entries=entries)
 
 
-def load_entries(path, golds=None) -> tuple[Manifest, list]:
+def load_entries(path) -> tuple[Manifest, list]:
     """Read a manifest, then load and validate the log of each entry, in entry order.
     A log whose header names another model or split than its entry raises
     ShapeMismatch, and one of another task than the manifest MetricTaskMismatch.
 
-    The first gold array loaded for a split is made read-only and kept in ``golds``
-    (split_id -> array; pass one dict to share across calls), and each later log of
-    that split with equal gold labels holds it in place of its own array."""
+    The first gold array loaded for a split is made read-only, and each later log
+    of that split with equal gold labels holds it in place of its own array."""
     manifest = read_manifest(path)
     base_dir = os.path.dirname(os.path.abspath(path))
-    golds = {} if golds is None else golds
+    golds = {}  # split_id -> the first gold array loaded for it
     logs = []
     for e in manifest.entries:
         log_path = os.path.join(base_dir, e.path)
@@ -537,9 +536,7 @@ def load_split_pair(id_path, ood_path, metric_override=None) -> SplitPair:
     (model_id, split_id) once and every model in both splits. The split that
     appears first is in-distribution; models keep the order of first appearance.
     """
-    golds = {}
-    loaded = [load_entries(p, golds)
-              for p in dict.fromkeys(map(os.path.abspath, (id_path, ood_path)))]
+    loaded = [load_entries(p) for p in dict.fromkeys(map(os.path.abspath, (id_path, ood_path)))]
     manifest = loaded[0][0]
     for other, _ in loaded[1:]:
         if other.task != manifest.task:

@@ -92,19 +92,17 @@ def agreement_matrix(logs, metric: str) -> np.ndarray:
         raise InsufficientModels(f"need at least 2 models, got {n}")
     for log in logs[1:]:
         _check_compatible(logs[0], log, metric)
-    if metric == METRIC_F1:  # arithmetic on span positions
-        dtype = np.int64
-    else:  # equality only: any integer dtype that holds every prediction exactly
-        lo = min(int(log.predicted.min()) for log in logs)
-        hi = max(int(log.predicted.max()) for log in logs)
+    preds = [log.predicted for log in logs]
+    # equality needs only a dtype that holds every prediction exactly, which is
+    # known for integers only; f1 does arithmetic on span positions
+    dtype = None
+    if metric != METRIC_F1 and all(p.dtype.kind in "iub" for p in preds):
+        lo, hi = min(int(p.min()) for p in preds), max(int(p.max()) for p in preds)
         dtype = next((t for t in _NARROW if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max),
-                     np.int64)
-    preds = np.stack([log.predicted for log in logs], dtype=dtype, casting="unsafe")
+                     None)
+    preds = np.stack(preds) if dtype is None else np.stack(preds, dtype=dtype, casting="unsafe")
     values = np.ones((n, n), dtype=np.float64)
     for i in range(n - 1):  # one row of pairs at a time keeps memory at n x examples
-        scores = _scores(metric, preds[i], preds[i + 1:])
-        # a count over the example count is the mean of the booleans, bit for bit
-        values[i, i + 1:] = values[i + 1:, i] = (
-            np.mean(scores, axis=1) if metric == METRIC_F1
-            else np.count_nonzero(scores, axis=1) / scores.shape[1])
+        values[i, i + 1:] = values[i + 1:, i] = np.mean(
+            _scores(metric, preds[i], preds[i + 1:]), axis=1)
     return values

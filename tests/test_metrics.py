@@ -251,10 +251,11 @@ def test_metric_of_the_wrong_task_rejected(rng):
             agreement_matrix([log, log], metric)
 
 
-def _int64_agreement_matrix(logs, metric):
-    """agreement_matrix as it was: an int64 stack and np.mean of each row of scores."""
+def _plain_agreement_matrix(logs, metric):
+    """agreement_matrix as it was: the predictions stacked in their own dtype and
+    np.mean of each row of scores."""
     n = len(logs)
-    preds = np.stack([log.predicted for log in logs]).astype(np.int64)
+    preds = np.stack([log.predicted for log in logs])
     values = np.ones((n, n), dtype=np.float64)
     for i in range(n - 1):
         values[i, i + 1:] = values[i + 1:, i] = np.mean(
@@ -310,7 +311,7 @@ def test_narrow_agreement_matrix_equals_int64_mean_bitwise(case):
     logs = _unvalidated_logs(metric, rows)
     got = agreement_matrix(logs, metric)
     assert got.dtype == np.float64
-    assert got.tobytes() == _int64_agreement_matrix(logs, metric).tobytes()
+    assert got.tobytes() == _plain_agreement_matrix(logs, metric).tobytes()
 
 
 @pytest.mark.parametrize("metric", [METRIC_ACCURACY, METRIC_EXACT_MATCH])
@@ -321,3 +322,21 @@ def test_agreement_matrix_keeps_labels_that_wrap_in_a_narrower_dtype_apart(metri
     rows = [[pair(a)] * 3, [pair(b)] * 3, [pair(a), pair(b), pair(a)]]
     got = agreement_matrix(_unvalidated_logs(metric, rows), metric)
     assert got.tolist() == [[1.0, 0.0, 2 / 3], [0.0, 1.0, 1 / 3], [2 / 3, 1 / 3, 1.0]]
+
+
+@pytest.mark.parametrize("metric", [METRIC_ACCURACY, METRIC_EXACT_MATCH])
+@pytest.mark.parametrize("dtype, rows", [
+    pytest.param(np.float64, [[0.5, 0.0, 2.0], [0.0, 0.0, 2.0], [np.nan, 0.0, 2.5]], id="float"),
+    pytest.param(np.uint64, [[2**64 - 1, 0, 1], [2**63 - 1, 0, 1], [2**64 - 1, 1, 1]],
+                 id="uint64-beyond-int64"),
+])
+def test_agreement_matrix_of_predictions_no_narrow_dtype_holds(metric, dtype, rows):
+    """Predictions that are not integers, or that no narrow dtype holds, are
+    compared as they are: 0.5 and 0.0 disagree, NaN agrees with nothing."""
+    logs = _unvalidated_logs(metric, [[0] * 3] * 3)
+    for log, row in zip(logs, rows):
+        row = np.array(row, dtype=dtype)
+        log.predicted = row if metric == METRIC_ACCURACY else np.stack([row, row], axis=1)
+    got = agreement_matrix(logs, metric)
+    assert got.tobytes() == _plain_agreement_matrix(logs, metric).tobytes()
+    assert got[0, 1] == 2 / 3
