@@ -60,7 +60,7 @@ class ClassificationLog:
     gold: np.ndarray
     predicted: np.ndarray
     logits: np.ndarray | None = None
-    task: str = TASK_CLASSIFICATION
+    task = TASK_CLASSIFICATION  # a class attribute, not a field: the class is the task
 
     def __len__(self):
         return len(self.gold)
@@ -101,7 +101,7 @@ class SpanLog:
     n_tokens: np.ndarray = field(init=False)
     gold: np.ndarray = field(init=False)
     predicted: np.ndarray = field(init=False)
-    task: str = TASK_EXTRACTIVE_QA
+    task = TASK_EXTRACTIVE_QA
 
     def __post_init__(self, examples):
         if not isinstance(examples, tuple):  # SpanExample records
@@ -157,43 +157,35 @@ class Manifest:
 
 
 def validate_log(log) -> None:
-    """Check every type invariant; raises the first violation found.
-
-    Recomputes predictions from logits (argmax, ties to lowest index)
-    and compares against the stored predictions.
-    """
+    """Check every type invariant: first the whole log's (``example_index`` -1), then
+    the per-example rules in ``checks`` order, raising the first broken rule of the
+    first example that breaks any. Predictions are recomputed as the logit argmax
+    (ties to lowest index) and compared with the stored ones."""
     if isinstance(log, ClassificationLog):
-        k = log.n_classes
+        k, gold, pred, logits = log.n_classes, log.gold, log.predicted, log.logits
+        n = len(gold)
         if k < 2:
             raise RangeViolation(-1, f"n_classes {k} < 2")
-        n = len(log.gold)
-        if len(log.predicted) != n:
+        if len(pred) != n:
             raise LengthViolation(-1, "gold/predicted length mismatch")
-        bad_gold = (log.gold < 0) | (log.gold >= k)
-        bad = bad_gold | (log.predicted < 0) | (log.predicted >= k)
-        if bad.any():
-            i = int(np.argmax(bad))
-            name, value = (("gold", log.gold[i]) if bad_gold[i]
-                           else ("predicted", log.predicted[i]))
-            raise RangeViolation(i, f"{name} {value} not in [0, {k})")
-        if log.logits is not None:
-            if log.logits.shape != (n, k):
-                raise LengthViolation(-1, f"logits shape {log.logits.shape} != ({n}, {k})")
-            finite = np.isfinite(log.logits).all(axis=1)
-            if not finite.all():
-                raise RangeViolation(int(np.argmin(finite)), "non-finite logit")
-            # np.argmax breaks ties to the lowest index
-            mismatch = np.argmax(log.logits, axis=1) != log.predicted
-            if mismatch.any():
-                raise ArgmaxMismatch(int(np.argmax(mismatch)))
+        if logits is not None and logits.shape != (n, k):
+            raise LengthViolation(-1, f"logits shape {logits.shape} != ({n}, {k})")
+        checks = [
+            ((gold < 0) | (gold >= k),
+             lambda i: RangeViolation(i, f"gold {gold[i]} not in [0, {k})")),
+            ((pred < 0) | (pred >= k),
+             lambda i: RangeViolation(i, f"predicted {pred[i]} not in [0, {k})")),
+        ]
+        if logits is not None:  # np.argmax breaks ties to the lowest index
+            checks += [(~np.isfinite(logits).all(axis=1),
+                        lambda i: RangeViolation(i, "non-finite logit")),
+                       (np.argmax(logits, axis=1) != pred, ArgmaxMismatch)]
     elif isinstance(log, SpanLog):
         n_tok = log.n_tokens
         (gs, ge), (ps, pe) = log.gold.T, log.predicted.T
         padding = np.arange(log.start_logits.shape[1]) >= n_tok[:, None]
         finite = np.isfinite(log.start_logits) & np.isfinite(log.end_logits) | padding
-        # the rules for one example, in order: the first example that breaks
-        # any of them raises its first broken rule
-        checks = (
+        checks = [
             (n_tok < 1, lambda i: RangeViolation(i, f"n_tokens {n_tok[i]} < 1")),
             (~finite.all(axis=1), lambda i: RangeViolation(i, "non-finite logit")),
             (~((0 <= gs) & (gs <= ge) & (ge < n_tok)),
@@ -202,13 +194,13 @@ def validate_log(log) -> None:
              lambda i: RangeViolation(i, "predicted span out of range")),
             ((np.argmax(log.start_logits, axis=1) != ps)
              | (np.argmax(log.end_logits, axis=1) != pe), ArgmaxMismatch),
-        )
-        failed = np.array([bad for bad, _ in checks])
-        if failed.any():
-            i = int(np.argmax(failed.any(axis=0)))
-            raise checks[int(np.argmax(failed[:, i]))][1](i)
+        ]
     else:
         raise TypeError(f"unsupported log type {type(log)!r}")
+    failed = np.array([bad for bad, _ in checks])
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        raise checks[int(np.argmax(failed[:, i]))][1](i)
 
 
 # --- JSON Lines log I/O ---
@@ -384,8 +376,10 @@ def _columns(path, linenos, records, builds, bad):
 
 def load_log(path):
     """Load and validate one JSON Lines log file, one JSON object per line and the
-    header first. An error names the first bad line; an ``ExampleError`` names the
-    file and the line of its example (the header's when it is about the whole log)."""
+    header first. Errors, in order: the header's; the first line that is not one JSON
+    object or has a missing or mistyped field (a logit row not ``n_classes`` wide too);
+    a QA logit list not ``n_tokens`` long; then ``validate_log``'s. An ``ExampleError``
+    names the file and the line of its example (the header's for the whole log)."""
     linenos, records, bad = _records(path)
     if not records:
         raise bad or MalformedRecord(path, 1, "empty file")

@@ -53,11 +53,13 @@ class MetricTaskMismatch(ToolkitError):
 
 
 class ExampleError(ToolkitError):
-    """An invariant broken at one example of a log (``example_index`` -1: the whole log)."""
+    """An invariant broken at one example of a log, or (``example_index`` -1, "in the
+    log") by the whole log; ``load_log`` adds the file and line to the message."""
     summary = ""
 
     def __init__(self, example_index, detail=""):
-        msg = f"{self.summary} at example {example_index}"
+        where = "in the log" if example_index < 0 else f"at example {example_index}"
+        msg = f"{self.summary} {where}"
         super().__init__(f"{msg}: {detail}" if detail else msg)
         self.example_index = example_index
 

@@ -82,8 +82,8 @@ class SynthConfig:
             raise InvalidConfig(f"diversity {self.diversity} outside [0, 1]")
         if not 0.0 <= self.distractor_coherence <= 1.0:
             raise InvalidConfig(f"distractor_coherence {self.distractor_coherence} outside [0, 1]")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be a non-negative integer")
+        if not 0 <= self.seed < 2**128:  # the range of a Philox key
+            raise InvalidConfig(f"seed {self.seed} outside [0, 2**128)")
 
     @property
     def skills(self) -> np.ndarray:

@@ -368,6 +368,13 @@ def test_synth_rejects_non_finite_skill(tmp_path, capsys, key):
     assert not (out / "truth.json").exists()
 
 
+def test_synth_rejects_a_seed_beyond_the_philox_key(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["synth", "--seed", str(2**128), "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: seed {2**128} outside [0, 2**128)\n"
+    assert not (out / "truth.json").exists()
+
+
 @pytest.mark.parametrize("target", ["id/m01.jsonl", "manifest.json"])
 def test_validate_input_not_utf8(tmp_path, capsys, target):
     out = _synth(tmp_path)
@@ -419,6 +426,25 @@ def test_an_error_in_a_log_names_its_file_and_line(tmp_path, capsys, edit, error
                   "--out", str(tmp_path / "report")]):
         assert main(argv) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {error} (line 6 of {target})\n"
+    assert not (tmp_path / "report").exists()
+
+
+def test_the_first_bad_example_wins_over_a_later_one(tmp_path, capsys):
+    """A wrong argmax on line 3 is reported, not the gold out of range on line 6."""
+    out = _synth(tmp_path)
+    target = out / "ood" / "m01.jsonl"
+    lines = target.read_text().splitlines()
+    rec = json.loads(lines[2])
+    lines[2] = json.dumps({**rec, "predicted": (rec["predicted"] + 1) % 4}, sort_keys=True)
+    lines[5] = json.dumps({**json.loads(lines[5]), "gold": 7}, sort_keys=True)
+    target.write_text("\n".join(lines) + "\n")
+    manifest = str(out / "manifest.json")
+    for argv in (["validate", "--manifest", manifest],
+                 ["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                  "--out", str(tmp_path / "report")]):
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == ("error: stored prediction disagrees with logit "
+                                           f"argmax at example 1 (line 3 of {target})\n")
     assert not (tmp_path / "report").exists()
 
 

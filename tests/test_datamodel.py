@@ -232,7 +232,8 @@ def test_validate_catches_range_and_length():
 
 
 def _validate_classification_loop(log):
-    """The per-example loop validate_log ran before it checked whole arrays."""
+    """One pass over the examples, each checked against the rules in validate_log's
+    order: the first example that breaks any rule raises its first broken rule."""
     k = log.n_classes
     for i in range(len(log.gold)):
         g = int(log.gold[i])
@@ -241,8 +242,11 @@ def _validate_classification_loop(log):
             raise RangeViolation(i, f"gold {g} not in [0, {k})")
         if not 0 <= p < k:
             raise RangeViolation(i, f"predicted {p} not in [0, {k})")
-    for i in range(len(log.gold)):
-        if argmax_lowest(log.logits[i]) != int(log.predicted[i]):
+        if log.logits is None:
+            continue
+        if not np.isfinite(log.logits[i]).all():
+            raise RangeViolation(i, "non-finite logit")
+        if argmax_lowest(log.logits[i]) != p:
             raise ArgmaxMismatch(i)
 
 
@@ -252,6 +256,8 @@ def _validate_classification_loop(log):
     [("argmax", 0)], [("argmax", 11)], [("argmax", 39)],
     [("gold", 30), ("predicted", 12)], [("predicted", 8), ("gold", 8)],
     [("argmax", 3), ("gold", 25)], [("argmax", 6), ("tie", 2)],
+    [("nan", 5), ("gold", 20)], [("gold", 5), ("inf", 20)],
+    [("-inf", 14), ("argmax", 14)], [("nan", 9), ("predicted", 9)],
 ])
 def test_validate_classification_matches_loop(rng, corruptions):
     """Same exception, example index and message as the loop, at each position."""
@@ -266,6 +272,8 @@ def test_validate_classification_matches_loop(rng, corruptions):
             log.predicted[i] = k + 3 if i % 2 else -2
         elif field == "argmax":
             log.predicted[i] = (log.predicted[i] + 1) % k
+        elif field in ("nan", "inf", "-inf"):
+            log.logits[i, i % k] = float(field)
         else:  # a tie at the top keeps the lowest index as the argmax
             log.logits[i] = 1.0
             log.predicted[i] = 0
@@ -1264,7 +1272,7 @@ def test_example_errors_name_the_file_and_line_of_the_example(tmp_path):
     with pytest.raises(RangeViolation) as exc:
         load_log(one_class)
     assert exc.value.example_index == -1
-    assert str(exc.value).endswith(f"(line 2 of {one_class})")
+    assert str(exc.value) == f"index out of range in the log: n_classes 1 < 2 (line 2 of {one_class})"
     first = tmp_path / "first.jsonl"
     first.write_text(json.dumps({"task": "classification", "model_id": "m", "split_id": "s",
                                  "n_classes": 2})
@@ -1273,6 +1281,41 @@ def test_example_errors_name_the_file_and_line_of_the_example(tmp_path):
         load_log(first)
     assert str(exc.value) == ("stored prediction disagrees with logit argmax at example 0 "
                               f"(line 2 of {first})")
+
+
+def test_whole_log_errors_are_worded_for_the_log():
+    log = make_classification_log([0, 1, 2], [0, 1, 2], n_classes=4, logits=np.zeros((3, 2)))
+    with pytest.raises(LengthViolation) as exc:
+        validate_log(log)
+    assert exc.value.example_index == -1
+    assert str(exc.value) == "vector length mismatch in the log: logits shape (3, 2) != (3, 4)"
+
+
+def test_load_log_reports_the_first_bad_example_not_the_first_broken_rule(tmp_path):
+    """An argmax fault on line 3 wins over a gold out of range on line 6."""
+    records = [{"gold": 0, "logits": [2.0, 0.0, 0.0], "predicted": 0} for _ in range(5)]
+    records[1]["predicted"] = 1
+    records[4]["gold"] = 7
+    path = tmp_path / "two_faults.jsonl"
+    path.write_text("\n".join(json.dumps(rec) for rec in [
+        {"task": "classification", "model_id": "m", "split_id": "s", "n_classes": 3},
+        *records]) + "\n")
+    with pytest.raises(ArgmaxMismatch) as exc:
+        load_log(path)
+    assert exc.value.example_index == 1
+    assert str(exc.value) == ("stored prediction disagrees with logit argmax at example 1 "
+                              f"(line 3 of {path})")
+
+
+@pytest.mark.parametrize("cls, kwargs, task", [
+    (ClassificationLog, {"n_classes": 2, "gold": np.zeros(1, np.int64),
+                         "predicted": np.zeros(1, np.int64)}, TASK_CLASSIFICATION),
+    (SpanLog, {"examples": []}, TASK_EXTRACTIVE_QA),
+])
+def test_a_log_task_is_its_class_not_a_field(cls, kwargs, task):
+    assert cls(model_id="m", split_id="s", **kwargs).task == task
+    with pytest.raises(TypeError):
+        cls(model_id="m", split_id="s", task=task, **kwargs)
 
 
 def test_unreadable_file_is_a_typed_error(tmp_path, monkeypatch):

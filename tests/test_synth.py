@@ -349,6 +349,7 @@ def test_config_parsing(tmp_path):
     {"diversity": 1.5},
     {"distractor_coherence": -0.1},
     {"seed": -1},
+    {"seed": 2**128},
     {"line_slope": math.inf},
     {"skill_max": math.inf},
     {"skill_min": -math.inf},
@@ -357,6 +358,10 @@ def test_config_validation(overrides):
     config = SynthConfig(**overrides)
     with pytest.raises(InvalidConfig):
         config.validate()
+
+
+def test_config_accepts_the_largest_philox_key():
+    SynthConfig(seed=2**128 - 1).validate()
 
 
 def test_write_ensemble_round_trip(tmp_path):
