@@ -52,7 +52,9 @@ class ClassificationLog:
     """One model's predictions on one classification split.
 
     ``logits`` is either None or an (n_examples, n_classes) float array;
-    ``gold`` and ``predicted`` are int arrays of length n_examples.
+    ``gold`` and ``predicted`` are int arrays of length n_examples. ``load_log``
+    holds them in ``np.min_scalar_type(-n_classes)``, the narrowest signed dtype
+    that holds n_classes - 1; a log built in memory keeps the dtype it was given.
     """
     model_id: str
     split_id: str
@@ -379,7 +381,9 @@ def load_log(path):
     header first. Errors, in order: the header's; the first line that is not one JSON
     object or has a missing or mistyped field (a logit row not ``n_classes`` wide too);
     a QA logit list not ``n_tokens`` long; then ``validate_log``'s. An ``ExampleError``
-    names the file and the line of its example (the header's for the whole log)."""
+    names the file and the line of its example (the header's for the whole log).
+    Validated classification labels are then cast to ``np.min_scalar_type(-n_classes)``
+    (int8 up to 128 classes); QA spans stay int64."""
     linenos, records, bad = _records(path)
     if not records:
         raise bad or MalformedRecord(path, 1, "empty file")
@@ -410,6 +414,9 @@ def load_log(path):
         i = exc.example_index
         exc.at(path, linenos[i] if i >= 0 else head_no)
         raise
+    if task == TASK_CLASSIFICATION:  # validated labels lie in [0, k), so none wraps
+        dtype = np.min_scalar_type(-k)  # signed, so that label - 1 does not wrap either
+        log.gold, log.predicted = log.gold.astype(dtype), log.predicted.astype(dtype)
     return log
 
 

@@ -37,7 +37,7 @@ from .datamodel import (
     save_log,
     save_manifest,
 )
-from .errors import InvalidConfig
+from .errors import InvalidConfig, MissingFile, UnreadableFile
 from .probit import normal_cdf, probit
 
 _CONF_FLOOR_MARGIN = 1e-6
@@ -112,12 +112,18 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":
+        """The config of a ``key = value`` file; MissingFile unless ``path`` is a file,
+        UnreadableFile if the OS refuses it, InvalidConfig if it is not UTF-8."""
+        if not os.path.isfile(path):
+            raise MissingFile(path)
         mapping = {}
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise InvalidConfig(f"{path}: not UTF-8: {exc.reason}") from exc
+        except OSError as exc:
+            raise UnreadableFile(path, exc.strerror or str(exc)) from exc
         for lineno, line in enumerate(lines, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

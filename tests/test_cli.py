@@ -357,6 +357,16 @@ def test_synth_undecodable_or_unparsable_config(tmp_path, capsys, config):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_synth_config_that_is_not_a_file(tmp_path, capsys, name):
+    cfg = tmp_path / name
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(cfg), "--seed", "1",
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: missing file: {cfg}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["skill_min", "skill_max"])
 def test_synth_rejects_non_finite_skill(tmp_path, capsys, key):
     cfg = tmp_path / "nan.cfg"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from aglkit.errors import (
     ToolkitError,
     UnreadableFile,
 )
+from aglkit.report import ReportOptions, build_report
 from aglkit.synth import SynthConfig, write_ensemble
 
 from conftest import make_classification_log, make_span_log
@@ -926,7 +928,19 @@ def _oracle_load_log(path):
     else:
         raise MalformedRecord(path, head_no, f"unknown task {task!r}")
     validate_log(log)
-    return log
+    return _oracle_narrow(log)
+
+
+def _oracle_narrow(log):
+    """A copy of a classification log with its labels in the first signed dtype whose
+    range holds ``n_classes - 1``: the dtype ``load_log`` holds them in. QA logs keep
+    their int64 spans and are returned as they are."""
+    if not isinstance(log, ClassificationLog):
+        return log
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if log.n_classes - 1 <= np.iinfo(t).max)
+    return dataclasses.replace(log, gold=log.gold.astype(dtype),
+                               predicted=log.predicted.astype(dtype))
 
 
 _LOG_ARRAYS = ("gold", "predicted", "logits", "n_tokens", "start_logits", "end_logits")
@@ -999,7 +1013,7 @@ def test_load_log_matches_per_line_loader(tmp_path, kind, how, seed):
     path.write_bytes(_variant(lines, how, np.random.default_rng(seed)).encode())
     expected = _oracle_load_log(path)
     _assert_same_log(load_log(path), expected)
-    _assert_same_log(expected, saved)
+    _assert_same_log(expected, _oracle_narrow(saved))
 
 
 def test_load_log_integer_logits_match_per_line_loader(tmp_path):
@@ -1065,7 +1079,7 @@ def test_short_line_log_is_decoded_in_one_call(tmp_path, monkeypatch):
     """A saved log of 28-byte lines never reaches the per-line scanner."""
     saved, _ = _log_lines(tmp_path, "no logits", 0)
     monkeypatch.setattr(datamodel, "_scan", _must_not_run)
-    _assert_same_log(load_log(tmp_path / "saved.jsonl"), saved)
+    _assert_same_log(load_log(tmp_path / "saved.jsonl"), _oracle_narrow(saved))
 
 
 def test_long_line_log_is_read_line_by_line(tmp_path, monkeypatch, rng):
@@ -1208,6 +1222,8 @@ def test_logs_of_a_split_share_one_read_only_gold(tmp_path):
     assert pair.id_logs[0].gold is not pair.ood_logs[0].gold
     _, logs = load_entries(manifest)
     _assert_one_read_only_gold([log for log in logs if log.split_id == "synth_id"])
+    # the shared gold is held in the narrow dtype of its 4 classes, as each prediction is
+    assert {(log.gold.dtype.name, log.predicted.dtype.name) for log in logs} == {("int8", "int8")}
 
 
 def test_two_manifests_share_one_gold_per_split(tmp_path):
@@ -1250,6 +1266,60 @@ def test_qa_logs_of_a_split_share_one_gold(tmp_path, rng):
     for logs in (pair.id_logs, pair.ood_logs):
         _assert_one_read_only_gold(logs)
     assert pair.ood_logs[0].gold.tolist() == [[2, 4], [1, 1]]
+
+
+# --- loaded labels in the narrowest signed dtype for n_classes ---
+
+@pytest.mark.parametrize("n_classes, dtype", [
+    (2, np.int8), (128, np.int8), (129, np.int16), (32768, np.int16), (32769, np.int32),
+    (2**31 + 1, np.int64)])
+def test_loaded_labels_take_the_narrowest_signed_dtype(tmp_path, n_classes, dtype):
+    """The extreme labels 0 and n_classes - 1 keep their values in the narrow dtype,
+    and the loaded log still passes validate_log."""
+    top = n_classes - 1
+    golds, preds = [0, top, 1, top], [top, 0, top, 1]
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join(json.dumps(rec) for rec in [
+        {"task": "classification", "model_id": "m", "split_id": "s", "n_classes": n_classes},
+        *({"gold": g, "predicted": p} for g, p in zip(golds, preds))]) + "\n")
+    log = load_log(path)
+    assert log.gold.dtype == log.predicted.dtype == dtype
+    assert log.gold.tolist() == golds and log.predicted.tolist() == preds
+    validate_log(log)
+    _assert_same_log(log, _oracle_load_log(path))
+
+
+@pytest.mark.parametrize("key", ["gold", "predicted"])
+@pytest.mark.parametrize("value", [257, -255, 2**15 + 1])
+def test_an_out_of_range_label_raises_before_it_could_wrap(tmp_path, key, value):
+    """257, -255 and 2**15 + 1 each read 1 as int8, the dtype of 4 classes: each still
+    raises the range error with its own value and line."""
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join(json.dumps(rec) for rec in [
+        {"task": "classification", "model_id": "m", "split_id": "s", "n_classes": 4},
+        {"gold": 0, "predicted": 0, key: value}, {"gold": 1, "predicted": 1}]) + "\n")
+    with pytest.raises(RangeViolation) as exc:
+        load_log(path)
+    assert exc.value.example_index == 0
+    assert str(exc.value) == (f"index out of range at example 0: {key} {value} not in [0, 4) "
+                              f"(line 2 of {path})")
+
+
+@pytest.mark.parametrize("n_classes", [4, 300])
+def test_reports_of_narrow_labels_equal_those_of_int64_labels(tmp_path, n_classes):
+    """Blind and scored reports on a loaded ensemble are byte-identical to the reports
+    on the same logs with their labels cast back to int64."""
+    config = SynthConfig(n_models=4, n_examples_id=80, n_examples_ood=60,
+                         n_classes=n_classes, seed=3)
+    manifest = write_ensemble(config, tmp_path / "ens")["manifest"]
+    narrow, wide = (load_split_pair(manifest, manifest) for _ in range(2))
+    for log in wide.id_logs + wide.ood_logs:
+        log.gold, log.predicted = log.gold.astype(np.int64), log.predicted.astype(np.int64)
+    assert narrow.id_logs[0].predicted.dtype == np.min_scalar_type(-n_classes)
+    for mode in (False, True):
+        options = ReportOptions(evaluation_mode=mode)
+        assert build_report(narrow, options=options).to_json() == \
+            build_report(wide, options=options).to_json()
 
 
 # --- errors name the file ---

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from aglkit.datamodel import load_split_pair
-from aglkit.errors import InvalidConfig
+from aglkit.errors import InvalidConfig, MissingFile, UnreadableFile
 from aglkit.metrics import agreement
 from aglkit.probit import normal_cdf, probit
 from aglkit.synth import (
@@ -339,6 +339,26 @@ def test_config_parsing(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(InvalidConfig):
         SynthConfig.from_file(bad)
+
+
+def test_config_file_os_errors_are_typed(tmp_path, monkeypatch):
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        with pytest.raises(MissingFile) as exc:
+            SynthConfig.from_file(path)
+        assert str(exc.value) == f"missing file: {path}"
+    path = tmp_path / "synth.cfg"
+    path.write_text("seed = 3\n")
+    real_open = open
+
+    def refusing_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refusing_open)
+    with pytest.raises(UnreadableFile) as exc:
+        SynthConfig.from_file(path)
+    assert str(exc.value) == f"cannot read {path}: Permission denied"
 
 
 @pytest.mark.parametrize("overrides", [
