@@ -19,7 +19,6 @@ from .report import (
     export_scatter,
     scatter_to_csv,
 )
-from .synth import SynthConfig, write_ensemble
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -79,12 +78,16 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthConfig, write_ensemble  # here, so only synth imports scipy
+
     try:
         config = SynthConfig.from_file(args.config) if args.config else SynthConfig()
         config.seed = args.seed
         paths = write_ensemble(config, args.out)
-    except (ToolkitError, OSError) as exc:
+    except ToolkitError as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
+    except OSError as exc:
+        return _fail(f"cannot write to --out {args.out}: {exc.strerror or exc}", EXIT_INPUT_ERROR)
     print(f"wrote {paths['manifest']}")
     print(f"wrote {paths['truth']}")
     return EXIT_OK

@@ -1,24 +1,39 @@
 """Probit transform and probit-space least-squares line fitting.
 
-``probit`` is the inverse standard normal CDF (``scipy.special.ndtri``)
-and ``normal_cdf`` its forward CDF (``scipy.special.ndtr``); both, like
-``clamp_rate``, work elementwise on scalars and arrays. ``fit_line`` fits
-an OLS line to arrays of probit x and y values.
+``probit`` is the inverse standard normal CDF
+(``statistics.NormalDist().inv_cdf``) and ``normal_cdf`` its forward CDF
+(``0.5 * math.erfc(-z / sqrt(2))``); both, like ``clamp_rate``, work
+elementwise on scalars and arrays and return float64. They are stdlib
+functions so that ``aglkit estimate`` and ``aglkit validate`` never
+import scipy; the closed forms in ``aglkit.synth`` use ``scipy.special``.
+``fit_line`` fits an OLS line to arrays of probit x and y values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateFit, DomainError
 
 CLAMP_EPS = 1e-4
 
-normal_cdf = ndtr  # standard normal CDF Phi(z), elementwise
+_SQRT_HALF = math.sqrt(0.5)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+
+
+def _float64(values):
+    """A frompyfunc result as float64: an array, or a numpy scalar for 0-d input."""
+    return np.asarray(values, dtype=np.float64)[()]
+
+
+def normal_cdf(z):
+    """Standard normal CDF Phi(z), elementwise; 0 and 1 at -inf and inf, NaN at NaN."""
+    return 0.5 * _float64(_erfc(np.asarray(z, dtype=np.float64) * -_SQRT_HALF))
 
 
 def probit(p):
@@ -27,7 +42,7 @@ def probit(p):
     inside = (p > 0.0) & (p < 1.0)  # false for NaN
     if not inside.all():
         raise DomainError(f"probit input {p[~inside].flat[0]} outside (0, 1)")
-    return ndtri(p)
+    return _float64(_inv_cdf(p))
 
 
 def clamp_rate(p, eps: float = CLAMP_EPS):

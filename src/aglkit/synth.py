@@ -15,6 +15,10 @@ survive moderate rho, while large rho still decorrelates errors enough
 for the agreement line to track the accuracy line.
 The closed-form agreements use P(both correct), the bivariate normal CDF
 at correlation r, in Owen's (1956) closed form via Owen's T function.
+Phi and its inverse are ``scipy.special.ndtr`` and ``ndtri`` here, not
+``aglkit.probit``'s stdlib forms, which differ from them by ULPs: the
+logs and ``truth.json`` are pinned bit for bit to scipy's values. This
+is the only aglkit module that imports scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, owens_t
+from scipy.special import ndtr, ndtri, owens_t
 
 from .datamodel import (
     FORMAT_VERSION,
@@ -38,7 +42,6 @@ from .datamodel import (
     save_manifest,
 )
 from .errors import InvalidConfig, MissingFile, UnreadableFile
-from .probit import normal_cdf, probit
 
 _CONF_FLOOR_MARGIN = 1e-6
 _CONF_CEIL = 1.0 - 1e-12
@@ -185,8 +188,8 @@ def _generate_split(config: SynthConfig, rng: np.random.Generator,
 
 def truth_for(config: SynthConfig) -> SynthTruth:
     skills = config.skills
-    return SynthTruth(true_id_acc=normal_cdf(skills),
-                      true_ood_acc=normal_cdf(config.line_slope * skills + config.line_bias))
+    return SynthTruth(true_id_acc=ndtr(skills),
+                      true_ood_acc=ndtr(config.line_slope * skills + config.line_bias))
 
 
 def generate(config: SynthConfig):
@@ -227,10 +230,10 @@ def both_correct_probability(theta_i, theta_j, correlation):
         t_h = _owen_term(h, k, one_minus, spread)
         t_k = _owen_term(k, h, one_minus, spread)
     beta = 0.5 * ((h * k < 0) | ((h * k == 0) & (h + k < 0)))
-    p = 0.5 * (normal_cdf(h) + normal_cdf(k)) - t_h - t_k - beta
+    p = 0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - beta
     p = np.where((h == 0) & (k == 0), 0.25 + np.arcsin(rho_c) / (2.0 * math.pi), p)
-    p = np.where(rho >= 1.0, normal_cdf(np.minimum(h, k)), p)
-    p = np.where(rho <= 0.0, normal_cdf(h) * normal_cdf(k), p)
+    p = np.where(rho >= 1.0, ndtr(np.minimum(h, k)), p)
+    p = np.where(rho <= 0.0, ndtr(h) * ndtr(k), p)
     return p[()]  # a 0-d result as a numpy scalar
 
 
@@ -246,8 +249,8 @@ def closed_form_agreement(config: SynthConfig, i, j, split: str):
     theta_j = config.threshold(j, split)
     r = latent_correlation(config.diversity)
     p11 = both_correct_probability(theta_i, theta_j, r)
-    p_i = normal_cdf(theta_i)
-    p_j = normal_cdf(theta_j)
+    p_i = ndtr(theta_i)
+    p_j = ndtr(theta_j)
     p00 = 1.0 - p_i - p_j + p11
     m = wrong_match_probability(config.n_classes, config.distractor_coherence,
                                 config.diversity)
@@ -271,33 +274,9 @@ def exact_agl_inputs(config: SynthConfig):
     agr_id = np.ones((n, n))
     agr_ood = np.ones((n, n))
     agr_id[iu] = agr_id[iu[::-1]] = g
-    agr_ood[iu] = agr_ood[iu[::-1]] = normal_cdf(a * probit(g) + b)
-    true_ood = normal_cdf(a * probit(truth.true_id_acc) + b)
+    agr_ood[iu] = agr_ood[iu[::-1]] = ndtr(a * ndtri(g) + b)
+    true_ood = ndtr(a * ndtri(truth.true_id_acc) + b)
     return truth.true_id_acc, agr_id, agr_ood, true_ood
-
-
-def calibrated_classification_log(n_examples: int, n_classes: int,
-                                  logit_spread: float, seed: int,
-                                  model_id: str = "calibrated",
-                                  split_id: str = "synth_id") -> ClassificationLog:
-    """A perfectly calibrated log: gold is drawn from the model's own softmax.
-
-    The expected cross-entropy of these logits is minimized at
-    temperature 0, which makes them the ground truth for
-    temperature-recovery tests.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    logits = logit_spread * rng.standard_normal((n_examples, n_classes))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(probs, axis=1)
-    draws = rng.random(n_examples)
-    gold = (draws[:, None] > cdf).sum(axis=1)
-    predicted = logits.argmax(axis=1)
-    return ClassificationLog(model_id=model_id, split_id=split_id,
-                             n_classes=n_classes, gold=gold.astype(np.int64),
-                             predicted=predicted.astype(np.int64), logits=logits)
 
 
 def write_ensemble(config: SynthConfig, out_dir) -> dict:

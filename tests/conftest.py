@@ -73,6 +73,30 @@ def calibrated_span_log(n_examples, n_tokens, spread, seed,
     return SpanLog(model_id=model_id, split_id=split_id, examples=examples)
 
 
+def calibrated_classification_log(n_examples: int, n_classes: int,
+                                  logit_spread: float, seed: int,
+                                  model_id: str = "calibrated",
+                                  split_id: str = "synth_id") -> ClassificationLog:
+    """A perfectly calibrated log: gold is drawn from the model's own softmax.
+
+    The expected cross-entropy of these logits is minimized at
+    temperature 0, which makes them the ground truth for
+    temperature-recovery tests.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    logits = logit_spread * rng.standard_normal((n_examples, n_classes))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
+    draws = rng.random(n_examples)
+    gold = (draws[:, None] > cdf).sum(axis=1)
+    predicted = logits.argmax(axis=1)
+    return ClassificationLog(model_id=model_id, split_id=split_id,
+                             n_classes=n_classes, gold=gold.astype(np.int64),
+                             predicted=predicted.astype(np.int64), logits=logits)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

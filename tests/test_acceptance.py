@@ -41,13 +41,17 @@ from aglkit.probit import LineFit, fit_line, normal_cdf, probit
 from aglkit.report import build_report_from_matrices, mape
 from aglkit.synth import (
     SynthConfig,
-    calibrated_classification_log,
     closed_form_agreement,
     exact_agl_inputs,
     generate,
 )
 
-from conftest import calibrated_span_log, make_classification_log, make_span_log
+from conftest import (
+    calibrated_classification_log,
+    calibrated_span_log,
+    make_classification_log,
+    make_span_log,
+)
 
 
 def _budget(start, limit, label):

@@ -20,9 +20,13 @@ from aglkit.baselines import (
 from aglkit.datamodel import ClassificationLog, SpanExample, SpanLog
 from aglkit.errors import EmptyLog, MissingLogits
 from aglkit.metrics import accuracy
-from aglkit.synth import calibrated_classification_log
 
-from conftest import calibrated_span_log, make_classification_log, make_span_log
+from conftest import (
+    calibrated_classification_log,
+    calibrated_span_log,
+    make_classification_log,
+    make_span_log,
+)
 
 
 def _distort(log, t_star):

@@ -53,6 +53,16 @@ def test_synth_bad_config(tmp_path):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_synth_out_existing_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code = main(["synth", "--seed", "1", "--out", str(target)])
+    assert code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"cannot write to --out {target}: " in err
+    assert "Errno" not in err
+
+
 def test_validate_ok_and_corrupted(tmp_path, capsys):
     out = _synth(tmp_path)
     manifest = out / "manifest.json"
@@ -71,21 +81,29 @@ def test_validate_ok_and_corrupted(tmp_path, capsys):
 def test_no_command_or_module_import_loads_scipy_integrate(tmp_path):
     """No aglkit module needs scipy.integrate: importing every module, and
     validating, estimating and synthesizing in a fresh process, leave it
-    unloaded."""
+    unloaded. Importing the CLI, validating and estimating (with --eval and
+    --scatter) load no scipy module at all; only synth and the closed forms
+    in aglkit.synth do, so the module loop runs after those checks."""
     manifest = _synth(tmp_path) / "manifest.json"
     script = (
         "import importlib, pkgutil, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import aglkit\n"
         "from aglkit.cli import main\n"
         "assert 'scipy.integrate' not in sys.modules, 'import'\n"
+        "assert not scipy_modules(), ('import', scipy_modules())\n"
+        f"assert main(['validate', '--manifest', {str(manifest)!r}]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'validate'\n"
+        "assert not scipy_modules(), ('validate', scipy_modules())\n"
+        f"assert main(['estimate', '--id-manifest', {str(manifest)!r}, '--ood-manifest',"
+        f" {str(manifest)!r}, '--out', {str(tmp_path / 'report')!r},"
+        " '--eval', '--scatter']) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'estimate'\n"
+        "assert not scipy_modules(), ('estimate', scipy_modules())\n"
         "for mod in pkgutil.iter_modules(aglkit.__path__):\n"
         "    importlib.import_module('aglkit.' + mod.name)\n"
         "    assert 'scipy.integrate' not in sys.modules, mod.name\n"
-        f"assert main(['validate', '--manifest', {str(manifest)!r}]) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'validate'\n"
-        f"assert main(['estimate', '--id-manifest', {str(manifest)!r}, '--ood-manifest',"
-        f" {str(manifest)!r}, '--out', {str(tmp_path / 'report')!r}]) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'estimate'\n"
         f"assert main(['synth', '--config', {str(tmp_path / 'synth.cfg')!r}, '--seed', '1',"
         f" '--out', {str(tmp_path / 'synth')!r}]) == 0\n"
         "assert 'scipy.integrate' not in sys.modules, 'synth'\n")

@@ -70,6 +70,33 @@ def test_probit_against_bisection_oracle():
         assert probit(p) == pytest.approx(_oracle_probit(p), abs=1e-9)
 
 
+def test_stdlib_forms_match_scipy_special():
+    """Differential test: probit and normal_cdf (stdlib inv_cdf and erfc)
+    against scipy.special.ndtri and ndtr, at stated relative tolerances."""
+    from scipy.special import ndtr, ndtri
+
+    p = np.concatenate([np.logspace(-300, -1, 20_000), np.linspace(0.1, 0.9, 20_001),
+                        1.0 - np.logspace(-16, -1, 20_000)])
+    want = ndtri(p)
+    assert np.all(np.abs(probit(p) - want) <= 2e-15 * np.abs(want))
+    for limit, tol in ((4.0, 4e-15), (10.0, 1e-14)):
+        z = np.linspace(-limit, limit, 40_001)
+        want = ndtr(z)
+        assert np.all(np.abs(normal_cdf(z) - want) <= tol * want), limit
+
+
+def test_stdlib_forms_scalars_and_edges():
+    for value in (probit(0.3), normal_cdf(0.3), probit(np.float64(0.3)), normal_cdf(1)):
+        assert np.ndim(value) == 0 and isinstance(float(value), float)
+        assert np.asarray(value).dtype == np.float64
+    assert probit([0.2, 0.8]).dtype == np.float64
+    assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+    edges = normal_cdf(np.array([-np.inf, np.inf, np.nan]))
+    assert edges[0] == 0.0 and edges[1] == 1.0 and np.isnan(edges[2])
+    assert normal_cdf(-np.inf) == 0.0 and normal_cdf(np.inf) == 1.0
+    assert np.isnan(normal_cdf(np.nan))
+
+
 def test_normal_cdf_center_and_symmetry():
     assert normal_cdf(0.0) == 0.5
     for z in [-3.7, -1.2, -0.5, 0.3, 1.0, 2.5, 4.0]:
@@ -87,6 +114,8 @@ def test_probit_nan_rejected():
         probit(float("nan"))
     with pytest.raises(DomainError):
         probit(0.0)
+    with pytest.raises(DomainError):
+        probit(1.0)
     with pytest.raises(DomainError):
         probit(1.5)
 

@@ -15,7 +15,6 @@ from aglkit.probit import normal_cdf, probit
 from aglkit.synth import (
     SynthConfig,
     both_correct_probability,
-    calibrated_classification_log,
     closed_form_agreement,
     exact_agl_inputs,
     generate,
@@ -24,6 +23,8 @@ from aglkit.synth import (
     wrong_match_probability,
     write_ensemble,
 )
+
+from conftest import calibrated_classification_log
 
 
 def test_generate_bitwise_deterministic():
