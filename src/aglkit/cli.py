@@ -12,13 +12,7 @@ import sys
 
 from .datamodel import load_entries, load_split_pair
 from .errors import ToolkitError
-from .report import (
-    ALL_METHODS,
-    ReportOptions,
-    build_report,
-    export_scatter,
-    scatter_to_csv,
-)
+from .report import ReportOptions, build_report, export_scatter, scatter_to_csv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -78,7 +72,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .synth import SynthConfig, write_ensemble  # here, so only synth imports scipy
+    from .synth import SynthConfig, write_ensemble  # here: estimate and validate never load it
 
     try:
         config = SynthConfig.from_file(args.config) if args.config else SynthConfig()

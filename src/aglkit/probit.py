@@ -4,8 +4,9 @@
 (``statistics.NormalDist().inv_cdf``) and ``normal_cdf`` its forward CDF
 (``0.5 * math.erfc(-z / sqrt(2))``); both, like ``clamp_rate``, work
 elementwise on scalars and arrays and return float64. They are stdlib
-functions so that ``aglkit estimate`` and ``aglkit validate`` never
-import scipy; the closed forms in ``aglkit.synth`` use ``scipy.special``.
+functions so that ``aglkit estimate``, ``validate`` and ``synth`` never
+import scipy; only the closed forms in ``aglkit.closed_form`` use
+``scipy.special``.
 ``fit_line`` fits an OLS line to arrays of probit x and y values.
 """
 

@@ -39,12 +39,8 @@ from aglkit.metrics import (
 )
 from aglkit.probit import LineFit, fit_line, normal_cdf, probit
 from aglkit.report import build_report_from_matrices, mape
-from aglkit.synth import (
-    SynthConfig,
-    closed_form_agreement,
-    exact_agl_inputs,
-    generate,
-)
+from aglkit.closed_form import closed_form_agreement, exact_agl_inputs
+from aglkit.synth import SynthConfig, generate
 
 from conftest import (
     calibrated_classification_log,

@@ -10,7 +10,8 @@ from aglkit.aline import (
 )
 from aglkit.errors import InsufficientModels
 from aglkit.probit import LineFit, fit_line, normal_cdf, probit
-from aglkit.synth import SynthConfig, exact_agl_inputs
+from aglkit.closed_form import exact_agl_inputs
+from aglkit.synth import SynthConfig
 
 
 def _random_input(rng, n=5, slope=0.8, bias=-0.2, noise=0.0):

@@ -79,11 +79,11 @@ def test_validate_ok_and_corrupted(tmp_path, capsys):
 
 
 def test_no_command_or_module_import_loads_scipy_integrate(tmp_path):
-    """No aglkit module needs scipy.integrate: importing every module, and
-    validating, estimating and synthesizing in a fresh process, leave it
-    unloaded. Importing the CLI, validating and estimating (with --eval and
-    --scatter) load no scipy module at all; only synth and the closed forms
-    in aglkit.synth do, so the module loop runs after those checks."""
+    """No aglkit module needs scipy.integrate, and only aglkit.closed_form
+    loads scipy at all: in a fresh process, importing the CLI, validating,
+    estimating (with --eval and --scatter), importing aglkit.synth,
+    synthesizing and importing every other module load no scipy module;
+    closed_form, imported last, loads scipy.special but not scipy.integrate."""
     manifest = _synth(tmp_path) / "manifest.json"
     script = (
         "import importlib, pkgutil, sys\n"
@@ -101,12 +101,19 @@ def test_no_command_or_module_import_loads_scipy_integrate(tmp_path):
         " '--eval', '--scatter']) == 0\n"
         "assert 'scipy.integrate' not in sys.modules, 'estimate'\n"
         "assert not scipy_modules(), ('estimate', scipy_modules())\n"
-        "for mod in pkgutil.iter_modules(aglkit.__path__):\n"
-        "    importlib.import_module('aglkit.' + mod.name)\n"
-        "    assert 'scipy.integrate' not in sys.modules, mod.name\n"
+        "import aglkit.synth\n"
+        "assert not scipy_modules(), ('import aglkit.synth', scipy_modules())\n"
         f"assert main(['synth', '--config', {str(tmp_path / 'synth.cfg')!r}, '--seed', '1',"
         f" '--out', {str(tmp_path / 'synth')!r}]) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'synth'\n")
+        "assert not scipy_modules(), ('synth', scipy_modules())\n"
+        "names = [mod.name for mod in pkgutil.iter_modules(aglkit.__path__)]\n"
+        "names.remove('closed_form')\n"
+        "for name in names:\n"
+        "    importlib.import_module('aglkit.' + name)\n"
+        "    assert not scipy_modules(), (name, scipy_modules())\n"
+        "importlib.import_module('aglkit.closed_form')\n"
+        "assert 'scipy.special' in sys.modules, 'closed_form'\n"
+        "assert 'scipy.integrate' not in sys.modules, 'closed_form'\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(aglkit.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

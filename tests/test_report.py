@@ -22,7 +22,8 @@ from aglkit.report import (
     mape,
     scatter_to_csv,
 )
-from aglkit.synth import SynthConfig, exact_agl_inputs, generate
+from aglkit.closed_form import exact_agl_inputs
+from aglkit.synth import SynthConfig, generate
 
 from conftest import calibrated_span_log
 
