@@ -7,12 +7,15 @@ least-squares system whose row for pair (i, j) constrains the average of
 the two models' probit OOD performances by their OOD agreement plus a
 slope-corrected ID term. With every pair present the normal matrix is
 A^T A = ((n-2) I + 1 1^T) / 4, so the system is solved in closed form by
-Sherman-Morrison, without building A.
+Sherman-Morrison, without building A. An input's ``probits`` are computed
+on first use, once for both estimators: build a new ``AlineInput`` rather
+than edit one that an estimator has read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +35,8 @@ class AlineInput:
     clamp_eps: float = CLAMP_EPS
 
     def __post_init__(self):
-        self.id_perf = np.asarray(self.id_perf, dtype=np.float64)
+        self.id_perf, self.agr_id, self.agr_ood = (
+            np.asarray(a, dtype=np.float64) for a in (self.id_perf, self.agr_id, self.agr_ood))
         n = len(self.id_perf)
         if n < 2:
             raise InsufficientModels(f"need at least 2 models, got {n}")
@@ -44,31 +48,30 @@ class AlineInput:
     def n(self):
         return len(self.id_perf)
 
+    @cached_property
+    def probits(self):
+        """(id_probit, i, j, x, y): clamped probits of id_perf and, for each pair
+        i < j in row-major order, of its ID (x) and OOD (y) agreement."""
+        i, j = np.triu_indices(self.n, k=1)
+        x, y, id_probit = (probit(clamp_rate(r, self.clamp_eps))
+                           for r in (self.agr_id[i, j], self.agr_ood[i, j], self.id_perf))
+        return id_probit, i, j, x, y
+
 
 def gate(fit: LineFit, threshold: float) -> bool:
     """True iff the agreement line's R^2 strictly exceeds the threshold."""
     return fit.r_squared > threshold
 
 
-def _pair_probits(inp: AlineInput):
-    """Pair indices (i < j, row-major) and their probit ID and OOD agreements."""
-    i, j = np.triu_indices(inp.n, k=1)
-    x = probit(clamp_rate(inp.agr_id[i, j], inp.clamp_eps))
-    y = probit(clamp_rate(inp.agr_ood[i, j], inp.clamp_eps))
-    return i, j, x, y
-
-
 def agreement_line(inp: AlineInput) -> LineFit:
     """OLS fit over the upper-triangle probit agreement pairs."""
-    _, _, x, y = _pair_probits(inp)
-    return fit_line(x, y)
+    return fit_line(*inp.probits[3:])
 
 
 def aline_s(inp: AlineInput) -> tuple[np.ndarray, LineFit]:
     """The (n,) estimates and the agreement line they come from."""
     fit = agreement_line(inp)
-    id_probit = probit(clamp_rate(inp.id_perf, inp.clamp_eps))
-    return normal_cdf(fit.slope * id_probit + fit.bias), fit
+    return normal_cdf(fit.slope * inp.probits[0] + fit.bias), fit
 
 
 def aline_d(inp: AlineInput) -> tuple[np.ndarray, LineFit]:
@@ -77,8 +80,7 @@ def aline_d(inp: AlineInput) -> tuple[np.ndarray, LineFit]:
     if n < 3:
         raise InsufficientModels(f"ALine-D needs at least 3 models, got {n}")
     fit = agreement_line(inp)
-    id_probit = probit(clamp_rate(inp.id_perf, inp.clamp_eps))
-    i, j, x, y = _pair_probits(inp)
+    id_probit, i, j, x, y = inp.probits
     rhs = y + fit.slope * ((id_probit[i] + id_probit[j]) / 2.0 - x)
     # (A^T rhs)_m is half the sum of rhs over the pairs that contain model m.
     atb = 0.5 * (np.bincount(i, rhs, minlength=n) + np.bincount(j, rhs, minlength=n))

@@ -75,32 +75,20 @@ def _check_compatible(a, b, metric):
 
 def agreement(a, b, metric: str) -> float:
     """Mean per-example metric between two models' predictions."""
-    _check_compatible(a, b, metric)
-    return float(np.mean(_scores(metric, a.predicted, b.predicted)))
-
-
-# the integer dtypes a stack of predictions may take, narrowest first
-_NARROW = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32)
+    return float(agreement_matrix([a, b], metric)[0, 1])
 
 
 def agreement_matrix(logs, metric: str) -> np.ndarray:
     """The symmetric (n, n) pairwise agreements of an aligned ensemble of
-    n >= 2 logs, in log order, with ones on the diagonal."""
+    n >= 2 logs, in log order, with ones on the diagonal. Predictions stack
+    in their own dtype: ``load_log`` already holds class labels narrow."""
     logs = list(logs)
     n = len(logs)
     if n < 2:
         raise InsufficientModels(f"need at least 2 models, got {n}")
     for log in logs[1:]:
         _check_compatible(logs[0], log, metric)
-    preds = [log.predicted for log in logs]
-    # equality needs only a dtype that holds every prediction exactly, which is
-    # known for integers only; f1 does arithmetic on span positions
-    dtype = None
-    if metric != METRIC_F1 and all(p.dtype.kind in "iub" for p in preds):
-        lo, hi = min(int(p.min()) for p in preds), max(int(p.max()) for p in preds)
-        dtype = next((t for t in _NARROW if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max),
-                     None)
-    preds = np.stack(preds) if dtype is None else np.stack(preds, dtype=dtype, casting="unsafe")
+    preds = np.stack([log.predicted for log in logs])
     values = np.ones((n, n), dtype=np.float64)
     for i in range(n - 1):  # one row of pairs at a time keeps memory at n x examples
         values[i, i + 1:] = values[i + 1:, i] = np.mean(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import aglkit.aline
 from aglkit.aline import (
     AlineInput,
     agreement_line,
@@ -172,6 +173,39 @@ def test_input_alignment_checks(rng):
     with pytest.raises(InsufficientModels):
         AlineInput(id_perf=np.array([0.8, 0.7, 0.9, 0.6]),
                    agr_id=inp3.agr_id, agr_ood=inp3.agr_ood)
+
+
+def test_input_from_nested_lists_equals_input_from_arrays(rng):
+    """Lists convert like arrays, so the estimates are the same bit for bit."""
+    inp = _random_input(rng, n=5, noise=0.1)
+    listed = AlineInput(id_perf=inp.id_perf.tolist(), agr_id=inp.agr_id.tolist(),
+                        agr_ood=inp.agr_ood.tolist())
+    for fn in (aline_s, aline_d):
+        (est, fit), (est_l, fit_l) = fn(inp), fn(listed)
+        assert est.tobytes() == est_l.tobytes()
+        assert fit == fit_l
+
+
+def test_aline_transforms_each_rate_once(monkeypatch):
+    """ALine-S then ALine-D on one input make 3 probit calls (ID performance, ID
+    and OOD agreement) and give the estimates of two fresh inputs bit for bit."""
+    config = SynthConfig(n_models=6, line_slope=0.7, line_bias=-0.3)
+    id_acc, agr_id, agr_ood, _ = exact_agl_inputs(config)
+    fresh = [fn(AlineInput(id_perf=id_acc, agr_id=agr_id, agr_ood=agr_ood))
+             for fn in (aline_s, aline_d)]
+    calls = []
+
+    def counted(p):
+        calls.append(1)
+        return probit(p)
+
+    monkeypatch.setattr(aglkit.aline, "probit", counted)
+    inp = AlineInput(id_perf=id_acc, agr_id=agr_id, agr_ood=agr_ood)
+    for fn, (est, fit) in zip((aline_s, aline_d), fresh):
+        got, got_fit = fn(inp)
+        assert got.tobytes() == est.tobytes()
+        assert got_fit == fit
+    assert len(calls) == 3
 
 
 def _fit_with_r2(r2):

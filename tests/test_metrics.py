@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aglkit.datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1
+from aglkit.datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1, load_log, save_log
 from aglkit.errors import EmptyLog, InsufficientModels, MetricTaskMismatch, ShapeMismatch
 from aglkit.metrics import (
     _scores,
@@ -17,7 +17,7 @@ from aglkit.metrics import (
     span_f1,
 )
 
-from conftest import make_classification_log, make_span_log
+from conftest import make_classification_log, make_span_log, random_classification_logs
 
 
 def test_accuracy_trivial():
@@ -252,8 +252,8 @@ def test_metric_of_the_wrong_task_rejected(rng):
 
 
 def _plain_agreement_matrix(logs, metric):
-    """agreement_matrix as it was: the predictions stacked in their own dtype and
-    np.mean of each row of scores."""
+    """The reference agreement matrix: the predictions stacked in their own dtype
+    and np.mean of each row of scores."""
     n = len(logs)
     preds = np.stack([log.predicted for log in logs])
     values = np.ones((n, n), dtype=np.float64)
@@ -305,8 +305,8 @@ def _prediction_rows(draw, metric):
 @given(st.sampled_from([METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1]).flatmap(
     lambda metric: st.tuples(st.just(metric), _prediction_rows(metric))))
 def test_narrow_agreement_matrix_equals_int64_mean_bitwise(case):
-    """The stack in the narrowest dtype that holds every label, and a count over
-    the example count, give the int64 np.mean matrix bit for bit; f1 keeps it."""
+    """Labels at the edges of every narrow dtype, held as int64, give the int64
+    np.mean matrix bit for bit under every metric."""
     metric, rows = case
     logs = _unvalidated_logs(metric, rows)
     got = agreement_matrix(logs, metric)
@@ -331,8 +331,8 @@ def test_agreement_matrix_keeps_labels_that_wrap_in_a_narrower_dtype_apart(metri
                  id="uint64-beyond-int64"),
 ])
 def test_agreement_matrix_of_predictions_no_narrow_dtype_holds(metric, dtype, rows):
-    """Predictions that are not integers, or that no narrow dtype holds, are
-    compared as they are: 0.5 and 0.0 disagree, NaN agrees with nothing."""
+    """Predictions that are not integers, or that int64 cannot hold, are compared
+    as they are: 0.5 and 0.0 disagree, NaN agrees with nothing."""
     logs = _unvalidated_logs(metric, [[0] * 3] * 3)
     for log, row in zip(logs, rows):
         row = np.array(row, dtype=dtype)
@@ -340,3 +340,20 @@ def test_agreement_matrix_of_predictions_no_narrow_dtype_holds(metric, dtype, ro
     got = agreement_matrix(logs, metric)
     assert got.tobytes() == _plain_agreement_matrix(logs, metric).tobytes()
     assert got[0, 1] == 2 / 3
+
+
+@pytest.mark.parametrize("n_classes, dtype", [(2, np.int8), (128, np.int8), (129, np.int16)])
+def test_agreement_matrix_of_loaded_narrow_labels_equals_int64_reference(
+        tmp_path, n_classes, dtype):
+    """Loaded labels stack in the narrow dtype load_log chose and agree, bit for
+    bit, with the reference on int64 copies of the same predictions."""
+    logs = []
+    for log in random_classification_logs(5, 300, n_classes, seed=n_classes):
+        save_log(log, tmp_path / f"{log.model_id}.jsonl")
+        logs.append(load_log(tmp_path / f"{log.model_id}.jsonl"))
+    assert all(log.predicted.dtype == dtype for log in logs)
+    wide = [make_classification_log(log.predicted, log.gold, n_classes, model_id=log.model_id)
+            for log in logs]
+    assert wide[0].predicted.dtype == np.int64
+    got = agreement_matrix(logs, METRIC_ACCURACY)
+    assert got.tobytes() == _plain_agreement_matrix(wide, METRIC_ACCURACY).tobytes()
