@@ -7,9 +7,10 @@ least-squares system whose row for pair (i, j) constrains the average of
 the two models' probit OOD performances by their OOD agreement plus a
 slope-corrected ID term. With every pair present the normal matrix is
 A^T A = ((n-2) I + 1 1^T) / 4, so the system is solved in closed form by
-Sherman-Morrison, without building A. An input's ``probits`` are computed
-on first use, once for both estimators: build a new ``AlineInput`` rather
-than edit one that an estimator has read.
+Sherman-Morrison, without building A. An input's ``id_probit`` and
+``pairs`` are computed on first use, once for both estimators and the
+report's fits and scatter: build a new ``AlineInput`` rather than edit one
+that has been read.
 """
 
 from __future__ import annotations
@@ -49,13 +50,17 @@ class AlineInput:
         return len(self.id_perf)
 
     @cached_property
-    def probits(self):
-        """(id_probit, i, j, x, y): clamped probits of id_perf and, for each pair
-        i < j in row-major order, of its ID (x) and OOD (y) agreement."""
+    def id_probit(self):
+        """The clamped probits of id_perf."""
+        return probit(clamp_rate(self.id_perf, self.clamp_eps))
+
+    @cached_property
+    def pairs(self):
+        """(i, j, x, y): each pair i < j in row-major order and the clamped
+        probits of its ID (x) and OOD (y) agreement."""
         i, j = np.triu_indices(self.n, k=1)
-        x, y, id_probit = (probit(clamp_rate(r, self.clamp_eps))
-                           for r in (self.agr_id[i, j], self.agr_ood[i, j], self.id_perf))
-        return id_probit, i, j, x, y
+        x, y = (probit(clamp_rate(a[i, j], self.clamp_eps)) for a in (self.agr_id, self.agr_ood))
+        return i, j, x, y
 
 
 def gate(fit: LineFit, threshold: float) -> bool:
@@ -65,13 +70,13 @@ def gate(fit: LineFit, threshold: float) -> bool:
 
 def agreement_line(inp: AlineInput) -> LineFit:
     """OLS fit over the upper-triangle probit agreement pairs."""
-    return fit_line(*inp.probits[3:])
+    return fit_line(*inp.pairs[2:])
 
 
 def aline_s(inp: AlineInput) -> tuple[np.ndarray, LineFit]:
     """The (n,) estimates and the agreement line they come from."""
     fit = agreement_line(inp)
-    return normal_cdf(fit.slope * inp.probits[0] + fit.bias), fit
+    return normal_cdf(fit.slope * inp.id_probit + fit.bias), fit
 
 
 def aline_d(inp: AlineInput) -> tuple[np.ndarray, LineFit]:
@@ -80,7 +85,7 @@ def aline_d(inp: AlineInput) -> tuple[np.ndarray, LineFit]:
     if n < 3:
         raise InsufficientModels(f"ALine-D needs at least 3 models, got {n}")
     fit = agreement_line(inp)
-    id_probit, i, j, x, y = inp.probits
+    id_probit, (i, j, x, y) = inp.id_probit, inp.pairs
     rhs = y + fit.slope * ((id_probit[i] + id_probit[j]) / 2.0 - x)
     # (A^T rhs)_m is half the sum of rhs over the pairs that contain model m.
     atb = 0.5 * (np.bincount(i, rhs, minlength=n) + np.bincount(j, rhs, minlength=n))

@@ -59,10 +59,8 @@ class ReportOptions:
 @dataclass
 class EstimateReport:
     model_ids: list[str]
-    id_perf: np.ndarray
+    inputs: AlineInput  # ID performance, both agreement matrices and the clamp
     true_ood_perf: np.ndarray | None
-    agr_id: np.ndarray  # (n, n), kept for export_scatter, not serialized
-    agr_ood: np.ndarray
     # name -> (n,) estimates, each confidence method as "<method>.raw" and
     # "<method>.temp_scaled"; no estimate reads OOD labels
     estimates: dict = field(default_factory=dict)
@@ -76,7 +74,7 @@ class EstimateReport:
     def to_dict(self) -> dict:
         per_model = []
         for i, mid in enumerate(self.model_ids):
-            row = {"model_id": mid, "id_perf": float(self.id_perf[i]),
+            row = {"model_id": mid, "id_perf": float(self.inputs.id_perf[i]),
                    "estimates": {name: float(est[i]) for name, est in self.estimates.items()}}
             if self.true_ood_perf is not None:
                 row["true_ood_perf"] = float(self.true_ood_perf[i])
@@ -96,42 +94,36 @@ class EstimateReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: np.ndarray,
-           agr_ood: np.ndarray, methods, options: ReportOptions,
-           pair: SplitPair | None = None) -> EstimateReport:
+def _build(model_ids, metric, splits, inputs: AlineInput, true_ood, methods,
+           options: ReportOptions, pair: SplitPair | None = None) -> EstimateReport:
     """Run every requested method once; failures become per-method entries.
 
     ``true_ood`` (or None) switches evaluation on; ``pair`` carries the
     logs the confidence methods need.
     """
     report = EstimateReport(
-        model_ids=model_ids, id_perf=id_perf, true_ood_perf=true_ood,
-        agr_id=agr_id, agr_ood=agr_ood,
+        model_ids=model_ids, inputs=inputs, true_ood_perf=true_ood,
         metadata={"metric": metric, "id_split": splits[0], "ood_split": splits[1],
                   "gate_threshold": options.gate_threshold,
-                  "clamp_eps": options.clamp_eps,
+                  "clamp_eps": inputs.clamp_eps,
                   "evaluation_mode": true_ood is not None,
                   "toolkit_version": toolkit_version})
-    aline_input = None
-    if any(m in methods for m in ALINE_METHODS):
-        aline_input = AlineInput(id_perf=id_perf, agr_id=agr_id, agr_ood=agr_ood,
-                                 clamp_eps=options.clamp_eps)
     scores = None  # one temperature fit and four confidence vectors per model
     for method in methods:
         try:
             if method in ALINE_METHODS:
                 estimator = aline_s if method == METHOD_ALINE_S else aline_d
-                report.estimates[method], report.agreement_fit = estimator(aline_input)
+                report.estimates[method], report.agreement_fit = estimator(inputs)
                 report.gates[method] = gate(report.agreement_fit, options.gate_threshold)
             elif method == METHOD_NAIVE_AGREEMENT:
-                report.estimates[method] = naive_agreement_estimate(agr_ood)
+                report.estimates[method] = naive_agreement_estimate(inputs.agr_ood)
             elif method in CONFIDENCE_METHODS:
                 if scores is None:
                     scores = [confidence_scores(id_log, ood_log)
                               for id_log, ood_log in zip(pair.id_logs, pair.ood_logs)]
                 report.estimates[f"{method}.raw"], report.estimates[f"{method}.temp_scaled"] = \
                     np.array([with_and_without_temperature(method, perf, s)
-                              for perf, s in zip(id_perf.tolist(), scores)]).T
+                              for perf, s in zip(inputs.id_perf.tolist(), scores)]).T
             else:
                 raise ToolkitError(f"unknown method {method!r}")
         except ToolkitError as exc:
@@ -139,8 +131,8 @@ def _build(model_ids, metric, splits, id_perf, true_ood, agr_id: np.ndarray,
 
     if true_ood is not None:
         try:
-            report.accuracy_fit = fit_line(probit(clamp_rate(id_perf, options.clamp_eps)),
-                                           probit(clamp_rate(true_ood, options.clamp_eps)))
+            report.accuracy_fit = fit_line(inputs.id_probit,
+                                           probit(clamp_rate(true_ood, inputs.clamp_eps)))
         except ToolkitError:
             report.accuracy_fit = None
         try:
@@ -160,12 +152,11 @@ def build_report(pair: SplitPair, methods=ALL_METHODS,
     true_ood = None
     if options.evaluation_mode:
         true_ood = np.array([performance(log, pair.metric) for log in pair.ood_logs])
+    inputs = AlineInput(id_perf, agreement_matrix(pair.id_logs, pair.metric),
+                        agreement_matrix(pair.ood_logs, pair.metric), options.clamp_eps)
     return _build(pair.model_ids, pair.metric,
                   (pair.id_logs[0].split_id, pair.ood_logs[0].split_id),
-                  id_perf, true_ood,
-                  agreement_matrix(pair.id_logs, pair.metric),
-                  agreement_matrix(pair.ood_logs, pair.metric),
-                  list(methods), options, pair)
+                  inputs, true_ood, list(methods), options, pair)
 
 
 def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids,
@@ -177,35 +168,29 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
     agreement); useful for closed-form fixtures and externally computed
     summaries. Passing ``true_ood_perf`` turns on evaluation.
     """
-    model_ids = list(model_ids)
-    id_perf = np.asarray(id_perf, dtype=np.float64)
+    model_ids, options = list(model_ids), options or ReportOptions()
     if len(model_ids) != len(id_perf):
         raise InsufficientModels(f"{len(model_ids)} model_ids for {len(id_perf)} models")
-    return _build(model_ids, metric, ("id", "ood"), id_perf,
+    return _build(model_ids, metric, ("id", "ood"),
+                  AlineInput(id_perf, agr_id_values, agr_ood_values, options.clamp_eps),
                   None if true_ood_perf is None else np.asarray(true_ood_perf),
-                  np.asarray(agr_id_values, dtype=np.float64),
-                  np.asarray(agr_ood_values, dtype=np.float64),
-                  ALINE_METHODS + (METHOD_NAIVE_AGREEMENT,), options or ReportOptions())
+                  ALINE_METHODS + (METHOD_NAIVE_AGREEMENT,), options)
 
 
 def export_scatter(report: EstimateReport):
     """Rows for a Figure-style ID/OOD scatter: accuracy points, agreement
-    points (from the report's agreement matrices), fitted-line endpoints,
-    and probit-scaled axis ticks. Rates are clamped at the report's ε, as
-    its fits were."""
-    clamp_eps = report.metadata["clamp_eps"]
-    ids = report.model_ids
-    n = len(ids)
-    i, j = np.triu_indices(n, k=1)
-    truth = report.true_ood_perf
-    x_raw = np.concatenate([report.id_perf, report.agr_id[i, j]])
-    y_raw = np.concatenate([truth if truth is not None else np.full(n, np.nan),
-                            report.agr_ood[i, j]])
-    x_probit = probit(clamp_rate(x_raw, clamp_eps))
-    y_probit = np.full(len(y_raw), np.nan)
-    scored = slice(0 if truth is not None else n, None)  # no y for accuracy rows when blind
-    y_probit[scored] = probit(clamp_rate(y_raw[scored], clamp_eps))
-    kinds = ["accuracy"] * n + ["agreement"] * len(i)
+    points, fitted-line endpoints, and probit-scaled axis ticks. The points'
+    probits are the ones the report's fits read from ``report.inputs``; the
+    truth is clamped at the same ε, and accuracy rows have no y when blind."""
+    inp, ids, truth = report.inputs, report.model_ids, report.true_ood_perf
+    i, j, x_agr, y_agr = inp.pairs
+    blind = np.full(inp.n, np.nan)
+    x_raw = np.concatenate([inp.id_perf, inp.agr_id[i, j]])
+    y_raw = np.concatenate([blind if truth is None else truth, inp.agr_ood[i, j]])
+    x_probit = np.concatenate([inp.id_probit, x_agr])
+    y_probit = np.concatenate(
+        [blind if truth is None else probit(clamp_rate(truth, inp.clamp_eps)), y_agr])
+    kinds = ["accuracy"] * inp.n + ["agreement"] * len(i)
     tags = list(ids) + [f"{ids[a]}|{ids[b]}" for a, b in zip(i, j)]
     rows = [dict(zip(SCATTER_COLUMNS, values)) for values in
             zip(kinds, tags, x_raw.tolist(), y_raw.tolist(),
@@ -220,8 +205,8 @@ def export_scatter(report: EstimateReport):
             rows.append({"kind": kind, "tag": tag,
                          "x_raw": float(normal_cdf(x)), "y_raw": float(normal_cdf(y)),
                          "x_probit": x, "y_probit": y})
-    for tick in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        p = float(probit(tick))
+    ticks = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    for tick, p in zip(ticks, probit(ticks).tolist()):
         rows.append({"kind": "axis_tick", "tag": f"{tick:.1f}",
                      "x_raw": tick, "y_raw": tick, "x_probit": p, "y_probit": p})
     return rows

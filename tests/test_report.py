@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import aglkit.aline
 import aglkit.baselines
+import aglkit.report
 from aglkit.datamodel import METRIC_ACCURACY, METRIC_F1, SpanExample, SpanLog, SplitPair
 from aglkit.errors import InsufficientModels, LengthMismatch, ToolkitError, ZeroTruth
-from aglkit.probit import clamp_rate, probit
+from aglkit.probit import LineFit, clamp_rate, probit
 from aglkit.report import (
     ALINE_METHODS,
     ALL_METHODS,
@@ -146,7 +148,7 @@ def test_confidence_baselines_estimate_the_report_metric():
     pair = SplitPair(*([_peaked_span_log(peaks, f"m{m}", split) for m in range(2)]
                        for split, peaks in (("id", id_peaks), ("ood", ood_peaks))), METRIC_F1)
     report = build_report(pair, methods=["atc", "doc_feat"])
-    assert report.id_perf.tolist() == pytest.approx([id_f1, id_f1], abs=1e-15)
+    assert report.inputs.id_perf.tolist() == pytest.approx([id_f1, id_f1], abs=1e-15)
     assert report.estimates["atc.raw"].tolist() == [atc, atc]
     assert report.estimates["doc_feat.raw"].tolist() == pytest.approx([doc, doc], abs=1e-12)
 
@@ -235,6 +237,26 @@ def test_matrix_report_rejects_misaligned_model_ids():
     with pytest.raises(InsufficientModels):
         build_report_from_matrices([0.8, 0.7, 0.6], np.full((3, 3), 0.7),
                                    np.full((3, 3), 0.6), ["a", "b"])
+    # with misshapen matrices as well, the model_ids mismatch is named first
+    with pytest.raises(InsufficientModels, match="2 model_ids for 3 models"):
+        build_report_from_matrices([0.8, 0.7, 0.6], np.full((2, 2), 0.7),
+                                   np.full((3, 2), 0.6), ["a", "b"])
+
+
+def test_matrix_report_out_of_range_agreement_fails_only_aline():
+    """One OOD agreement of 1.5 fails both ALine methods with DomainError; the
+    naive estimate and the accuracy fit, which never read its probit, still run."""
+    config = SynthConfig(n_models=4, line_slope=0.7, line_bias=-0.3)
+    id_acc, agr_id, agr_ood, true_ood = exact_agl_inputs(config)
+    agr_ood[1, 2] = agr_ood[2, 1] = 1.5
+    report = build_report_from_matrices(id_acc, agr_id, agr_ood, [f"m{i}" for i in range(4)],
+                                        true_ood_perf=true_ood)
+    assert set(report.method_errors) == set(ALINE_METHODS)
+    for method in ALINE_METHODS:
+        assert report.method_errors[method].startswith("DomainError: rate 1.5 outside")
+    assert report.estimates.keys() == {"naive_agreement"}
+    assert report.agreement_fit is None
+    assert isinstance(report.accuracy_fit, LineFit)
 
 
 def test_export_scatter_rows():
@@ -261,6 +283,32 @@ def test_export_scatter_rows():
     assert p1["x_probit"] == pytest.approx(max(xs))
     fit = report.agreement_fit
     assert p1["y_probit"] == pytest.approx(fit.predict(p1["x_probit"]), abs=1e-12)
+
+
+def test_export_scatter_axis_ticks_equal_scalar_probits():
+    pair, _ = _synth_pair()
+    rows = export_scatter(build_report(pair))
+    ticks = [r for r in rows if r["kind"] == "axis_tick"]
+    assert [r["tag"] for r in ticks] == [f"0.{k}" for k in range(1, 10)]
+    for row, tick in zip(ticks, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)):
+        assert row["x_raw"] == row["y_raw"] == tick
+        assert row["x_probit"] == row["y_probit"] == float(probit(tick))
+        assert type(row["x_probit"]) is float
+
+
+def test_report_transforms_each_rate_once(monkeypatch):
+    """An evaluated report transforms ID performance, both agreements and the
+    truth once each; a scatter adds only the truth and one call for the ticks,
+    because it reads the rates' probits the fits were made from."""
+    calls = [_counting(monkeypatch, module, "probit") for module in (aglkit.aline, aglkit.report)]
+    pair, _ = _synth_pair(n_models=4)
+    report = build_report(pair, options=ReportOptions(evaluation_mode=True))
+    assert not report.method_errors
+    assert sum(map(len, calls)) == 4
+    first = export_scatter(report)
+    assert sum(map(len, calls)) == 6
+    assert export_scatter(report) == first
+    assert sum(map(len, calls)) == 8
 
 
 def test_export_scatter_clamps_at_the_report_eps():
