@@ -138,10 +138,6 @@ class SplitPair:
     def model_ids(self):
         return [log.model_id for log in self.id_logs]
 
-    @property
-    def n_models(self):
-        return len(self.id_logs)
-
 
 @dataclass
 class ManifestEntry:
@@ -506,13 +502,9 @@ def read_manifest(path) -> Manifest:
 def load_entries(path) -> tuple[Manifest, list]:
     """Read a manifest, then load and validate the log of each entry, in entry order.
     A log whose header names another model or split than its entry raises
-    ShapeMismatch, and one of another task than the manifest MetricTaskMismatch.
-
-    The first gold array loaded for a split is made read-only, and each later log
-    of that split with equal gold labels holds it in place of its own array."""
+    ShapeMismatch, and one of another task than the manifest MetricTaskMismatch."""
     manifest = read_manifest(path)
     base_dir = os.path.dirname(os.path.abspath(path))
-    golds = {}  # split_id -> the first gold array loaded for it
     logs = []
     for e in manifest.entries:
         log_path = os.path.join(base_dir, e.path)
@@ -521,11 +513,6 @@ def load_entries(path) -> tuple[Manifest, list]:
             raise ShapeMismatch(e.model_id, f"log header at {log_path} does not match manifest entry")
         if log.task != manifest.task:
             raise MetricTaskMismatch(manifest.metric, log.task)
-        first = golds.setdefault(log.split_id, log.gold)
-        if first is log.gold:
-            first.flags.writeable = False
-        elif np.array_equal(first, log.gold):
-            log.gold = first
         logs.append(log)
     return manifest, logs
 

@@ -9,14 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datamodel import (
-    METRIC_ACCURACY,
-    METRIC_EXACT_MATCH,
-    METRIC_F1,
-    METRICS_BY_TASK,
-    ClassificationLog,
-    SpanLog,
-)
+from .datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRICS_BY_TASK
 from .errors import EmptyLog, InsufficientModels, MetricTaskMismatch, ShapeMismatch
 
 
@@ -48,19 +41,6 @@ def performance(log, metric: str) -> float:
     if len(log) == 0:
         raise EmptyLog(f"log {log.model_id!r} has no examples")
     return float(np.mean(_scores(metric, log.predicted, log.gold)))
-
-
-def accuracy(log: ClassificationLog) -> float:
-    return performance(log, METRIC_ACCURACY)
-
-
-def exact_match(log: SpanLog) -> float:
-    return performance(log, METRIC_EXACT_MATCH)
-
-
-def span_f1(log: SpanLog) -> float:
-    """Macro-averaged token-interval F1 of predicted vs gold spans."""
-    return performance(log, METRIC_F1)
 
 
 def _check_compatible(a, b, metric):

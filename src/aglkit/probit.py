@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateFit, DomainError
+from .errors import DegenerateFit, DomainError, LengthMismatch
 
 CLAMP_EPS = 1e-4
 
@@ -71,13 +71,16 @@ class LineFit:
 def fit_line(xs, ys) -> LineFit:
     """Ordinary least squares y = slope*x + bias over paired probit values.
 
-    r_squared is the squared Pearson correlation of (x, y); it is flagged
-    undefined (and reported as 0) when y has no variance. Zero variance is
-    decided on the values themselves, because a rounded mean leaves tiny
-    nonzero deviations around a constant vector.
+    xs and ys must be 1-D and of one length (LengthMismatch). r_squared is
+    the squared Pearson correlation of (x, y); it is flagged undefined (and
+    reported as 0) when y has no variance. Zero variance is decided on the
+    values themselves, because a rounded mean leaves tiny nonzero deviations
+    around a constant vector.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise LengthMismatch(f"xs and ys need one 1-D shape, got {xs.shape} and {ys.shape}")
     n = len(xs)
     if n < 2:
         raise DegenerateFit(f"need at least 2 points, got {n}")

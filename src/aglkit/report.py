@@ -171,10 +171,12 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
     model_ids, options = list(model_ids), options or ReportOptions()
     if len(model_ids) != len(id_perf):
         raise InsufficientModels(f"{len(model_ids)} model_ids for {len(id_perf)} models")
+    true_ood = None if true_ood_perf is None else np.asarray(true_ood_perf)
+    if true_ood is not None and true_ood.shape != (len(model_ids),):
+        raise LengthMismatch(f"true_ood_perf shape {true_ood.shape} != ({len(model_ids)},)")
     return _build(model_ids, metric, ("id", "ood"),
                   AlineInput(id_perf, agr_id_values, agr_ood_values, options.clamp_eps),
-                  None if true_ood_perf is None else np.asarray(true_ood_perf),
-                  ALINE_METHODS + (METHOD_NAIVE_AGREEMENT,), options)
+                  true_ood, ALINE_METHODS + (METHOD_NAIVE_AGREEMENT,), options)
 
 
 def export_scatter(report: EstimateReport):

@@ -26,17 +26,8 @@ from aglkit.baselines import (
     with_and_without_temperature,
 )
 from aglkit.cli import EXIT_OK, main
-from aglkit.datamodel import (
-    METRIC_ACCURACY,
-    ClassificationLog,
-)
-from aglkit.metrics import (
-    accuracy,
-    agreement,
-    agreement_matrix,
-    exact_match,
-    span_f1,
-)
+from aglkit.datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1, ClassificationLog
+from aglkit.metrics import agreement, agreement_matrix, performance
 from aglkit.probit import LineFit, fit_line, normal_cdf, probit
 from aglkit.report import build_report_from_matrices, mape
 from aglkit.closed_form import closed_form_agreement, exact_agl_inputs
@@ -151,8 +142,8 @@ def _ensemble_lines_and_mapes(diversity, seed):
                          line_slope=0.6, line_bias=-0.4, diversity=diversity,
                          distractor_coherence=0.0, seed=seed)
     id_logs, ood_logs, _ = generate(config)
-    id_acc = np.array([accuracy(log) for log in id_logs])
-    ood_acc = np.array([accuracy(log) for log in ood_logs])
+    id_acc = np.array([performance(log, METRIC_ACCURACY) for log in id_logs])
+    ood_acc = np.array([performance(log, METRIC_ACCURACY) for log in ood_logs])
     agr_id = agreement_matrix(id_logs, METRIC_ACCURACY)
     agr_ood = agreement_matrix(ood_logs, METRIC_ACCURACY)
     inp = AlineInput(id_perf=id_acc, agr_id=agr_id, agr_ood=agr_ood)
@@ -215,7 +206,7 @@ def test_criterion_5_metric_oracles():
         qa = _random_span_log(rng, n, 8)
         spans = list(zip(qa.predicted.tolist(), qa.gold.tolist()))
         em_manual = sum(int(pred == gold) for pred, gold in spans) / n
-        assert exact_match(qa) == em_manual
+        assert performance(qa, METRIC_EXACT_MATCH) == em_manual
         f1_scores = []
         for (pred_start, pred_end), (gold_start, gold_end) in spans:
             sa = set(range(pred_start, pred_end + 1))
@@ -228,7 +219,7 @@ def test_criterion_5_metric_oracles():
                 prec = len(sa & sb) / len(sa)
                 rec = len(sa & sb) / len(sb)
                 f1_scores.append(2 * prec * rec / (prec + rec))
-        assert abs(span_f1(qa) - sum(f1_scores) / n) < 1e-12
+        assert abs(performance(qa, METRIC_F1) - sum(f1_scores) / n) < 1e-12
         # MAPE
         est = rng.uniform(0.3, 0.9, 4)
         tru = rng.uniform(0.3, 0.9, 4)
@@ -246,10 +237,10 @@ def test_criterion_5_metric_oracles():
         conf_id = confidence(id_log)
         conf_ood = confidence(ood_log)
         scores = confidence_scores(id_log, ood_log)
-        raw = {m: with_and_without_temperature(m, accuracy(id_log), scores)[0]
+        raw = {m: with_and_without_temperature(m, performance(id_log, METRIC_ACCURACY), scores)[0]
                for m in (METHOD_AC, METHOD_ATC, METHOD_DOC_FEAT)}
         assert abs(raw[METHOD_AC] - float(np.mean(conf_ood))) < 1e-12
-        acc_id = accuracy(id_log)
+        acc_id = performance(id_log, METRIC_ACCURACY)
         candidates = list(np.sort(conf_id)) + [math.inf]
         tau = min(candidates,
                   key=lambda t: (abs(float(np.mean(conf_id >= t)) - acc_id), t))

@@ -17,9 +17,9 @@ from aglkit.baselines import (
     naive_agreement_estimate,
     with_and_without_temperature,
 )
-from aglkit.datamodel import ClassificationLog, SpanExample, SpanLog
+from aglkit.datamodel import METRIC_ACCURACY, ClassificationLog, SpanExample, SpanLog
 from aglkit.errors import EmptyLog, MissingLogits
-from aglkit.metrics import accuracy
+from aglkit.metrics import performance
 
 from conftest import (
     calibrated_classification_log,
@@ -166,7 +166,8 @@ def test_argmax_invariant_under_temperature(rng):
 
 def _raw(method, id_log, ood_log):
     """The raw (unscaled) estimate of one confidence baseline."""
-    return with_and_without_temperature(method, accuracy(id_log), confidence_scores(id_log, ood_log))[0]
+    return with_and_without_temperature(method, performance(id_log, METRIC_ACCURACY),
+                                        confidence_scores(id_log, ood_log))[0]
 
 
 def test_ac_is_mean_confidence(rng):
@@ -188,7 +189,7 @@ def test_atc_threshold_matches_exhaustive_scan(rng):
         n = int(rng.integers(10, 60))
         log = _random_logit_log(rng, n, 4)
         conf = confidence(log)
-        acc = accuracy(log)
+        acc = performance(log, METRIC_ACCURACY)
         candidates = list(np.sort(conf)) + [math.inf]
         best = min(candidates,
                    key=lambda tau: (abs(float(np.mean(conf >= tau)) - acc), tau))
@@ -199,7 +200,7 @@ def test_atc_identity_on_same_split(rng):
     for seed in range(5):
         r = np.random.default_rng(seed)
         log = _random_logit_log(r, 200, 3)
-        assert _raw(METHOD_ATC, log, log) == pytest.approx(accuracy(log), abs=1e-12)
+        assert _raw(METHOD_ATC, log, log) == pytest.approx(performance(log, METRIC_ACCURACY), abs=1e-12)
 
 
 def test_atc_all_wrong(rng):
@@ -207,14 +208,14 @@ def test_atc_all_wrong(rng):
     pred = logits.argmax(axis=1)
     gold = (pred + 1) % 3
     log = make_classification_log(pred, gold, 3, logits=logits)
-    assert atc_threshold(accuracy(log), confidence(log)) == math.inf
+    assert atc_threshold(performance(log, METRIC_ACCURACY), confidence(log)) == math.inf
     assert _raw(METHOD_ATC, log, log) == 0.0
 
 
 def test_doc_feat_formula_and_clamp(rng):
     id_log = _random_logit_log(rng, 80, 3)
     ood_log = _random_logit_log(rng, 60, 3, split_id="ood")
-    expected = (accuracy(id_log)
+    expected = (performance(id_log, METRIC_ACCURACY)
                 - (float(np.mean(confidence(id_log)))
                    - float(np.mean(confidence(ood_log)))))
     expected = min(1.0, max(0.0, expected))

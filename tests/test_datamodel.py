@@ -22,7 +22,6 @@ from aglkit.datamodel import (
     ManifestEntry,
     SpanExample,
     SpanLog,
-    load_entries,
     load_log,
     load_split_pair,
     read_manifest,
@@ -574,7 +573,7 @@ def _write_pair_tree(tmp_path, rng, n_models=3, n=25, k=3):
 def test_single_manifest_two_splits(tmp_path, rng):
     path = _write_pair_tree(tmp_path, rng)
     pair = load_split_pair(path, path)
-    assert pair.n_models == 3
+    assert len(pair.id_logs) == 3
     assert pair.model_ids == ["m0", "m1", "m2"]
     # first-appearing split is in-distribution
     assert pair.id_logs[0].split_id == "clean"
@@ -713,7 +712,7 @@ def test_two_manifest_split_pair(tmp_path, rng):
                       d / "manifest.json")
     pair = load_split_pair(tmp_path / "id" / "manifest.json",
                            tmp_path / "ood" / "manifest.json")
-    assert pair.n_models == 2
+    assert len(pair.id_logs) == 2
     assert pair.id_logs[0].split_id == "clean"
     assert pair.ood_logs[1].split_id == "shift"
 
@@ -1187,11 +1186,26 @@ def test_load_log_corruption_matches_per_line_loader(tmp_path, name):
         assert getattr(exc.value, attr, None) == getattr(expected.value, attr, None)
 
 
-# --- one gold array per split ---
+# --- every loaded log owns its labels ---
 
-def _ensemble(tmp_path, n_models=3):
-    config = SynthConfig(n_models=n_models, n_examples_id=60, n_examples_ood=40, seed=5)
+def _ensemble(tmp_path):
+    config = SynthConfig(n_models=3, n_examples_id=60, n_examples_ood=40, seed=5)
     return write_ensemble(config, tmp_path / "ens")["manifest"]
+
+
+def _qa_manifest(tmp_path, rng):
+    """Three QA models on two splits; the logs of a split have equal gold spans."""
+    entries = []
+    for split_id, gold in (("qa_id", [(1, 2), (0, 0), (3, 5)]), ("qa_ood", [(2, 4), (1, 1)])):
+        for m in range(3):
+            spans = [tuple(sorted(rng.integers(0, 6, 2).tolist())) for _ in gold]
+            log = make_span_log(spans, gold, n_tokens=6, model_id=f"m{m}", split_id=split_id,
+                                rng=rng)
+            save_log(log, tmp_path / f"{split_id}-{m}.jsonl")
+            entries.append(ManifestEntry(f"m{m}", split_id, f"{split_id}-{m}.jsonl"))
+    save_manifest(Manifest(FORMAT_VERSION, TASK_EXTRACTIVE_QA, METRIC_F1, entries),
+                  tmp_path / "manifest.json")
+    return str(tmp_path / "manifest.json")
 
 
 def _split_manifests(manifest, keeps):
@@ -1206,66 +1220,31 @@ def _split_manifests(manifest, keeps):
     return paths
 
 
-def _assert_one_read_only_gold(logs):
-    first = logs[0].gold
-    assert all(log.gold is first for log in logs)
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 1 - first[0]
-
-
-def test_logs_of_a_split_share_one_read_only_gold(tmp_path):
-    manifest = _ensemble(tmp_path)
-    pair = load_split_pair(manifest, manifest)
-    for logs in (pair.id_logs, pair.ood_logs):
-        _assert_one_read_only_gold(logs)
-    assert pair.id_logs[0].gold is not pair.ood_logs[0].gold
-    _, logs = load_entries(manifest)
-    _assert_one_read_only_gold([log for log in logs if log.split_id == "synth_id"])
-    # the shared gold is held in the narrow dtype of its 4 classes, as each prediction is
-    assert {(log.gold.dtype.name, log.predicted.dtype.name) for log in logs} == {("int8", "int8")}
-
-
-def test_two_manifests_share_one_gold_per_split(tmp_path):
-    manifest = _ensemble(tmp_path)
-    pair = load_split_pair(*_split_manifests(manifest, (
-        ("id.json", lambda e: e["split_id"] == "synth_id"),
-        ("ood.json", lambda e: e["split_id"] == "synth_ood"))))
-    for logs in (pair.id_logs, pair.ood_logs):
-        _assert_one_read_only_gold(logs)
-
-
-def test_a_differing_gold_keeps_its_own_writable_array(tmp_path):
-    manifest = _ensemble(tmp_path, n_models=4)
-    path = os.path.join(os.path.dirname(manifest), "ood", "m02.jsonl")
-    header, *records = open(path).read().splitlines()
-    records[7] = json.dumps(dict(json.loads(records[7]), gold=3), sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write("\n".join([header, *records]) + "\n")
-    pair = load_split_pair(manifest, manifest)
-    own = pair.ood_logs[2].gold
-    _assert_one_read_only_gold(pair.ood_logs[:2] + pair.ood_logs[3:])
-    assert own is not pair.ood_logs[0].gold and own[7] == 3
-    assert own.flags.writeable
-    _assert_one_read_only_gold(pair.id_logs)
-
-
-def test_qa_logs_of_a_split_share_one_gold(tmp_path, rng):
-    entries = []
-    for split_id, gold in (("qa_id", [(1, 2), (0, 0), (3, 5)]), ("qa_ood", [(2, 4), (1, 1)])):
-        for m in range(3):
-            spans = [tuple(sorted(rng.integers(0, 6, 2).tolist())) for _ in gold]
-            log = make_span_log(spans, gold, n_tokens=6, model_id=f"m{m}", split_id=split_id,
-                                rng=rng)
-            save_log(log, tmp_path / f"{split_id}-{m}.jsonl")
-            entries.append(ManifestEntry(f"m{m}", split_id, f"{split_id}-{m}.jsonl"))
-    save_manifest(Manifest(FORMAT_VERSION, TASK_EXTRACTIVE_QA, METRIC_F1, entries),
-                  tmp_path / "manifest.json")
-    manifest = str(tmp_path / "manifest.json")
-    pair = load_split_pair(manifest, manifest)
-    for logs in (pair.id_logs, pair.ood_logs):
-        _assert_one_read_only_gold(logs)
-    assert pair.ood_logs[0].gold.tolist() == [[2, 4], [1, 1]]
+@pytest.mark.parametrize("per_split", [False, True], ids=["one-manifest", "per-split-manifests"])
+@pytest.mark.parametrize("task", ["classification", "qa"])
+def test_every_loaded_log_owns_a_writable_gold(tmp_path, rng, task, per_split):
+    if task == "classification":
+        manifest, splits = _ensemble(tmp_path), ("synth_id", "synth_ood")
+    else:
+        manifest, splits = _qa_manifest(tmp_path, rng), ("qa_id", "qa_ood")
+    paths = [manifest, manifest]
+    if per_split:
+        paths = _split_manifests(manifest, [(f"{split}.json", lambda e, split=split:
+                                             e["split_id"] == split) for split in splits])
+    pair = load_split_pair(*paths)
+    logs = pair.id_logs + pair.ood_logs
+    assert [log.split_id for log in logs] == [splits[0]] * 3 + [splits[1]] * 3
+    if task == "classification":  # 4 classes: labels load in the narrow dtype
+        assert {(log.gold.dtype.name, log.predicted.dtype.name) for log in logs} == {("int8", "int8")}
+    else:
+        assert pair.ood_logs[0].gold.tolist() == [[2, 4], [1, 1]]
+    assert len({id(log.gold) for log in logs}) == len(logs)
+    before = [log.gold.copy() for log in logs]
+    for log in logs:  # a shared or read-only array fails here or below
+        assert log.gold.flags.writeable
+        log.gold += 1
+    for log, gold in zip(logs, before):
+        assert (log.gold == gold + 1).all()
 
 
 # --- loaded labels in the narrowest signed dtype for n_classes ---

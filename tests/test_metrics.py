@@ -7,30 +7,22 @@ from hypothesis import strategies as st
 
 from aglkit.datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1, load_log, save_log
 from aglkit.errors import EmptyLog, InsufficientModels, MetricTaskMismatch, ShapeMismatch
-from aglkit.metrics import (
-    _scores,
-    accuracy,
-    agreement,
-    agreement_matrix,
-    exact_match,
-    performance,
-    span_f1,
-)
+from aglkit.metrics import _scores, agreement, agreement_matrix, performance
 
 from conftest import make_classification_log, make_span_log, random_classification_logs
 
 
 def test_accuracy_trivial():
     log = make_classification_log([0, 1, 2, 0], [0, 1, 0, 1], n_classes=3)
-    assert accuracy(log) == 0.5
-    assert accuracy(make_classification_log([1, 1], [1, 1])) == 1.0
-    assert accuracy(make_classification_log([0, 0], [1, 1])) == 0.0
+    assert performance(log, METRIC_ACCURACY) == 0.5
+    assert performance(make_classification_log([1, 1], [1, 1]), METRIC_ACCURACY) == 1.0
+    assert performance(make_classification_log([0, 0], [1, 1]), METRIC_ACCURACY) == 0.0
 
 
 def test_empty_log_rejected():
     log = make_classification_log([], [], n_classes=2)
     with pytest.raises(EmptyLog):
-        accuracy(log)
+        performance(log, METRIC_ACCURACY)
     with pytest.raises(EmptyLog):
         agreement(log, log, METRIC_ACCURACY)
 
@@ -38,19 +30,19 @@ def test_empty_log_rejected():
 def test_exact_match_trivial(rng):
     log = make_span_log([(0, 1), (2, 3), (1, 1)], [(0, 1), (2, 2), (1, 1)],
                         rng=rng)
-    assert exact_match(log) == pytest.approx(2.0 / 3.0)
+    assert performance(log, METRIC_EXACT_MATCH) == pytest.approx(2.0 / 3.0)
 
 
 def test_span_f1_cases(rng):
     # identical spans
-    assert span_f1(make_span_log([(2, 4)], [(2, 4)], rng=rng)) == 1.0
+    assert performance(make_span_log([(2, 4)], [(2, 4)], rng=rng), METRIC_F1) == 1.0
     # disjoint spans
-    assert span_f1(make_span_log([(0, 1)], [(3, 4)], rng=rng)) == 0.0
+    assert performance(make_span_log([(0, 1)], [(3, 4)], rng=rng), METRIC_F1) == 0.0
     # partial overlap: pred {1..3}, gold {2..5} -> overlap 2, F1 = 2*2/(3+4)
-    assert span_f1(make_span_log([(1, 3)], [(2, 5)], n_tokens=8, rng=rng)) \
+    assert performance(make_span_log([(1, 3)], [(2, 5)], n_tokens=8, rng=rng), METRIC_F1) \
         == pytest.approx(4.0 / 7.0)
     # containment: pred {2..2} inside gold {1..4} -> F1 = 2*1/(1+4)
-    assert span_f1(make_span_log([(2, 2)], [(1, 4)], n_tokens=6, rng=rng)) \
+    assert performance(make_span_log([(2, 2)], [(1, 4)], n_tokens=6, rng=rng), METRIC_F1) \
         == pytest.approx(2.0 / 5.0)
 
 
@@ -120,14 +112,14 @@ def test_agreement_with_gold_log_equals_performance(rng):
     gold = rng.integers(0, k, n)
     model = make_classification_log(rng.integers(0, k, n), gold, k)
     oracle = make_classification_log(gold, gold, k, model_id="gold")
-    assert agreement(model, oracle, METRIC_ACCURACY) == accuracy(model)
+    assert agreement(model, oracle, METRIC_ACCURACY) == performance(model, METRIC_ACCURACY)
 
     qa = _random_span_log(rng, 25, 8)
     gold_spans = [tuple(span) for span in qa.gold.tolist()]
     qa_oracle = make_span_log(gold_spans, gold_spans, n_tokens=8, model_id="gold",
                               rng=rng)
-    assert agreement(qa, qa_oracle, METRIC_EXACT_MATCH) == exact_match(qa)
-    assert agreement(qa, qa_oracle, METRIC_F1) == pytest.approx(span_f1(qa), abs=1e-12)
+    assert agreement(qa, qa_oracle, METRIC_EXACT_MATCH) == performance(qa, METRIC_EXACT_MATCH)
+    assert agreement(qa, qa_oracle, METRIC_F1) == pytest.approx(performance(qa, METRIC_F1), abs=1e-12)
 
 
 def test_self_agreement_is_one(rng):
@@ -151,10 +143,10 @@ def test_agreement_incompatibility_errors(rng):
 
 def test_performance_dispatch(rng):
     log = make_classification_log([0, 1, 1], [0, 1, 0], n_classes=2)
-    assert performance(log, METRIC_ACCURACY) == accuracy(log)
+    assert performance(log, METRIC_ACCURACY) == pytest.approx(2.0 / 3.0)
     qa = _random_span_log(rng, 10, 6)
-    assert performance(qa, METRIC_EXACT_MATCH) == exact_match(qa)
-    assert performance(qa, METRIC_F1) == span_f1(qa)
+    assert performance(qa, METRIC_EXACT_MATCH) == np.mean((qa.predicted == qa.gold).all(axis=1))
+    assert performance(qa, METRIC_F1) == np.mean(_scores(METRIC_F1, qa.predicted, qa.gold))
     with pytest.raises(MetricTaskMismatch):
         performance(log, "bogus")
 

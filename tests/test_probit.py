@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aglkit.errors import DegenerateFit, DomainError
+from aglkit.errors import DegenerateFit, DomainError, LengthMismatch
 from aglkit.probit import (
     clamp_rate,
     fit_line,
@@ -163,6 +163,18 @@ def test_fit_line_degenerate():
         fit_line([1.0], [2.0])
     with pytest.raises(DegenerateFit):
         fit_line([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0.1, 0.2, 0.3], [0.1, 0.2]),
+    ([0.1, 0.2], [0.1, 0.2, 0.3]),
+    ([[0.1, 0.2], [0.3, 0.4]], [[0.1, 0.2], [0.3, 0.5]]),
+    ([[0.1, 0.2, 0.3]], [0.1, 0.2, 0.3]),
+    (0.5, 0.5),
+])
+def test_fit_line_needs_two_1d_inputs_of_one_length(xs, ys):
+    with pytest.raises(LengthMismatch, match="1-D"):
+        fit_line(xs, ys)
 
 
 def test_fit_line_constant_y():

@@ -183,9 +183,9 @@ def test_build_report_fits_one_temperature_per_model(monkeypatch, evaluation_mod
     report = build_report(pair, methods=CONFIDENCE_METHODS,
                           options=ReportOptions(evaluation_mode=evaluation_mode))
     assert not report.method_errors
-    assert len(fits) == pair.n_models
+    assert len(fits) == len(pair.id_logs)
     assert all(fit is log for fit, log in zip(fits, pair.id_logs))
-    assert len(confidences) == 4 * pair.n_models
+    assert len(confidences) == 4 * len(pair.id_logs)
 
 
 def test_report_json_deterministic():
@@ -241,6 +241,14 @@ def test_matrix_report_rejects_misaligned_model_ids():
     with pytest.raises(InsufficientModels, match="2 model_ids for 3 models"):
         build_report_from_matrices([0.8, 0.7, 0.6], np.full((2, 2), 0.7),
                                    np.full((3, 2), 0.6), ["a", "b"])
+
+
+@pytest.mark.parametrize("truth", [[0.6] * 4, [0.6] * 6, [[0.6] * 5]])
+def test_matrix_report_rejects_misshapen_true_ood_perf(truth):
+    id_acc, agr_id, agr_ood, _ = exact_agl_inputs(SynthConfig(n_models=5))
+    with pytest.raises(LengthMismatch, match=r"true_ood_perf shape \(.*\) != \(5,\)"):
+        build_report_from_matrices(id_acc, agr_id, agr_ood, [f"m{i}" for i in range(5)],
+                                   true_ood_perf=truth)
 
 
 def test_matrix_report_out_of_range_agreement_fails_only_aline():

@@ -411,7 +411,7 @@ def test_write_ensemble_round_trip(tmp_path):
     config = SynthConfig(n_models=3, n_examples_id=120, n_examples_ood=100, seed=21)
     paths = write_ensemble(config, tmp_path / "out")
     pair = load_split_pair(paths["manifest"], paths["manifest"])
-    assert pair.n_models == 3
+    assert len(pair.id_logs) == 3
     assert pair.id_logs[0].split_id == "synth_id"
     assert pair.ood_logs[0].split_id == "synth_ood"
     assert len(pair.id_logs[0]) == 120
