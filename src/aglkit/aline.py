@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientModels
+from .errors import InsufficientModels, LengthMismatch
 from .probit import CLAMP_EPS, LineFit, clamp_rate, fit_line, normal_cdf, probit
 
 METHOD_ALINE_S = "aline_s"
@@ -42,8 +42,8 @@ class AlineInput:
         if n < 2:
             raise InsufficientModels(f"need at least 2 models, got {n}")
         if self.agr_id.shape != (n, n) or self.agr_ood.shape != (n, n):
-            raise InsufficientModels(f"agreement matrices {self.agr_id.shape}, "
-                                     f"{self.agr_ood.shape} not aligned with {n} models")
+            raise LengthMismatch(f"agreement matrices {self.agr_id.shape}, "
+                                 f"{self.agr_ood.shape} not aligned with {n} models")
 
     @property
     def n(self):

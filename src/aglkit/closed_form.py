@@ -3,10 +3,11 @@
 P(both correct) is the bivariate normal CDF at the latent correlation r,
 in Owen's (1956) closed form via Owen's T function; the wrong-label match
 rate follows from the config's copy chance and distractor weights.
-``exact_agl_inputs`` builds an ensemble that sits on both probit lines
-exactly. Phi, its inverse and Owen's T are ``scipy.special``'s ``ndtr``,
-``ndtri`` and ``owens_t``: this is the only aglkit module that imports
-scipy, so sampling ensembles with ``aglkit.synth`` does not load it.
+``expected_inputs`` gives an ensemble's expected report inputs on both splits;
+``exact_agl_inputs`` puts their ID half on the configured line exactly.
+Phi, its inverse and Owen's T are ``scipy.special``'s ``ndtr``, ``ndtri``
+and ``owens_t``: this is the only aglkit module that imports scipy, so
+sampling ensembles with ``aglkit.synth`` does not load it.
 """
 
 from __future__ import annotations
@@ -61,37 +62,33 @@ def _owen_term(h, k, one_minus, spread):
     return np.where(h == 0, 0.25 * np.sign(k), owens_t(h, a))
 
 
-def closed_form_agreement(config: SynthConfig, i, j, split: str):
-    """Expected agreement between models i and j (ints or index arrays) on one split."""
-    theta_i = config.threshold(i, split)
-    theta_j = config.threshold(j, split)
-    r = latent_correlation(config.diversity)
-    p11 = both_correct_probability(theta_i, theta_j, r)
-    p_i = ndtr(theta_i)
-    p_j = ndtr(theta_j)
-    p00 = 1.0 - p_i - p_j + p11
-    m = wrong_match_probability(config.n_classes, config.distractor_coherence,
-                                config.diversity)
-    return p11 + m * p00
+def _agreements(config: SynthConfig, split: str):
+    """One split's (n, n) agreements: P(both right) + m * P(both wrong); 1 on the diagonal."""
+    n = config.n_models
+    iu = np.triu_indices(n, k=1)
+    theta_i, theta_j = config.threshold(np.arange(n), split)[np.stack(iu)]
+    p11 = both_correct_probability(theta_i, theta_j, latent_correlation(config.diversity))
+    m = wrong_match_probability(config.n_classes, config.distractor_coherence, config.diversity)
+    agr = np.ones((n, n))
+    agr[iu] = agr[iu[::-1]] = p11 + m * (1.0 - ndtr(theta_i) - ndtr(theta_j) + p11)
+    return agr
+
+
+def expected_inputs(config: SynthConfig):
+    """(id_acc, agr_id, agr_ood, true_ood_acc) as the generator expects them, no line imposed."""
+    config.validate()
+    truth = truth_for(config)
+    return (truth.true_id_acc, _agreements(config, "id"), _agreements(config, "ood"),
+            truth.true_ood_acc)
 
 
 def exact_agl_inputs(config: SynthConfig):
-    """Closed-form ensemble quantities that satisfy both probit lines exactly.
-
-    ID accuracies and ID agreements come from the config's closed forms;
-    the OOD values are then defined by applying the configured line in
-    probit space, so accuracy and agreement share the exact slope/bias.
-    Returns (id_acc, agr_id, agr_ood, true_ood_acc) with plain matrices.
-    """
+    """``expected_inputs``' ID half with its OOD half defined by the configured
+    probit line, so accuracy and agreement share the exact slope/bias."""
     config.validate()
-    n = config.n_models
-    truth = truth_for(config)
+    id_acc, agr_id = truth_for(config).true_id_acc, _agreements(config, "id")
     a, b = config.line_slope, config.line_bias
-    iu = np.triu_indices(n, k=1)
-    g = closed_form_agreement(config, *iu, "id")
-    agr_id = np.ones((n, n))
-    agr_ood = np.ones((n, n))
-    agr_id[iu] = agr_id[iu[::-1]] = g
-    agr_ood[iu] = agr_ood[iu[::-1]] = ndtr(a * ndtri(g) + b)
-    true_ood = ndtr(a * ndtri(truth.true_id_acc) + b)
-    return truth.true_id_acc, agr_id, agr_ood, true_ood
+    iu = np.triu_indices(config.n_models, k=1)
+    agr_ood = np.ones_like(agr_id)
+    agr_ood[iu] = agr_ood[iu[::-1]] = ndtr(a * ndtri(agr_id[iu]) + b)
+    return id_acc, agr_id, agr_ood, ndtr(a * ndtri(id_acc) + b)

@@ -71,16 +71,18 @@ class LineFit:
 def fit_line(xs, ys) -> LineFit:
     """Ordinary least squares y = slope*x + bias over paired probit values.
 
-    xs and ys must be 1-D and of one length (LengthMismatch). r_squared is
-    the squared Pearson correlation of (x, y); it is flagged undefined (and
-    reported as 0) when y has no variance. Zero variance is decided on the
-    values themselves, because a rounded mean leaves tiny nonzero deviations
-    around a constant vector.
+    xs and ys must be 1-D and of one length (LengthMismatch), and finite
+    (DomainError). r_squared is the squared Pearson correlation of (x, y); it
+    is flagged undefined (and reported as 0) when y has no variance. Zero
+    variance is decided on the values themselves, because a rounded mean
+    leaves tiny nonzero deviations around a constant vector.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise LengthMismatch(f"xs and ys need one 1-D shape, got {xs.shape} and {ys.shape}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DomainError("line fit needs finite x and y values")
     n = len(xs)
     if n < 2:
         raise DegenerateFit(f"need at least 2 points, got {n}")

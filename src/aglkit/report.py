@@ -21,7 +21,7 @@ from .baselines import (
     with_and_without_temperature,
 )
 from .datamodel import SplitPair
-from .errors import InsufficientModels, InvalidConfig, LengthMismatch, ToolkitError, ZeroTruth
+from .errors import InvalidConfig, LengthMismatch, ToolkitError, ZeroTruth
 from .metrics import agreement_matrix, performance
 from .probit import CLAMP_EPS, LineFit, clamp_rate, fit_line, normal_cdf, probit
 
@@ -170,7 +170,7 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
     """
     model_ids, options = list(model_ids), options or ReportOptions()
     if len(model_ids) != len(id_perf):
-        raise InsufficientModels(f"{len(model_ids)} model_ids for {len(id_perf)} models")
+        raise LengthMismatch(f"{len(model_ids)} model_ids for {len(id_perf)} models")
     true_ood = None if true_ood_perf is None else np.asarray(true_ood_perf)
     if true_ood is not None and true_ood.shape != (len(model_ids),):
         raise LengthMismatch(f"true_ood_perf shape {true_ood.shape} != ({len(model_ids)},)")

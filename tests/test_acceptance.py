@@ -30,7 +30,7 @@ from aglkit.datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1, Cla
 from aglkit.metrics import agreement, agreement_matrix, performance
 from aglkit.probit import LineFit, fit_line, normal_cdf, probit
 from aglkit.report import build_report_from_matrices, mape
-from aglkit.closed_form import closed_form_agreement, exact_agl_inputs
+from aglkit.closed_form import exact_agl_inputs, expected_inputs
 from aglkit.synth import SynthConfig, generate
 
 from conftest import (
@@ -349,7 +349,7 @@ def test_criterion_9_convergence_to_closed_form():
                              skill_min=skill, skill_max=skill,
                              diversity=diversity, seed=100 + idx)
         id_logs, _, _ = generate(config)
-        p = closed_form_agreement(config, 0, 1, "id")
+        p = expected_inputs(config)[1][0, 1]
         emp = agreement(id_logs[0], id_logs[1], METRIC_ACCURACY)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(emp - p) < 3 * se, (

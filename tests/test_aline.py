@@ -9,7 +9,7 @@ from aglkit.aline import (
     aline_s,
     gate,
 )
-from aglkit.errors import InsufficientModels
+from aglkit.errors import InsufficientModels, LengthMismatch
 from aglkit.probit import LineFit, fit_line, normal_cdf, probit
 from aglkit.closed_form import exact_agl_inputs
 from aglkit.synth import SynthConfig
@@ -170,7 +170,7 @@ def test_input_alignment_checks(rng):
     inp3 = _random_input(rng, n=3)
     with pytest.raises(InsufficientModels):
         AlineInput(id_perf=np.array([0.8]), agr_id=inp3.agr_id, agr_ood=inp3.agr_ood)
-    with pytest.raises(InsufficientModels):
+    with pytest.raises(LengthMismatch):
         AlineInput(id_perf=np.array([0.8, 0.7, 0.9, 0.6]),
                    agr_id=inp3.agr_id, agr_ood=inp3.agr_ood)
 

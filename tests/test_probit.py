@@ -177,6 +177,18 @@ def test_fit_line_needs_two_1d_inputs_of_one_length(xs, ys):
         fit_line(xs, ys)
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
+    ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0]),
+    ([0.0, math.inf, 2.0], [1.0, 2.0, 3.0]),
+    ([0.0, 1.0, 2.0], [1.0, -math.inf, 3.0]),
+    ([-math.inf, 1.0, math.inf], [1.0, 2.0, 3.0]),
+])
+def test_fit_line_rejects_non_finite_values(xs, ys):
+    with pytest.raises(DomainError, match="finite"):
+        fit_line(xs, ys)
+
+
 def test_fit_line_constant_y():
     fit = fit_line([0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
     assert fit.slope == 0.0

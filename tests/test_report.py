@@ -10,7 +10,7 @@ import aglkit.aline
 import aglkit.baselines
 import aglkit.report
 from aglkit.datamodel import METRIC_ACCURACY, METRIC_F1, SpanExample, SpanLog, SplitPair
-from aglkit.errors import InsufficientModels, LengthMismatch, ToolkitError, ZeroTruth
+from aglkit.errors import LengthMismatch, ToolkitError, ZeroTruth
 from aglkit.probit import LineFit, clamp_rate, probit
 from aglkit.report import (
     ALINE_METHODS,
@@ -229,16 +229,16 @@ def test_matrix_report_rejects_misshapen_agreement(shape, split):
     good = np.full((3, 3), 0.6)
     bad = np.full(shape, 0.7)
     agr_id, agr_ood = (bad, good) if split == "id" else (good, bad)
-    with pytest.raises(InsufficientModels):
+    with pytest.raises(LengthMismatch):
         build_report_from_matrices([0.8, 0.7, 0.6], agr_id, agr_ood, ["a", "b", "c"])
 
 
 def test_matrix_report_rejects_misaligned_model_ids():
-    with pytest.raises(InsufficientModels):
+    with pytest.raises(LengthMismatch):
         build_report_from_matrices([0.8, 0.7, 0.6], np.full((3, 3), 0.7),
                                    np.full((3, 3), 0.6), ["a", "b"])
     # with misshapen matrices as well, the model_ids mismatch is named first
-    with pytest.raises(InsufficientModels, match="2 model_ids for 3 models"):
+    with pytest.raises(LengthMismatch, match="2 model_ids for 3 models"):
         build_report_from_matrices([0.8, 0.7, 0.6], np.full((2, 2), 0.7),
                                    np.full((3, 2), 0.6), ["a", "b"])
 

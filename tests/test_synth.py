@@ -12,13 +12,13 @@ from scipy.special import ndtr
 import aglkit.synth
 from aglkit.closed_form import (
     both_correct_probability,
-    closed_form_agreement,
     exact_agl_inputs,
+    expected_inputs,
     wrong_match_probability,
 )
 from aglkit.datamodel import load_split_pair
 from aglkit.errors import InvalidConfig, MissingFile, UnreadableFile
-from aglkit.metrics import agreement
+from aglkit.metrics import agreement, agreement_matrix, performance
 from aglkit.probit import normal_cdf, probit
 from aglkit.synth import SynthConfig, generate, latent_correlation, truth_for, write_ensemble
 
@@ -248,16 +248,6 @@ def test_both_correct_probability_matches_quad_oracle(diversity):
                 assert abs(got[i, j] - _oracle_both_correct(theta[i], theta[j], r)) < 1e-12
 
 
-def test_closed_form_agreement_takes_index_arrays():
-    config = SynthConfig(n_models=6, diversity=0.7)
-    i, j = np.triu_indices(6, k=1)
-    for split in ("id", "ood"):
-        got = closed_form_agreement(config, i, j, split)
-        assert got.shape == i.shape
-        assert np.array_equal(got, [closed_form_agreement(config, int(a), int(b), split)
-                                    for a, b in zip(i, j)])
-
-
 def test_exact_agl_inputs_many_models_in_closed_form():
     """All 8,128 pairs at 128 models in one array pass (the numerical
     integral it replaced took about 2 s)."""
@@ -267,7 +257,7 @@ def test_exact_agl_inputs_many_models_in_closed_form():
     assert agr_id.shape == agr_ood.shape == (128, 128)
     assert np.array_equal(agr_id, agr_id.T) and np.array_equal(agr_ood, agr_ood.T)
     assert np.all(np.diag(agr_id) == 1.0)
-    assert agr_id[3, 97] == closed_form_agreement(SynthConfig(n_models=128), 3, 97, "id")
+    assert agr_id[3, 97] == expected_inputs(SynthConfig(n_models=128))[1][3, 97]
 
 
 def _mc_agreement(config, i, j, split, n, seed):
@@ -300,7 +290,7 @@ def test_closed_form_agreement_matches_monte_carlo(diversity, coherence):
                          diversity=diversity, distractor_coherence=coherence)
     n = 400_000
     for split in ("id", "ood"):
-        p = closed_form_agreement(config, 0, 2, split)
+        p = expected_inputs(config)[1 if split == "id" else 2][0, 2]
         emp = _mc_agreement(config, 0, 2, split, n, seed=13)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(emp - p) < 3.5 * se
@@ -309,13 +299,87 @@ def test_closed_form_agreement_matches_monte_carlo(diversity, coherence):
 def test_exact_agl_inputs_sit_on_both_lines():
     config = SynthConfig(n_models=5, line_slope=0.7, line_bias=-0.3)
     id_acc, agr_id, agr_ood, true_ood = exact_agl_inputs(config)
+    expected_agr_id = expected_inputs(config)[1]
     for i in range(5):
         assert probit(true_ood[i]) == pytest.approx(0.7 * probit(id_acc[i]) - 0.3,
                                                     abs=1e-9)
         for j in range(i + 1, 5):
-            assert agr_id[i, j] == closed_form_agreement(config, i, j, "id")
+            assert agr_id[i, j] == expected_agr_id[i, j]
             assert probit(agr_ood[i, j]) == pytest.approx(
                 0.7 * probit(agr_id[i, j]) - 0.3, abs=1e-9)
+
+
+def _arrays_sha256(arrays):
+    """sha256 over each array's shape, a NUL, then its float64 bytes."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        digest.update(repr(a.shape).encode() + b"\0")
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+# Digests of exact_agl_inputs(config) and expected_inputs(config) on the configs
+# the tests use, computed before expected_inputs existed: the second from the
+# per-pair closed form over np.triu_indices and truth_for.
+CLOSED_FORM_SHA256 = [
+    ({"n_models": 128},
+     "4867d221bd31687eeb999019066c399d38115df24bd4aa1ca369ddc0e7d425c2",
+     "ed283c0bd5957ae6b663fef8aadb19ec4548264be9426911c698280b4f9392cb"),
+    ({"n_models": 5},
+     "6f24502e97242f3d749f5fabb78988ce3123996a644d28dc1f73a6a9ae047d6c",
+     "cd13a1e9e3f70c58d9a0b7b328e9a6b00de17d9deaf7d023924df19fe203fd80"),
+    ({"n_models": 3, "skill_min": 0.4, "skill_max": 1.2},
+     "db87af358e03b928199fa144c87dc37684cdfa61bf08edfb3a1dc2aac6a27ccf",
+     "91f28b95682ac8f6f0abcb760b0e235f9a7b45a8a7da95bfac23d25ca4000f0f"),
+    ({"n_models": 4},
+     "a4cc9008ae90f5bc634705dd2fc72ce6fd4c0bf8234d4adcac7b0d1fd3752405",
+     "2d208b71d82666f15e2f6eb2c7543afb422ff4cfe129108d70da95b4a0c96874"),
+    ({"n_models": 6},
+     "6df154d5494244e9b31bfd507249ef698c0763be276ac5d9910ea1f3f2e4c750",
+     "ea4707adea229507e055dfe552b62fe8099d7a0cc1ed0c8ae34a593cb152a6a0"),
+    ({"n_models": 6, "skill_min": 1.5, "skill_max": 3.5, "diversity": 0.3},
+     "1dd38eae2fc841449158863a439c1d517ad4337b0142e5ad2305bd49d687c9ab",
+     "61b64c908def1a84d3d66a4e062136f0df1815b7453c8af93f4b2797dc12ddae"),
+    ({"n_models": 6, "diversity": 0.7},
+     "d03c1e89bfca08e881492673ff272e5c1ef2f45cd9634dd2b4da525910ef7747",
+     "6ce7aeb4546548d45c968649baddecbc5c4125e10824d19adc99cf0ed94f91a1"),
+    ({"n_models": 3, "n_classes": 4, "skill_min": 0.2, "skill_max": 1.0, "diversity": 0.2,
+      "distractor_coherence": 0.9},
+     "c3ba638158d44960f3ba2506693a8bee49c162b78b2aacb416b151208df9b4d7",
+     "81a3ec56e5306e8144c20a3978e7e002070d1f20f3da1ebabf5a3b836aa365e5"),
+    ({"n_models": 7, "n_classes": 100, "line_slope": -0.8, "line_bias": 0.2,
+      "diversity": 0.05, "distractor_coherence": 0.5},
+     "bf51a227f561ee53f39c956cb53c7eb30d9203bf564a6abd9d97d3bc07638f70",
+     "a0a7d19e61107bdee4e05ec889736f3901c17acae759eeead0816f5637544129"),
+]
+
+
+@pytest.mark.parametrize("overrides, exact_sha256, expected_sha256", CLOSED_FORM_SHA256)
+def test_closed_form_inputs_golden_digests(overrides, exact_sha256, expected_sha256):
+    config = SynthConfig(**overrides)
+    assert _arrays_sha256(exact_agl_inputs(config)) == exact_sha256
+    assert _arrays_sha256(expected_inputs(config)) == expected_sha256
+
+
+@pytest.mark.parametrize("overrides, seed", [
+    ({}, 41),
+    ({"n_classes": 3, "diversity": 0.2, "distractor_coherence": 0.9}, 42),
+    ({"n_classes": 10, "skill_min": -0.5, "skill_max": 2.0, "line_slope": -0.6,
+      "line_bias": 0.4, "diversity": 0.6, "distractor_coherence": 0.0}, 43),
+])
+def test_expected_inputs_match_a_sampled_ensemble(overrides, seed):
+    """Every accuracy and every pair's agreement of a generated ensemble, on both
+    splits, lies within 4 binomial SEs of expected_inputs at 100,000 examples."""
+    n = 100_000
+    config = SynthConfig(n_models=4, n_examples_id=n, n_examples_ood=n, seed=seed, **overrides)
+    id_acc, agr_id, agr_ood, ood_acc = expected_inputs(config)
+    id_logs, ood_logs, _ = generate(config)
+    for logs, acc, agr in ((id_logs, id_acc, agr_id), (ood_logs, ood_acc, agr_ood)):
+        for emp, p in ((np.array([performance(log, "accuracy") for log in logs]), acc),
+                       (agreement_matrix(logs, "accuracy"), agr)):
+            assert emp.shape == p.shape
+            assert np.all(np.abs(emp - p) <= 4 * np.sqrt(p * (1 - p) / n))
 
 
 def test_calibrated_log_shape_and_determinism():
@@ -449,7 +513,7 @@ def test_generated_agreement_tracks_closed_form_smoke():
     config = SynthConfig(n_models=3, n_examples_id=30_000, n_examples_ood=1000,
                          diversity=0.7, seed=17)
     id_logs, _, _ = generate(config)
-    p = closed_form_agreement(config, 0, 2, "id")
+    p = expected_inputs(config)[1][0, 2]
     emp = agreement(id_logs[0], id_logs[2], "accuracy")
     se = math.sqrt(p * (1 - p) / config.n_examples_id)
     assert abs(emp - p) < 4 * se
