@@ -7,10 +7,10 @@ exact derivatives mean(E_p[d] - d_gold) and mean(Var_p[d]). The fit
 returns a box edge when the derivative there points out of the box (so a
 CE that underflows to a flat tail goes to the upper edge); otherwise
 safeguarded Newton steps in t alternate with bisection until the bracket
-is narrower than ``TEMP_TOL``. Each softmax head of a log is fitted on
-its own: the one head of a classification log, or the start and end heads
-of a QA log (-inf padded matrices). A report fits the temperatures of each
-ID log once and shares them with AC, ATC and DOC-Feat
+is narrower than ``TEMP_TOL``. Each softmax head that a log's ``heads()``
+lists is fitted on its own: the one head of a classification log, or the
+start and end heads of a QA log (-inf padded matrices). A report fits the
+temperatures of each ID log once and shares them with AC, ATC and DOC-Feat
 (``confidence_scores``).
 """
 
@@ -20,8 +20,7 @@ import math
 
 import numpy as np
 
-from .datamodel import ClassificationLog, SpanLog
-from .errors import EmptyLog, InsufficientModels, MissingLogits
+from .errors import EmptyLog, InsufficientModels
 
 METHOD_AC = "ac"
 METHOD_ATC = "atc"
@@ -30,18 +29,6 @@ METHOD_NAIVE_AGREEMENT = "naive_agreement"
 
 TEMP_BOX = (-5.0, 5.0)
 TEMP_TOL = 1e-6
-
-
-def _heads(log):
-    """``(logits, gold)`` of each softmax head: one for classification, the
-    start and end heads for QA."""
-    if isinstance(log, SpanLog):
-        return (log.start_logits, log.gold[:, 0]), (log.end_logits, log.gold[:, 1])
-    if not isinstance(log, ClassificationLog):
-        raise MissingLogits(f"unsupported log type {type(log)!r}")
-    if log.logits is None:
-        raise MissingLogits(f"log {log.model_id!r} carries no logits")
-    return ((log.logits, log.gold),)
 
 
 def _mean_ce(logits: np.ndarray, golds: np.ndarray, t: float) -> float:
@@ -101,7 +88,7 @@ def _fit_coordinate(logits: np.ndarray, golds: np.ndarray) -> float:
 def fit_temperature(id_log) -> tuple[float, ...]:
     """One log-temperature per softmax head; logits are multiplied by exp(t).
     The QA pair CE separates into one CE per head."""
-    heads = _heads(id_log)
+    heads = id_log.heads()
     if len(id_log) == 0:
         raise EmptyLog("cannot calibrate an empty log")
     return tuple(_fit_coordinate(logits, gold) for logits, gold in heads)
@@ -116,7 +103,7 @@ def _max_prob(logits: np.ndarray, t: float) -> np.ndarray:
 def confidence(log, temperature: tuple[float, ...] | None = None) -> np.ndarray:
     """Per-example product of the heads' max probabilities: the max probability
     (classification) or, since it factorizes, the max pair probability (QA)."""
-    heads = _heads(log)
+    heads = log.heads()
     ts = (0.0,) * len(heads) if temperature is None else temperature
     return math.prod(_max_prob(logits, t) for (logits, _), t in zip(heads, ts, strict=True))
 

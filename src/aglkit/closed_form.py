@@ -77,16 +77,15 @@ def _agreements(config: SynthConfig, split: str):
 def expected_inputs(config: SynthConfig):
     """(id_acc, agr_id, agr_ood, true_ood_acc) as the generator expects them, no line imposed."""
     config.validate()
-    truth = truth_for(config)
-    return (truth.true_id_acc, _agreements(config, "id"), _agreements(config, "ood"),
-            truth.true_ood_acc)
+    id_acc, ood_acc = truth_for(config)
+    return id_acc, _agreements(config, "id"), _agreements(config, "ood"), ood_acc
 
 
 def exact_agl_inputs(config: SynthConfig):
     """``expected_inputs``' ID half with its OOD half defined by the configured
     probit line, so accuracy and agreement share the exact slope/bias."""
     config.validate()
-    id_acc, agr_id = truth_for(config).true_id_acc, _agreements(config, "id")
+    id_acc, agr_id = truth_for(config)[0], _agreements(config, "id")
     a, b = config.line_slope, config.line_bias
     iu = np.triu_indices(config.n_models, k=1)
     agr_ood = np.ones_like(agr_id)

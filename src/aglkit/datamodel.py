@@ -27,6 +27,7 @@ from .errors import (
     MalformedRecord,
     MetricTaskMismatch,
     MissingFile,
+    MissingLogits,
     RangeViolation,
     ShapeMismatch,
     UnreadableFile,
@@ -66,6 +67,12 @@ class ClassificationLog:
 
     def __len__(self):
         return len(self.gold)
+
+    def heads(self):
+        """``((logits, gold),)``: the one softmax head; MissingLogits if ``logits`` is None."""
+        if self.logits is None:
+            raise MissingLogits(f"log {self.model_id!r} carries no logits")
+        return ((self.logits, self.gold),)
 
 
 @dataclass
@@ -125,6 +132,10 @@ class SpanLog:
 
     def __len__(self):
         return len(self.n_tokens)
+
+    def heads(self):
+        """``(logits, gold)`` of the start softmax head, then of the end head."""
+        return (self.start_logits, self.gold[:, 0]), (self.end_logits, self.gold[:, 1])
 
 
 @dataclass
@@ -529,7 +540,7 @@ def load_split_pair(id_path, ood_path, metric_override=None) -> SplitPair:
     for other, _ in loaded[1:]:
         if other.task != manifest.task:
             raise MetricTaskMismatch(manifest.metric, other.task)
-    metric = metric_override or manifest.metric
+    metric = manifest.metric if metric_override is None else metric_override
     if metric not in METRICS_BY_TASK[manifest.task]:
         raise MetricTaskMismatch(metric, manifest.task)
     logs = {}

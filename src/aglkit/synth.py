@@ -13,9 +13,10 @@ independent errors. The sharpened mapping keeps rho near 0 in the
 clone-like regime long enough for the near-diagonal agreement trend to
 survive moderate rho, while large rho still decorrelates errors enough
 for the agreement line to track the accuracy line.
-Confidences and ``truth_for``'s accuracies use ``aglkit.probit``'s stdlib
-Phi, so sampling loads no scipy module; the closed-form agreements live
-in ``aglkit.closed_form``, which imports this module.
+``SynthConfig.threshold`` alone states the thresholds, for the sampler,
+``truth_for`` and ``aglkit.closed_form``. Confidences and ``truth_for``'s
+accuracies use ``aglkit.probit``'s stdlib Phi, so sampling loads no scipy
+module; the closed forms live in ``aglkit.closed_form``, which imports it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
+        for name in ("n_models", "n_examples_id", "n_examples_ood", "n_classes"):
+            if getattr(self, name) > 2**63 - 1:  # the bound load_log puts on labels
+                raise InvalidConfig(f"{name} {getattr(self, name)} > 2**63 - 1")
         if self.n_models < 2:
             raise InvalidConfig(f"n_models {self.n_models} < 2")
         if self.n_examples_id < 1 or self.n_examples_ood < 1:
@@ -135,13 +139,6 @@ class SynthConfig:
         return cls.from_mapping(mapping)
 
 
-@dataclass
-class SynthTruth:
-    """Closed-form per-model accuracies implied by the config."""
-    true_id_acc: np.ndarray
-    true_ood_acc: np.ndarray
-
-
 def _wrong_label(gold: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
     return (gold + 1 + offsets) % k
 
@@ -160,13 +157,12 @@ def _generate_split(config: SynthConfig, rng: np.random.Generator,
     w = rng.standard_normal(n_ex)
     r = latent_correlation(config.diversity)
     logs = []
-    for m in range(config.n_models):
+    for m, theta in enumerate(config.threshold(np.arange(config.n_models), split)):
         v = rng.standard_normal(n_ex)
         copy_coin = rng.random(n_ex)
         own_coin = rng.random(n_ex)
         own_fallback = _wrong_label(gold, rng.integers(0, k - 1, size=n_ex), k)
         z = math.sqrt(r) * w + math.sqrt(1.0 - r) * v
-        theta = config.threshold(m, split)
         correct = z <= theta
         own_wrong = np.where(own_coin < eta, distractor, own_fallback)
         wrong_pred = np.where(copy_coin < r, shared_wrong, own_wrong)
@@ -183,14 +179,14 @@ def _generate_split(config: SynthConfig, rng: np.random.Generator,
     return logs
 
 
-def truth_for(config: SynthConfig) -> SynthTruth:
-    skills = config.skills
-    return SynthTruth(true_id_acc=normal_cdf(skills),
-                      true_ood_acc=normal_cdf(config.line_slope * skills + config.line_bias))
+def truth_for(config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(true_id_acc, true_ood_acc)``: Phi of each model's threshold on each split."""
+    models = np.arange(config.n_models)
+    return tuple(normal_cdf(config.threshold(models, split)) for split in ("id", "ood"))
 
 
 def generate(config: SynthConfig):
-    """Generate (id_logs, ood_logs, truth), deterministic in config.seed."""
+    """``(id_logs, ood_logs, (true_id_acc, true_ood_acc))``, deterministic in config.seed."""
     config.validate()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     id_logs = _generate_split(config, rng, "id", "synth_id")
@@ -204,7 +200,7 @@ def write_ensemble(config: SynthConfig, out_dir) -> dict:
     Re-running with the same config overwrites the tree byte-identically.
     Returns the paths written.
     """
-    id_logs, ood_logs, truth = generate(config)
+    id_logs, ood_logs, (true_id_acc, true_ood_acc) = generate(config)
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for split_dir, logs in (("id", id_logs), ("ood", ood_logs)):
@@ -223,8 +219,8 @@ def write_ensemble(config: SynthConfig, out_dir) -> dict:
     truth_path = os.path.join(out_dir, "truth.json")
     with open(truth_path, "w") as fh:
         json.dump({"model_ids": [log.model_id for log in id_logs],
-                   "true_id_acc": [float(v) for v in truth.true_id_acc],
-                   "true_ood_acc": [float(v) for v in truth.true_ood_acc],
+                   "true_id_acc": [float(v) for v in true_id_acc],
+                   "true_ood_acc": [float(v) for v in true_ood_acc],
                    "config": {k: getattr(config, k) for k in config.__annotations__}},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -234,6 +234,16 @@ def test_estimate_unknown_method(tmp_path):
         == EXIT_INPUT_ERROR
 
 
+def test_estimate_empty_metric_is_not_the_manifest_metric(tmp_path, capsys):
+    manifest = str(_synth(tmp_path) / "manifest.json")
+    out = tmp_path / "report"
+    assert main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                 "--metric", "", "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == \
+        "error: metric '' is incompatible with task 'classification'\n"
+    assert not (out / "report.json").exists()
+
+
 def test_estimate_missing_manifest(tmp_path):
     assert main(["estimate", "--id-manifest", str(tmp_path / "no.json"),
                  "--ood-manifest", str(tmp_path / "no.json"),
@@ -407,6 +417,21 @@ def test_synth_rejects_a_seed_beyond_the_philox_key(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["synth", "--seed", str(2**128), "--out", str(out)]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err == f"error: seed {2**128} outside [0, 2**128)\n"
+    assert not (out / "truth.json").exists()
+
+
+@pytest.mark.parametrize("value", [2**63, 10**23 - 1])
+@pytest.mark.parametrize("key", ["n_models", "n_examples_id", "n_examples_ood", "n_classes"])
+def test_synth_rejects_a_count_beyond_int64(tmp_path, capsys, key, value):
+    """Only counts that no int64 holds: one that fits could start a huge allocation."""
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(cfg), "--seed", "1",
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: {key} {value} > 2**63 - 1\n"
+    assert "Traceback" not in err
     assert not (out / "truth.json").exists()
 
 

@@ -67,16 +67,15 @@ def test_generate_matches_the_scipy_ndtr_generator(monkeypatch, overrides, seed)
         assert np.array_equal(new.gold, ref.gold)
         assert np.array_equal(new.predicted, ref.predicted)
         np.testing.assert_allclose(np.exp(new.logits), np.exp(ref.logits), rtol=0, atol=1e-15)
-    for field in ("true_id_acc", "true_ood_acc"):
-        np.testing.assert_allclose(getattr(new_truth, field), getattr(ref_truth, field),
-                                   rtol=0, atol=1e-15)
+    for new_acc, ref_acc in zip(new_truth, ref_truth, strict=True):
+        np.testing.assert_allclose(new_acc, ref_acc, rtol=0, atol=1e-15)
 
 
 def test_marginal_accuracy_law():
     config = SynthConfig(n_models=3, n_examples_id=100_000, n_examples_ood=20_000,
                          skill_min=0.2, skill_max=1.0, seed=9)
-    id_logs, _, truth = generate(config)
-    for log, p in zip(id_logs, truth.true_id_acc):
+    id_logs, _, (true_id_acc, _) = generate(config)
+    for log, p in zip(id_logs, true_id_acc):
         emp = float(np.mean(log.predicted == log.gold))
         se = math.sqrt(p * (1 - p) / config.n_examples_id)
         assert abs(emp - p) < 3 * se
@@ -85,8 +84,8 @@ def test_marginal_accuracy_law():
 def test_truth_on_configured_line():
     config = SynthConfig(n_models=5, line_slope=0.6, line_bias=-0.4,
                          skill_min=0.3, skill_max=1.4)
-    truth = truth_for(config)
-    for s, pid, pood in zip(config.skills, truth.true_id_acc, truth.true_ood_acc):
+    true_id_acc, true_ood_acc = truth_for(config)
+    for s, pid, pood in zip(config.skills, true_id_acc, true_ood_acc):
         assert pid == pytest.approx(normal_cdf(s), abs=1e-12)
         assert pood == pytest.approx(normal_cdf(0.6 * s - 0.4), abs=1e-12)
         assert probit(pood) == pytest.approx(0.6 * probit(pid) - 0.4, abs=1e-9)
@@ -483,7 +482,7 @@ def test_write_ensemble_round_trip(tmp_path):
     truth = json.loads((tmp_path / "out" / "truth.json").read_text())
     assert truth["model_ids"] == pair.model_ids
     np.testing.assert_allclose(truth["true_id_acc"],
-                               truth_for(config).true_id_acc, atol=1e-12)
+                               truth_for(config)[0], atol=1e-12)
 
 
 def test_write_ensemble_rerun_byte_identical(tmp_path):
