@@ -5,14 +5,17 @@ example. ``save_log`` writes sorted keys, ", " and ": " separators, floats in
 Python's shortest round-trip repr and NaN/Infinity as ``json`` does, so
 save -> load is bit-for-bit; the loader takes keys in any order. It decodes a
 file of short lines with no ``null`` in one ``json.loads`` call and any other
-file line by line, with the same result. Example identity is positional: logs
-compared across models must have equal length.
+file line by line, with the same result. Every input file, a ``synth`` config
+too, is read by ``_read_text``, and a bad manifest value is located by stepping
+over the values before it with the C scanner that decoded them. Example identity
+is positional: logs compared across models must have equal length.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -438,34 +441,36 @@ def save_manifest(manifest: Manifest, path) -> None:
         fh.write("\n")
 
 
+_SEPARATORS = re.compile(r"[ \t\n\r,:]*")  # JSON whitespace and the marks between values
+
+
+def _starts(text, i) -> dict:
+    """{key, or list position: index at which its value starts} of the object or list
+    whose text opens at ``i``; a repeated key keeps its last start, as ``json.loads``
+    keeps its last value. Each value is stepped over by the C scanner."""
+    starts, is_object = {}, text[i] == "{"
+    i += 1
+    while text[i := _SEPARATORS.match(text, i).end()] not in "]}":
+        if is_object:  # the member's key, then ":"
+            name, i = _scan(text, i)
+            i = _SEPARATORS.match(text, i).end()
+        else:
+            name = len(starts)
+        starts[name] = i
+        i = _scan(text, i)[1]
+    return starts
+
+
 def _line_of(text, key, k=None) -> int:
     """Line on which the manifest's ``key`` value starts or, given ``k``, on which the
-    k-th object of that list opens (1 if it is not an object or cannot be located).
-    Only a bad manifest pays for this second decode."""
-    starts = {}  # id() of each decoded object -> {None: index of its "{", key: its value's}
-
-    def parse_object(s_and_end, strict, scan_once, *args):
-        values = []  # where each of this object's values starts, in order
-
-        def scan(s, idx):
-            values.append(idx)
-            return scan_once(s, idx)
-        pairs, end = json.decoder.JSONObject(s_and_end, strict, scan, None, list, *args[2:])
-        obj = dict(pairs)  # a repeated key keeps its last value, and here its last start
-        starts[id(obj)] = {None: s_and_end[1] - 1, **{n: i for (n, _), i in zip(pairs, values)}}
-        return obj, end
-
-    decoder = json.JSONDecoder()
-    decoder.parse_object = parse_object
-    decoder.scan_once = json.scanner.py_make_scanner(decoder)  # the C scanner takes no hook
-    try:
-        doc = decoder.decode(text)
-    except RecursionError:  # nesting the C scanner accepts can be too deep for the Python one
-        return 1
-    if k is None:
-        return text.count("\n", 0, starts[id(doc)][key]) + 1
-    entry = doc[key][k]
-    return text.count("\n", 0, starts[id(entry)][None]) + 1 if isinstance(entry, dict) else 1
+    k-th object of that list opens (1 if it is not an object). Only a bad manifest
+    walks its text this second time; any text ``json.loads`` decoded can be walked."""
+    i = _starts(text, _SEPARATORS.match(text).end())[key]
+    if k is not None:
+        i = _starts(text, i)[k]
+        if text[i] != "{":
+            return 1
+    return text.count("\n", 0, i) + 1
 
 
 def read_manifest(path) -> Manifest:

@@ -21,6 +21,7 @@ module; the closed forms live in ``aglkit.closed_form``, which imports it.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -35,10 +36,11 @@ from .datamodel import (
     ClassificationLog,
     Manifest,
     ManifestEntry,
+    _read_text,
     save_log,
     save_manifest,
 )
-from .errors import InvalidConfig, MissingFile, UnreadableFile
+from .errors import InvalidConfig
 from .probit import normal_cdf
 
 _CONF_FLOOR_MARGIN = 1e-6
@@ -116,19 +118,11 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":
-        """The config of a ``key = value`` file; MissingFile unless ``path`` is a file,
-        UnreadableFile if the OS refuses it, InvalidConfig if it is not UTF-8."""
-        if not os.path.isfile(path):
-            raise MissingFile(path)
+        """The config of a ``key = value`` file, read as ``load_log`` reads a log:
+        MissingFile, UnreadableFile, or MalformedRecord at the line of a byte that is
+        not UTF-8. A line ends at LF, CRLF or CR, as in a file opened in text mode."""
         mapping = {}
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise InvalidConfig(f"{path}: not UTF-8: {exc.reason}") from exc
-        except OSError as exc:
-            raise UnreadableFile(path, exc.strerror or str(exc)) from exc
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -234,6 +234,16 @@ def test_estimate_unknown_method(tmp_path):
         == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("methods", [",", " , ,", ""])
+def test_estimate_no_methods_requested(tmp_path, capsys, methods):
+    manifest = str(tmp_path / "never-read.json")
+    out = tmp_path / "report"
+    assert main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
+                 "--methods", methods, "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: no methods requested\n"
+    assert not out.exists()
+
+
 def test_estimate_empty_metric_is_not_the_manifest_metric(tmp_path, capsys):
     manifest = str(_synth(tmp_path) / "manifest.json")
     out = tmp_path / "report"
@@ -390,6 +400,17 @@ def test_synth_undecodable_or_unparsable_config(tmp_path, capsys, config):
     assert main(["synth", "--config", str(cfg), "--seed", "1",
                  "--out", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_synth_config_byte_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"n_models = 3\nseed = \xff\n")
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(cfg), "--seed", "1",
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == \
+        f"error: malformed record at {cfg}:2 (not UTF-8: invalid start byte)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["missing.cfg", "."])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aglkit import datamodel
+from aglkit.cli import EXIT_INPUT_ERROR, main
 from aglkit.datamodel import (
     FORMAT_VERSION,
     METRIC_ACCURACY,
@@ -22,6 +23,7 @@ from aglkit.datamodel import (
     ManifestEntry,
     SpanExample,
     SpanLog,
+    load_entries,
     load_log,
     load_split_pair,
     read_manifest,
@@ -611,9 +613,9 @@ _GOOD_ENTRY = '{"model_id": "m0", "split_id": "a", "path": "x.jsonl"}'
     # an entry that is not an object has no line of its own
     pytest.param(f'\n  {_GOOD_ENTRY},\n  "y.jsonl"',
                  1, "entry 1 needs model_id, split_id and path", id="not-an-object"),
-    # nesting the C scanner accepts but the Python one cannot follow falls back to line 1
+    # a value nested 600 deep inside the entry does not hide the line it opens on
     pytest.param('\n{"model_id": ' + "[" * 600 + "]" * 600 + ', "split_id": "a", "path": "x"}',
-                 1, "entry 0: model_id must be a string", id="too-deep-to-locate"),
+                 4, "entry 0: model_id must be a string", id="too-deep-to-locate"),
 ])
 def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
     path = tmp_path / "manifest.json"
@@ -637,6 +639,10 @@ def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
     pytest.param('\n\n["version", "task"]\n', 1, "manifest must be a JSON object", id="not-object"),
     pytest.param('{"version": "1",\n "task": "classification",\n "entries": []}',
                  1, "missing key 'metric'", id="missing-key"),
+    # a member after a value nested 600 deep still names its own line
+    pytest.param('{"extra": ' + "[" * 600 + "]" * 600 + ',\n "task": "classification",\n'
+                 ' "metric": "accuracy", "entries": [],\n\n "version": "2"}',
+                 5, "unsupported version '2'", id="after-deep-value"),
 ])
 def test_manifest_document_error_names_value_line(tmp_path, text, line, detail):
     path = tmp_path / "bad.json"
@@ -755,6 +761,75 @@ def test_split_pair_model_only_in_ood_manifest(tmp_path, rng):
     with pytest.raises(ShapeMismatch) as exc:
         load_split_pair(id_manifest, ood_manifest)
     assert exc.value.model_id == "m2"
+
+
+def _write_logs(path, task, metric, logs):
+    """Save each log beside a manifest at ``path`` that lists them, in order."""
+    entries = []
+    for log in logs:
+        rel = f"{log.model_id}_{log.split_id}.jsonl"
+        save_log(log, path.parent / rel)
+        entries.append(ManifestEntry(model_id=log.model_id, split_id=log.split_id, path=rel))
+    save_manifest(Manifest(version=FORMAT_VERSION, task=task, metric=metric, entries=entries), path)
+    return str(path)
+
+
+def _estimate_exits_2(tmp_path, capsys, id_manifest, ood_manifest, error):
+    out = tmp_path / "report"
+    assert main(["estimate", "--id-manifest", id_manifest, "--ood-manifest", ood_manifest,
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (out / "report.json").exists()
+
+
+def _qa_logs(split_id, n_models=2):
+    return [make_span_log([(0, 1)], [(0, 1)], model_id=f"m{m}", split_id=split_id)
+            for m in range(n_models)]
+
+
+def test_log_of_another_task_than_its_manifest(tmp_path, capsys):
+    path = _write_logs(tmp_path / "manifest.json", TASK_CLASSIFICATION, METRIC_ACCURACY,
+                       _qa_logs("clean"))
+    with pytest.raises(MetricTaskMismatch) as exc:
+        load_entries(path)
+    assert (exc.value.metric, exc.value.task) == (METRIC_ACCURACY, TASK_EXTRACTIVE_QA)
+    assert main(["validate", "--manifest", path]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == \
+        "error: metric 'accuracy' is incompatible with task 'extractive_qa'\n"
+
+
+def test_split_pair_manifests_of_two_tasks(tmp_path, capsys):
+    id_manifest = _write_logs(
+        tmp_path / "id.json", TASK_CLASSIFICATION, METRIC_ACCURACY,
+        [make_classification_log([0, 1], [0, 1], 2, model_id=f"m{m}", split_id="clean")
+         for m in range(2)])
+    ood_manifest = _write_logs(tmp_path / "ood.json", TASK_EXTRACTIVE_QA, METRIC_F1,
+                               _qa_logs("shift"))
+    with pytest.raises(MetricTaskMismatch) as exc:
+        load_split_pair(id_manifest, ood_manifest)
+    assert (exc.value.metric, exc.value.task) == (METRIC_ACCURACY, TASK_EXTRACTIVE_QA)
+    _estimate_exits_2(tmp_path, capsys, id_manifest, ood_manifest,
+                      "metric 'accuracy' is incompatible with task 'extractive_qa'")
+
+
+def test_split_pair_of_one_model(tmp_path, rng, capsys):
+    path = str(_write_pair_tree(tmp_path, rng, n_models=1))
+    with pytest.raises(ShapeMismatch, match="need at least 2 models, got 1"):
+        load_split_pair(path, path)
+    _estimate_exits_2(tmp_path, capsys, path, path,
+                      "shape mismatch for model '*': need at least 2 models, got 1")
+
+
+def test_split_pair_of_inconsistent_class_counts(tmp_path, capsys):
+    path = _write_logs(
+        tmp_path / "manifest.json", TASK_CLASSIFICATION, METRIC_ACCURACY,
+        [make_classification_log([0, 1, 2], [2, 1, 0], k, model_id=f"m{m}", split_id=split)
+         for m, k in enumerate((3, 4)) for split in ("clean", "shift")])
+    assert [log.n_classes for log in load_entries(path)[1]] == [3, 3, 4, 4]
+    with pytest.raises(ShapeMismatch, match=r"inconsistent n_classes \[3, 4\]"):
+        load_split_pair(path, path)
+    _estimate_exits_2(tmp_path, capsys, path, path,
+                      "shape mismatch for model '*': inconsistent n_classes [3, 4]")
 
 
 def test_split_pair_two_manifests_match_one(tmp_path, rng):

@@ -161,6 +161,14 @@ def test_build_report_records_method_errors():
     assert "naive_agreement" in report.estimates
 
 
+def test_build_report_records_an_unknown_method():
+    pair, _ = _synth_pair()
+    report = build_report(pair, methods=["bogus", "naive_agreement"])
+    assert report.method_errors == {"bogus": "ToolkitError: unknown method 'bogus'"}
+    assert report.estimates.keys() == {"naive_agreement"}
+    assert report.estimates["naive_agreement"].shape == (3,)
+
+
 def _counting(monkeypatch, module, name):
     """Replace ``module.name`` by a wrapper that records each call's first argument."""
     calls = []
@@ -265,6 +273,21 @@ def test_matrix_report_out_of_range_agreement_fails_only_aline():
     assert report.estimates.keys() == {"naive_agreement"}
     assert report.agreement_fit is None
     assert isinstance(report.accuracy_fit, LineFit)
+
+
+def test_matrix_report_with_equal_id_accuracies_has_no_accuracy_fit():
+    """Equal ID accuracies leave the accuracy line undefined; the estimates, read off
+    the agreement line, are still scored."""
+    _, agr_id, agr_ood, true_ood = exact_agl_inputs(SynthConfig(n_models=4))
+    report = build_report_from_matrices(np.full(4, 0.8), agr_id, agr_ood,
+                                        [f"m{i}" for i in range(4)], true_ood_perf=true_ood)
+    assert report.accuracy_fit is None
+    assert isinstance(report.agreement_fit, LineFit)
+    assert not report.method_errors
+    assert report.mape_by_method.keys() == report.estimates.keys() == {
+        "aline_s", "aline_d", "naive_agreement"}
+    assert all(math.isfinite(value) for value in report.mape_by_method.values())
+    assert json.loads(report.to_json())["fits"]["accuracy_fit"] is None
 
 
 def test_export_scatter_rows():

@@ -17,7 +17,7 @@ from aglkit.closed_form import (
     wrong_match_probability,
 )
 from aglkit.datamodel import load_split_pair
-from aglkit.errors import InvalidConfig, MissingFile, UnreadableFile
+from aglkit.errors import InvalidConfig, MalformedRecord, MissingFile, UnreadableFile
 from aglkit.metrics import agreement, agreement_matrix, performance
 from aglkit.probit import normal_cdf, probit
 from aglkit.synth import SynthConfig, generate, latent_correlation, truth_for, write_ensemble
@@ -445,6 +445,28 @@ def test_config_file_os_errors_are_typed(tmp_path, monkeypatch):
     with pytest.raises(UnreadableFile) as exc:
         SynthConfig.from_file(path)
     assert str(exc.value) == f"cannot read {path}: Permission denied"
+
+
+def test_config_byte_that_is_not_utf8_names_its_line(tmp_path):
+    """A config is read as a log is: an undecodable byte is a MalformedRecord at its line."""
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"n_models = 6\nseed = \xff\n")
+    with pytest.raises(MalformedRecord) as exc:
+        SynthConfig.from_file(path)
+    assert exc.value.line_number == 2
+    assert str(exc.value) == f"malformed record at {path}:2 (not UTF-8: invalid start byte)"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_config_lines_end_at_lf_crlf_or_cr(tmp_path, newline):
+    path = tmp_path / "synth.cfg"
+    path.write_bytes(newline.join(["n_models = 6", "# comment", "just words", ""]).encode())
+    with pytest.raises(InvalidConfig) as exc:
+        SynthConfig.from_file(path)
+    assert str(exc.value) == f"{path}:3: expected key = value"
+    path.write_bytes(newline.join(["n_models = 6", "", "seed = 3"]).encode())
+    config = SynthConfig.from_file(path)
+    assert (config.n_models, config.seed) == (6, 3)
 
 
 @pytest.mark.parametrize("overrides", [
