@@ -11,7 +11,7 @@ import os
 import sys
 
 from .datamodel import load_entries, load_split_pair
-from .errors import ToolkitError
+from .errors import InvalidConfig, ToolkitError
 from .report import ReportOptions, build_report, export_scatter, scatter_to_csv
 
 EXIT_OK = 0
@@ -28,42 +28,29 @@ _METHOD_FLAGS = {
 }
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def cmd_estimate(args) -> int:
     try:
         # in order, once each: exit code 3 compares failures with this count
         methods = list(dict.fromkeys(_METHOD_FLAGS[m.strip()]
                                      for m in args.methods.split(",") if m.strip()))
     except KeyError as exc:
-        return _fail(f"unknown method {exc.args[0]!r} (choose from {', '.join(_METHOD_FLAGS)})",
-                     EXIT_INPUT_ERROR)
+        raise InvalidConfig(f"unknown method {exc.args[0]!r} "
+                            f"(choose from {', '.join(_METHOD_FLAGS)})") from None
     if not methods:
-        return _fail("no methods requested", EXIT_INPUT_ERROR)
-    try:
-        options = ReportOptions(gate_threshold=args.gate_threshold,
-                                clamp_eps=args.clamp_eps,
-                                evaluation_mode=args.eval)
-        pair = load_split_pair(args.id_manifest, args.ood_manifest, args.metric)
-        report = build_report(pair, methods, options)
-    except ToolkitError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        report_path = os.path.join(args.out, "report.json")
-        with open(report_path, "w") as fh:
-            fh.write(report.to_json())
-        print(f"wrote {report_path}")
-        if args.scatter:
-            scatter_path = os.path.join(args.out, "scatter.csv")
-            with open(scatter_path, "w") as fh:
-                fh.write(scatter_to_csv(export_scatter(report)))
-            print(f"wrote {scatter_path}")
-    except OSError as exc:
-        return _fail(f"cannot write to --out {args.out}: {exc.strerror or exc}", EXIT_INPUT_ERROR)
+        raise InvalidConfig("no methods requested")
+    options = ReportOptions(gate_threshold=args.gate_threshold, clamp_eps=args.clamp_eps,
+                            evaluation_mode=args.eval)
+    pair = load_split_pair(args.id_manifest, args.ood_manifest, args.metric)
+    report = build_report(pair, methods, options)
+    outputs = {"report.json": report.to_json}
+    if args.scatter:
+        outputs["scatter.csv"] = lambda: scatter_to_csv(export_scatter(report))
+    os.makedirs(args.out, exist_ok=True)
+    for name, render in outputs.items():
+        path = os.path.join(args.out, name)
+        with open(path, "w") as fh:
+            fh.write(render())
+        print(f"wrote {path}")
     if len(report.method_errors) == len(methods):
         for method, msg in report.method_errors.items():
             print(f"method {method} failed: {msg}", file=sys.stderr)
@@ -74,26 +61,18 @@ def cmd_estimate(args) -> int:
 def cmd_synth(args) -> int:
     from .synth import SynthConfig, write_ensemble  # here: estimate and validate never load it
 
-    try:
-        config = SynthConfig.from_file(args.config) if args.config else SynthConfig()
-        config.seed = args.seed
-        paths = write_ensemble(config, args.out)
-    except ToolkitError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
-    except OSError as exc:
-        return _fail(f"cannot write to --out {args.out}: {exc.strerror or exc}", EXIT_INPUT_ERROR)
+    config = SynthConfig.from_file(args.config) if args.config else SynthConfig()
+    config.seed = args.seed
+    paths = write_ensemble(config, args.out)
     print(f"wrote {paths['manifest']}")
     print(f"wrote {paths['truth']}")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    try:
-        _, logs = load_entries(args.manifest)
-    except ToolkitError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    _, logs = load_entries(args.manifest)
     if not logs:
-        return _fail(f"manifest {args.manifest} lists no entries", EXIT_INPUT_ERROR)
+        raise InvalidConfig(f"manifest {args.manifest} lists no entries")
     print(f"ok: {len(logs)} logs validated")
     return EXIT_OK
 
@@ -130,7 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ToolkitError as exc:
+        message = str(exc)
+    except OSError as exc:  # every read raises a ToolkitError, so this is an --out write
+        message = f"cannot write to --out {args.out}: {exc.strerror or exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

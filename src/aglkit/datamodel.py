@@ -244,9 +244,9 @@ def save_log(log, path) -> None:
         fh.write("\n".join([json.dumps(header, sort_keys=True), *records]) + "\n")
 
 
-def _read_text(path) -> str:
+def _read_text(path, line_end=rb"\n") -> str:
     """The file's text; UnreadableFile if the OS refuses it, MalformedRecord at the
-    line of a byte that is not UTF-8."""
+    line of a byte that is not UTF-8, each line ending at a match of ``line_end``."""
     if not os.path.isfile(path):
         raise MissingFile(path)
     try:
@@ -257,7 +257,7 @@ def _read_text(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRecord(path, data.count(b"\n", 0, exc.start) + 1,
+        raise MalformedRecord(path, len(re.findall(line_end, data[:exc.start])) + 1,
                               f"not UTF-8: {exc.reason}") from exc
 
 

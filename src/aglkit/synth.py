@@ -122,7 +122,8 @@ class SynthConfig:
         MissingFile, UnreadableFile, or MalformedRecord at the line of a byte that is
         not UTF-8. A line ends at LF, CRLF or CR, as in a file opened in text mode."""
         mapping = {}
-        for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
+        lines = io.StringIO(_read_text(path, rb"\r\n?|\n"), newline=None)
+        for lineno, line in enumerate(lines, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

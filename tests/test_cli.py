@@ -53,10 +53,18 @@ def test_synth_bad_config(tmp_path):
     assert code == EXIT_INPUT_ERROR
 
 
-def test_synth_out_existing_file(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["synth", "estimate"])
+def test_synth_out_existing_file(tmp_path, capsys, command):
+    """Both commands that write word a bad --out alike, without the raw OS error."""
     target = tmp_path / "taken"
+    if command == "synth":
+        argv = ["synth", "--seed", "1"]
+    else:
+        manifest = str(_synth(tmp_path) / "manifest.json")
+        argv = ["estimate", "--id-manifest", manifest, "--ood-manifest", manifest]
     target.write_text("")
-    code = main(["synth", "--seed", "1", "--out", str(target)])
+    capsys.readouterr()
+    code = main([*argv, "--out", str(target)])
     assert code == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert f"cannot write to --out {target}: " in err
@@ -126,11 +134,12 @@ def test_validate_missing_manifest(tmp_path):
         == EXIT_INPUT_ERROR
 
 
-def test_validate_empty_manifest(tmp_path):
+def test_validate_empty_manifest(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"version": "1", "task": "classification",
                                 "metric": "accuracy", "entries": []}))
     assert main(["validate", "--manifest", str(path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: manifest {path} lists no entries\n")
 
 
 @pytest.mark.parametrize("entries", [
@@ -226,12 +235,16 @@ def test_estimate_subset_of_methods(tmp_path):
     assert set(doc["per_model"][0]["estimates"]) == {"aline_s", "naive_agreement"}
 
 
-def test_estimate_unknown_method(tmp_path):
+def test_estimate_unknown_method(tmp_path, capsys):
     out = _synth(tmp_path)
     manifest = str(out / "manifest.json")
+    capsys.readouterr()
     assert main(["estimate", "--id-manifest", manifest, "--ood-manifest", manifest,
                  "--methods", "psychic", "--out", str(tmp_path / "x")]) \
         == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: unknown method 'psychic' (choose from "
+                                       "aline-s, aline-d, ac, atc, doc-feat, naive)\n")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("methods", [",", " , ,", ""])

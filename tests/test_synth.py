@@ -447,10 +447,12 @@ def test_config_file_os_errors_are_typed(tmp_path, monkeypatch):
     assert str(exc.value) == f"cannot read {path}: Permission denied"
 
 
-def test_config_byte_that_is_not_utf8_names_its_line(tmp_path):
-    """A config is read as a log is: an undecodable byte is a MalformedRecord at its line."""
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_config_byte_that_is_not_utf8_names_its_line(tmp_path, newline):
+    """A config is read as a log is: an undecodable byte is a MalformedRecord at its line,
+    numbered as the config's own lines are."""
     path = tmp_path / "bad.cfg"
-    path.write_bytes(b"n_models = 6\nseed = \xff\n")
+    path.write_bytes(newline.join(["n_models = 6", "seed = \xff", ""]).encode("latin-1"))
     with pytest.raises(MalformedRecord) as exc:
         SynthConfig.from_file(path)
     assert exc.value.line_number == 2
