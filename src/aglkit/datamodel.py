@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     ArgmaxMismatch,
     DuplicateEntry,
+    EmptyLog,
     ExampleError,
     LengthViolation,
     MalformedRecord,
@@ -143,10 +144,29 @@ class SpanLog:
 
 @dataclass
 class SplitPair:
-    """Aligned ID and OOD logs for one ensemble, plus the scoring metric."""
+    """Aligned ID and OOD logs for one ensemble, plus the scoring metric. Construction
+    checks, in order: the metric fits every log's task, at least two models, the OOD logs
+    in the ID logs' model order, one length per split and one ``n_classes``."""
     id_logs: list
     ood_logs: list
     metric: str
+
+    def __post_init__(self):
+        logs = [*self.id_logs, *self.ood_logs]
+        for log in logs:  # no metric scores two tasks, so every log is of one task
+            if self.metric not in METRICS_BY_TASK[log.task]:
+                raise MetricTaskMismatch(self.metric, log.task)
+        if len(self.id_logs) < 2:
+            raise ShapeMismatch("*", f"need at least 2 models, got {len(self.id_logs)}")
+        if [log.model_id for log in self.ood_logs] != self.model_ids:
+            raise ShapeMismatch("*", f"OOD logs not in the ID model order {self.model_ids}")
+        for split, split_logs in (("ID", self.id_logs), ("OOD", self.ood_logs)):
+            for log in split_logs:
+                if len(log) != len(split_logs[0]):
+                    raise ShapeMismatch(log.model_id, f"{split} log length differs from ensemble")
+        ks = {getattr(log, "n_classes", None) for log in logs}
+        if len(ks) != 1:
+            raise ShapeMismatch("*", f"inconsistent n_classes {sorted(ks)}")
 
     @property
     def model_ids(self):
@@ -279,23 +299,17 @@ def _records(path):
     call, with ``,null,`` put before every line break but a final one. JSON strings
     hold no raw line break and the text no ``null`` of its own, so n - 1 top-level
     ``None`` between n objects means each line held exactly one object. Any other
-    outcome falls back to the per-line loop, which alone reports errors."""
+    outcome falls back to the per-line loop over the same text, which alone reports errors."""
     text = _read_text(path)
     n = text.count("\n") + (not text.endswith("\n"))  # a final "\n" ends the last line
     if len(text) < _ONE_DECODE_MAX_MEAN_LINE * n and "null" not in text:
-        joined = "[" + text.replace("\n", ",null,\n", n - 1) + "]"
-        del text  # one copy of the file at a time
         try:
-            items = json.loads(joined)
+            records = json.loads("[" + text.replace("\n", ",null,\n", n - 1) + "]")
         except (ValueError, RecursionError):
-            items = []
-        del joined
-        records = items[::2]
-        if (len(items) == 2 * n - 1 and items[1::2] == [None] * (n - 1)
-                and set(map(type, records)) == {dict}):
-            return list(range(1, n + 1)), records, None
-        del items, records
-        text = _read_text(path)
+            records = []
+        if (len(records) == 2 * n - 1 and records[1::2] == [None] * (n - 1)
+                and set(map(type, records[::2])) == {dict}):
+            return list(range(1, n + 1)), records[::2], None
     linenos, records = [], []
     # split on "\n" only: JSON strings may hold other line breaks such as U+2028
     lines = text.split("\n")[::-1]  # popped, so a line is freed once parsed
@@ -482,23 +496,20 @@ def read_manifest(path) -> Manifest:
         raise MalformedRecord(path, getattr(exc, "lineno", 1), str(exc)) from exc
     if not isinstance(doc, dict):
         raise MalformedRecord(path, 1, "manifest must be a JSON object")
-    for key in ("version", "task", "metric", "entries"):
-        if key not in doc:
-            raise MalformedRecord(path, 1, f"missing key {key!r}")
-    if doc["version"] != FORMAT_VERSION:
+    version, task, metric, listed = (_require(doc, key, path, 1)
+                                     for key in ("version", "task", "metric", "entries"))
+    if version != FORMAT_VERSION:
         raise MalformedRecord(path, _line_of(text, "version"), f"unsupported version "
-                              f"{doc['version']!r} (expected {FORMAT_VERSION!r})")
-    task = doc["task"]
-    metric = doc["metric"]
+                              f"{version!r} (expected {FORMAT_VERSION!r})")
     if not isinstance(task, str) or task not in METRICS_BY_TASK:
         raise MalformedRecord(path, _line_of(text, "task"), f"unknown task {task!r}")
     if metric not in METRICS_BY_TASK[task]:
         raise MetricTaskMismatch(metric, task)
-    if not isinstance(doc["entries"], list):
+    if not isinstance(listed, list):
         raise MalformedRecord(path, _line_of(text, "entries"), "entries must be a list")
     entries = []
     seen = set()
-    for k, e in enumerate(doc["entries"]):
+    for k, e in enumerate(listed):
         if not (isinstance(e, dict) and {"model_id", "split_id", "path"} <= e.keys()):
             raise MalformedRecord(path, _line_of(text, "entries", k),
                                   f"entry {k} needs model_id, split_id and path")
@@ -518,7 +529,8 @@ def read_manifest(path) -> Manifest:
 def load_entries(path) -> tuple[Manifest, list]:
     """Read a manifest, then load and validate the log of each entry, in entry order.
     A log whose header names another model or split than its entry raises
-    ShapeMismatch, and one of another task than the manifest MetricTaskMismatch."""
+    ShapeMismatch, one of another task than the manifest MetricTaskMismatch, and one
+    with no examples EmptyLog."""
     manifest = read_manifest(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     logs = []
@@ -529,6 +541,8 @@ def load_entries(path) -> tuple[Manifest, list]:
             raise ShapeMismatch(e.model_id, f"log header at {log_path} does not match manifest entry")
         if log.task != manifest.task:
             raise MetricTaskMismatch(manifest.metric, log.task)
+        if len(log) == 0:
+            raise EmptyLog(f"log {e.model_id!r} at {log_path} has no examples")
         logs.append(log)
     return manifest, logs
 
@@ -539,21 +553,13 @@ def load_split_pair(id_path, ood_path, metric_override=None) -> SplitPair:
     The entries of both, ID manifest first, must name exactly two splits, each
     (model_id, split_id) once and every model in both splits. The split that
     appears first is in-distribution; models keep the order of first appearance.
-    """
+    ``SplitPair`` checks the ensemble, scored by the ID manifest's metric by default."""
     loaded = [load_entries(p) for p in dict.fromkeys(map(os.path.abspath, (id_path, ood_path)))]
-    manifest = loaded[0][0]
-    for other, _ in loaded[1:]:
-        if other.task != manifest.task:
-            raise MetricTaskMismatch(manifest.metric, other.task)
-    metric = manifest.metric if metric_override is None else metric_override
-    if metric not in METRICS_BY_TASK[manifest.task]:
-        raise MetricTaskMismatch(metric, manifest.task)
     logs = {}
-    for m, m_logs in loaded:
-        for e, log in zip(m.entries, m_logs):
-            if (e.model_id, e.split_id) in logs:
-                raise DuplicateEntry(e.model_id, e.split_id)
-            logs[e.model_id, e.split_id] = log
+    for log in chain.from_iterable(m_logs for _, m_logs in loaded):
+        if (log.model_id, log.split_id) in logs:
+            raise DuplicateEntry(log.model_id, log.split_id)
+        logs[log.model_id, log.split_id] = log
     splits = list(dict.fromkeys(split for _, split in logs))
     if len(splits) != 2:
         raise ShapeMismatch("*", f"manifests must reference exactly 2 splits, got {splits}")
@@ -562,14 +568,6 @@ def load_split_pair(id_path, ood_path, metric_override=None) -> SplitPair:
         for split in splits:
             if (model, split) not in logs:
                 raise ShapeMismatch(model, f"missing log for split {split!r}")
-    if len(models) < 2:
-        raise ShapeMismatch("*", f"need at least 2 models, got {len(models)}")
     id_logs, ood_logs = ([logs[model, split] for model in models] for split in splits)
-    for split, split_logs in (("ID", id_logs), ("OOD", ood_logs)):
-        for log in split_logs:
-            if len(log) != len(split_logs[0]):
-                raise ShapeMismatch(log.model_id, f"{split} log length differs from ensemble")
-    ks = {getattr(log, "n_classes", None) for log in id_logs + ood_logs}
-    if len(ks) != 1:
-        raise ShapeMismatch("*", f"inconsistent n_classes {sorted(ks)}")
+    metric = loaded[0][0].metric if metric_override is None else metric_override
     return SplitPair(id_logs=id_logs, ood_logs=ood_logs, metric=metric)

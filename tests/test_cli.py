@@ -327,6 +327,28 @@ def test_validate_checks_log_header_against_entry(tmp_path, capsys):
     assert not (tmp_path / "report" / "report.json").exists()
 
 
+def test_a_log_with_no_examples_exits_2_in_validate_and_estimate(tmp_path, capsys):
+    """validate makes estimate's per-log checks: a 2-model manifest whose four logs hold
+    only their headers is an input error in both, named by the first log's file."""
+    entries = []
+    for model in ("m0", "m1"):
+        for split in ("clean", "shift"):
+            header = {"model_id": model, "split_id": split, "task": "classification",
+                      "n_classes": 2}
+            (tmp_path / f"{model}_{split}.jsonl").write_text(json.dumps(header) + "\n")
+            entries.append({"model_id": model, "split_id": split, "path": f"{model}_{split}.jsonl"})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"version": "1", "task": "classification",
+                                    "metric": "accuracy", "entries": entries}))
+    error = f"error: log 'm0' at {tmp_path / 'm0_clean.jsonl'} has no examples\n"
+    assert main(["validate", "--manifest", str(manifest)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", error)
+    assert main(["estimate", "--id-manifest", str(manifest), "--ood-manifest", str(manifest),
+                 "--out", str(tmp_path / "report")]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", error)
+    assert not (tmp_path / "report" / "report.json").exists()
+
+
 @pytest.mark.parametrize("version", [2, "2"], ids=["int", "str"])
 def test_manifest_of_another_version_exits_2(tmp_path, capsys, version):
     out = _synth(tmp_path)

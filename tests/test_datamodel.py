@@ -23,6 +23,7 @@ from aglkit.datamodel import (
     ManifestEntry,
     SpanExample,
     SpanLog,
+    SplitPair,
     load_entries,
     load_log,
     load_split_pair,
@@ -639,6 +640,12 @@ def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
     pytest.param('\n\n["version", "task"]\n', 1, "manifest must be a JSON object", id="not-object"),
     pytest.param('{"version": "1",\n "task": "classification",\n "entries": []}',
                  1, "missing key 'metric'", id="missing-key"),
+    pytest.param('{"task": "classification",\n "metric": "accuracy",\n "entries": []}',
+                 1, "missing key 'version'", id="missing-key-version"),
+    pytest.param('{"version": "1",\n "metric": "accuracy",\n "entries": []}',
+                 1, "missing key 'task'", id="missing-key-task"),
+    pytest.param('{"version": "1",\n "task": "classification",\n "metric": "accuracy"}',
+                 1, "missing key 'entries'", id="missing-key-entries"),
     # a member after a value nested 600 deep still names its own line
     pytest.param('{"extra": ' + "[" * 600 + "]" * 600 + ',\n "task": "classification",\n'
                  ' "metric": "accuracy", "entries": [],\n\n "version": "2"}',
@@ -872,6 +879,67 @@ def test_metric_override(tmp_path, rng):
     assert load_split_pair(path, path, METRIC_F1).metric == METRIC_F1
     with pytest.raises(MetricTaskMismatch):
         load_split_pair(path, path, METRIC_ACCURACY)
+
+
+def _ensemble(split_id, model_ids=("m0", "m1"), n_classes=(3, 3), lengths=(3, 3)):
+    return [make_classification_log([0, 1, 2][:size], [2, 1, 0][:size], k, model_id=m,
+                                    split_id=split_id)
+            for m, k, size in zip(model_ids, n_classes, lengths)]
+
+
+@pytest.mark.parametrize("id_logs, ood_logs, metric, error, on_disk, message", [
+    # the loader lists OOD logs in the ID model order, so only a pair built in memory
+    # can break that rule
+    pytest.param(_ensemble("clean"), _ensemble("shift")[::-1], METRIC_ACCURACY,
+                 ShapeMismatch, None, None, id="ood-in-reverse-order"),
+    pytest.param(_ensemble("clean"), _ensemble("shift", model_ids=("m0", "m9")),
+                 METRIC_ACCURACY, ShapeMismatch, ShapeMismatch, None, id="ood-of-other-models"),
+    pytest.param(_ensemble("clean", model_ids=("m0",)), _ensemble("shift", model_ids=("m0",)),
+                 METRIC_ACCURACY, ShapeMismatch, ShapeMismatch,
+                 "shape mismatch for model '*': need at least 2 models, got 1", id="one-model"),
+    pytest.param(_ensemble("clean"), _ensemble("shift", lengths=(3, 2)), METRIC_ACCURACY,
+                 ShapeMismatch, ShapeMismatch,
+                 "shape mismatch for model 'm1': OOD log length differs from ensemble",
+                 id="unequal-lengths"),
+    pytest.param(_ensemble("clean", n_classes=(3, 4)), _ensemble("shift", n_classes=(3, 4)),
+                 METRIC_ACCURACY, ShapeMismatch, ShapeMismatch,
+                 "shape mismatch for model '*': inconsistent n_classes [3, 4]",
+                 id="mixed-n-classes"),
+    pytest.param(_ensemble("clean"), _ensemble("shift"), METRIC_F1,
+                 MetricTaskMismatch, MetricTaskMismatch,
+                 "metric 'f1' is incompatible with task 'classification'",
+                 id="metric-of-the-other-task"),
+])
+def test_split_pair_checks_each_ensemble_rule(tmp_path, id_logs, ood_logs, metric, error,
+                                              on_disk, message):
+    """A SplitPair built in memory raises what load_split_pair raises for the same logs
+    on disk, with its message for the rules the loader checked before SplitPair did."""
+    with pytest.raises(error) as exc:
+        SplitPair(id_logs=id_logs, ood_logs=ood_logs, metric=metric)
+    if message is not None:
+        assert str(exc.value) == message
+    path = _write_logs(tmp_path / "manifest.json", TASK_CLASSIFICATION, METRIC_ACCURACY,
+                       id_logs + ood_logs)
+    if on_disk is None:
+        pair = load_split_pair(path, path, metric)
+        assert [log.model_id for log in pair.ood_logs] == pair.model_ids
+        return
+    with pytest.raises(on_disk) as loaded:
+        load_split_pair(path, path, metric)
+    if message is not None:
+        assert str(loaded.value) == message
+
+
+def test_log_is_read_once_when_the_one_decode_fails(tmp_path, monkeypatch):
+    """A blank line after the header fails the one decode of a short-line log; the
+    per-line loop then parses the text already read, not the file a second time."""
+    saved, lines = _log_lines(tmp_path, "no logits", 0)
+    (tmp_path / "blank.jsonl").write_text("\n".join([lines[0], "", *lines[1:]]) + "\n")
+    paths = []
+    monkeypatch.setattr(datamodel, "_read_text",
+                        lambda path, *args: paths.append(path) or _read_text(path, *args))
+    _assert_same_log(load_log(tmp_path / "blank.jsonl"), _oracle_narrow(saved))
+    assert paths == [tmp_path / "blank.jsonl"]
 
 
 def test_load_log_not_utf8_reports_line(tmp_path):
