@@ -475,15 +475,13 @@ def _starts(text, i) -> dict:
     return starts
 
 
-def _line_of(text, key, k=None) -> int:
-    """Line on which the manifest's ``key`` value starts or, given ``k``, on which the
-    k-th object of that list opens (1 if it is not an object). Only a bad manifest
-    walks its text this second time; any text ``json.loads`` decoded can be walked."""
-    i = _starts(text, _SEPARATORS.match(text).end())[key]
-    if k is not None:
-        i = _starts(text, i)[k]
-        if text[i] != "{":
-            return 1
+def _line_of(text, *keys) -> int:
+    """Line on which the value that ``keys`` (member names or list positions) reach
+    from the document's first value starts; with no keys, the document's own line.
+    Only a bad manifest walks its text; any text ``json.loads`` decoded can be walked."""
+    i = _SEPARATORS.match(text).end()
+    for key in keys:
+        i = _starts(text, i)[key]
     return text.count("\n", 0, i) + 1
 
 
@@ -495,8 +493,8 @@ def read_manifest(path) -> Manifest:
     except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
         raise MalformedRecord(path, getattr(exc, "lineno", 1), str(exc)) from exc
     if not isinstance(doc, dict):
-        raise MalformedRecord(path, 1, "manifest must be a JSON object")
-    version, task, metric, listed = (_require(doc, key, path, 1)
+        raise MalformedRecord(path, _line_of(text), "manifest must be a JSON object")
+    version, task, metric, listed = (_require(doc, key, path, _line_of(text))
                                      for key in ("version", "task", "metric", "entries"))
     if version != FORMAT_VERSION:
         raise MalformedRecord(path, _line_of(text, "version"), f"unsupported version "
@@ -504,7 +502,7 @@ def read_manifest(path) -> Manifest:
     if not isinstance(task, str) or task not in METRICS_BY_TASK:
         raise MalformedRecord(path, _line_of(text, "task"), f"unknown task {task!r}")
     if metric not in METRICS_BY_TASK[task]:
-        raise MetricTaskMismatch(metric, task)
+        raise MetricTaskMismatch(metric, task, f"{path}:{_line_of(text, 'metric')}")
     if not isinstance(listed, list):
         raise MalformedRecord(path, _line_of(text, "entries"), "entries must be a list")
     entries = []
@@ -540,7 +538,7 @@ def load_entries(path) -> tuple[Manifest, list]:
         if log.model_id != e.model_id or log.split_id != e.split_id:
             raise ShapeMismatch(e.model_id, f"log header at {log_path} does not match manifest entry")
         if log.task != manifest.task:
-            raise MetricTaskMismatch(manifest.metric, log.task)
+            raise MetricTaskMismatch(manifest.metric, log.task, log_path)
         if len(log) == 0:
             raise EmptyLog(f"log {e.model_id!r} at {log_path} has no examples")
         logs.append(log)

@@ -46,8 +46,9 @@ class DuplicateEntry(ToolkitError):
 
 
 class MetricTaskMismatch(ToolkitError):
-    def __init__(self, metric, task):
-        super().__init__(f"metric {metric!r} is incompatible with task {task!r}")
+    def __init__(self, metric, task, where=""):
+        msg = f"metric {metric!r} is incompatible with task {task!r}"
+        super().__init__(f"{msg} at {where}" if where else msg)
         self.metric = metric
         self.task = task
 

@@ -611,9 +611,9 @@ _GOOD_ENTRY = '{"model_id": "m0", "split_id": "a", "path": "x.jsonl"}'
                  4, "entry 1: split_id must be a string", id="after-nested-object"),
     pytest.param(f'{_GOOD_ENTRY}, {{"model_id": "m1", "split_id": 0, "path": "y.jsonl"}}',
                  3, "entry 1: split_id must be a string", id="two-on-one-line"),
-    # an entry that is not an object has no line of its own
+    # an entry that is not an object names the line its value starts on, as any value does
     pytest.param(f'\n  {_GOOD_ENTRY},\n  "y.jsonl"',
-                 1, "entry 1 needs model_id, split_id and path", id="not-an-object"),
+                 5, "entry 1 needs model_id, split_id and path", id="not-an-object"),
     # a value nested 600 deep inside the entry does not hide the line it opens on
     pytest.param('\n{"model_id": ' + "[" * 600 + "]" * 600 + ', "split_id": "a", "path": "x"}',
                  4, "entry 0: model_id must be a string", id="too-deep-to-locate"),
@@ -637,7 +637,7 @@ def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
     # a repeated key keeps its last value, and the error names that value's line
     pytest.param('{"version": "1", "task": "classification", "metric": "accuracy",\n'
                  ' "entries": [],\n "entries": 5}', 3, "entries must be a list", id="repeated-key"),
-    pytest.param('\n\n["version", "task"]\n', 1, "manifest must be a JSON object", id="not-object"),
+    pytest.param('\n\n["version", "task"]\n', 3, "manifest must be a JSON object", id="not-object"),
     pytest.param('{"version": "1",\n "task": "classification",\n "entries": []}',
                  1, "missing key 'metric'", id="missing-key"),
     pytest.param('{"task": "classification",\n "metric": "accuracy",\n "entries": []}',
@@ -646,6 +646,11 @@ def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
                  1, "missing key 'task'", id="missing-key-task"),
     pytest.param('{"version": "1",\n "task": "classification",\n "metric": "accuracy"}',
                  1, "missing key 'entries'", id="missing-key-entries"),
+    # a missing key names the line on which the document opens
+    pytest.param('\n\n{"version": "1",\n "task": "classification",\n "entries": []}',
+                 3, "missing key 'metric'", id="missing-key-after-blank-lines"),
+    pytest.param('\n\n  \t{"task": "classification", "metric": "accuracy",\n "entries": []}',
+                 3, "missing key 'version'", id="missing-key-after-blank-lines-indented"),
     # a member after a value nested 600 deep still names its own line
     pytest.param('{"extra": ' + "[" * 600 + "]" * 600 + ',\n "task": "classification",\n'
                  ' "metric": "accuracy", "entries": [],\n\n "version": "2"}',
@@ -658,6 +663,67 @@ def test_manifest_document_error_names_value_line(tmp_path, text, line, detail):
         read_manifest(path)
     assert exc.value.line_number == line
     assert detail in str(exc.value)
+
+
+# JSON whitespace between tokens, blank lines and CRLF among it
+_LAYOUT = st.sampled_from(["", " ", "\t", "\n", "\n\n", "\r\n", "\n    "])
+# a JSON value: a list is an array, and a tuple of (key, value) members an object, so
+# that an object may repeat a key
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(st.tuples(st.sampled_from(["a", "path", "é\n"]), inner), max_size=3).map(tuple)),
+    max_leaves=8)
+_ENTRY = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["model_id", "split_id", "path", "meta"]), _JSON),
+             max_size=4).map(tuple),
+    _JSON)
+
+
+@st.composite
+def _laid_out_manifests(draw):
+    """The text of a manifest-shaped object (the four keys, extra and repeated members,
+    nested values, entries of any type) laid out with random whitespace, and {key path:
+    line on which the value at that path is written}, a repeated key's last value kept."""
+    parts, lines = [], {}
+
+    def write(value, path):
+        for known in [known for known in lines if known[:len(path)] == path]:
+            del lines[known]  # an earlier value of a repeated key
+        parts.append(draw(_LAYOUT))
+        lines[path] = "".join(parts).count("\n") + 1
+        if isinstance(value, (tuple, list)):
+            is_object = isinstance(value, tuple)
+            parts.append("{" if is_object else "[")
+            for n, item in enumerate(value):
+                parts.append("," * (n > 0))
+                if is_object:
+                    parts.append(draw(_LAYOUT) + json.dumps(item[0]) + draw(_LAYOUT) + ":")
+                write(item[1] if is_object else item, path + ((item[0],) if is_object else (n,)))
+            parts.append(draw(_LAYOUT) + ("}" if is_object else "]"))
+        else:
+            parts.append(json.dumps(value))
+
+    members = [("version", "1"), ("task", draw(st.sampled_from(list(datamodel.METRICS_BY_TASK)))),
+               ("metric", draw(st.sampled_from([METRIC_ACCURACY, METRIC_F1]))),
+               ("entries", draw(st.lists(_ENTRY, max_size=4)))]
+    extra = st.tuples(st.sampled_from(["entries", "version", "meta"]), _JSON)
+    write(tuple(draw(st.permutations(members + draw(st.lists(extra, max_size=3))))), ())
+    parts.append(draw(_LAYOUT))
+    return "".join(parts), lines
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_laid_out_manifests())
+def test_line_of_names_the_line_each_value_is_written_on(laid_out):
+    """Every key path, from the document itself through each top-level key and entry to
+    the values nested in them, walks to the line its value was written on."""
+    text, lines = laid_out
+    json.loads(text)  # the walk only ever sees text that json accepted
+    for path, line in lines.items():
+        assert datamodel._line_of(text, *path) == line, path
 
 
 @pytest.mark.parametrize("version", [2, "2", None, ["1"]], ids=["int", "str", "null", "list"])
@@ -801,8 +867,20 @@ def test_log_of_another_task_than_its_manifest(tmp_path, capsys):
         load_entries(path)
     assert (exc.value.metric, exc.value.task) == (METRIC_ACCURACY, TASK_EXTRACTIVE_QA)
     assert main(["validate", "--manifest", path]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == ("error: metric 'accuracy' is incompatible with task "
+                                       f"'extractive_qa' at {tmp_path / 'm0_clean.jsonl'}\n")
+
+
+def test_manifest_metric_of_another_task_names_its_line(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"version": "1", "task": "classification",\n'
+                    ' "entries": [],\n "metric":\n  "f1"}\n')
+    with pytest.raises(MetricTaskMismatch) as exc:
+        read_manifest(path)
+    assert (exc.value.metric, exc.value.task) == (METRIC_F1, TASK_CLASSIFICATION)
+    assert main(["validate", "--manifest", str(path)]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err == \
-        "error: metric 'accuracy' is incompatible with task 'extractive_qa'\n"
+        f"error: metric 'f1' is incompatible with task 'classification' at {path}:4\n"
 
 
 def test_split_pair_manifests_of_two_tasks(tmp_path, capsys):
