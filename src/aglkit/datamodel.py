@@ -485,13 +485,32 @@ def _line_of(text, *keys) -> int:
     return text.count("\n", 0, i) + 1
 
 
+# a JSON string, or a JSON number as its integer part (1), fraction (2) and exponent (3)
+_STRING_OR_NUMBER = re.compile(r'"(?:\\.|[^"\\])*"|(-?[0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?')
+
+
+def _line_of_long_int(text) -> int:
+    """Line on which the first JSON integer that ``int`` refuses (too many digits)
+    starts. The text before it decoded, so each string there is matched whole."""
+    for m in _STRING_OR_NUMBER.finditer(text):
+        if m[1] is not None and m[2] is None and m[3] is None:
+            try:
+                int(m[1])
+            except ValueError:
+                return text.count("\n", 0, m.start()) + 1
+    return 1
+
+
 def read_manifest(path) -> Manifest:
     """Parse a manifest file without loading the logs it references."""
     text = _read_text(path)
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
-        raise MalformedRecord(path, getattr(exc, "lineno", 1), str(exc)) from exc
+    except RecursionError as exc:  # nesting too deep to decode, or to walk
+        raise MalformedRecord(path, 1, str(exc)) from exc
+    except ValueError as exc:  # bad JSON, or an integer of more digits than int takes
+        line = exc.lineno if isinstance(exc, json.JSONDecodeError) else _line_of_long_int(text)
+        raise MalformedRecord(path, line, str(exc)) from exc
     if not isinstance(doc, dict):
         raise MalformedRecord(path, _line_of(text), "manifest must be a JSON object")
     version, task, metric, listed = (_require(doc, key, path, _line_of(text))

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,12 @@ class EstimateReport:
     mape_by_method: dict | None = None  # name -> MAPE; all None if an OOD score is 0
     metadata: dict = field(default_factory=dict)
 
+    @cached_property
+    def true_ood_probit(self):
+        """Clamped probits of true_ood_perf (None when blind): accuracy fit and scatter."""
+        truth = self.true_ood_perf
+        return None if truth is None else probit(clamp_rate(truth, self.inputs.clamp_eps))
+
     def to_dict(self) -> dict:
         per_model = []
         for i, mid in enumerate(self.model_ids):
@@ -131,8 +138,7 @@ def _build(model_ids, metric, splits, inputs: AlineInput, true_ood, methods,
 
     if true_ood is not None:
         try:
-            report.accuracy_fit = fit_line(inputs.id_probit,
-                                           probit(clamp_rate(true_ood, inputs.clamp_eps)))
+            report.accuracy_fit = fit_line(inputs.id_probit, report.true_ood_probit)
         except ToolkitError:
             report.accuracy_fit = None
         try:
@@ -182,16 +188,15 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
 def export_scatter(report: EstimateReport):
     """Rows for a Figure-style ID/OOD scatter: accuracy points, agreement
     points, fitted-line endpoints, and probit-scaled axis ticks. The points'
-    probits are the ones the report's fits read from ``report.inputs``; the
-    truth is clamped at the same ε, and accuracy rows have no y when blind."""
+    probits are the ones the report's fits read, from ``report.inputs`` and
+    ``report.true_ood_probit``; accuracy rows have no y when blind."""
     inp, ids, truth = report.inputs, report.model_ids, report.true_ood_perf
     i, j, x_agr, y_agr = inp.pairs
     blind = np.full(inp.n, np.nan)
     x_raw = np.concatenate([inp.id_perf, inp.agr_id[i, j]])
     y_raw = np.concatenate([blind if truth is None else truth, inp.agr_ood[i, j]])
     x_probit = np.concatenate([inp.id_probit, x_agr])
-    y_probit = np.concatenate(
-        [blind if truth is None else probit(clamp_rate(truth, inp.clamp_eps)), y_agr])
+    y_probit = np.concatenate([blind if truth is None else report.true_ood_probit, y_agr])
     kinds = ["accuracy"] * inp.n + ["agreement"] * len(i)
     tags = list(ids) + [f"{ids[a]}|{ids[b]}" for a, b in zip(i, j)]
     rows = [dict(zip(SCATTER_COLUMNS, values)) for values in

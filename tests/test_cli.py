@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ import pytest
 
 import aglkit
 from aglkit.cli import EXIT_ESTIMATION_FAILURE, EXIT_INPUT_ERROR, EXIT_OK, main
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def _synth(tmp_path, name="data", seed=3, extra_cfg=""):
@@ -24,10 +27,18 @@ def _synth(tmp_path, name="data", seed=3, extra_cfg=""):
     return out
 
 
+def _python(*args):
+    """A fresh interpreter run on ``args`` that imports this checkout's aglkit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aglkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_synth_writes_expected_tree(tmp_path):
     out = _synth(tmp_path)
     assert (out / "manifest.json").is_file()
-    assert (out / "truth.json").is_file()
+    assert json.loads((out / "truth.json").read_text())["model_ids"] == ["m00", "m01", "m02"]
     assert (out / "id" / "m00.jsonl").is_file()
     assert (out / "ood" / "m02.jsonl").is_file()
 
@@ -122,11 +133,42 @@ def test_no_command_or_module_import_loads_scipy_integrate(tmp_path):
         "importlib.import_module('aglkit.closed_form')\n"
         "assert 'scipy.special' in sys.modules, 'closed_form'\n"
         "assert 'scipy.integrate' not in sys.modules, 'closed_form'\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(aglkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_m_aglkit_cli_exits_with_the_command_status(tmp_path):
+    """The module run as a program exits as main returns: 0 for a valid tree, and 2 for a
+    manifest of another version, with one error line and no traceback."""
+    out = _synth(tmp_path)
+    bad = out / "manifest-v2.json"
+    bad.write_text(json.dumps({**json.loads((out / "manifest.json").read_text()), "version": "2"}))
+    proc = _python("-m", "aglkit.cli", "validate", "--manifest", str(out / "manifest.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "ok: 6 logs validated\n", "")
+    proc = _python("-m", "aglkit.cli", "validate", "--manifest", str(bad))
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stderr == (f"error: malformed record at {bad}:1 "
+                           "(unsupported version '2' (expected '1'))\n")
+
+
+def test_every_readme_python_block_runs(tmp_path, monkeypatch):
+    """Each python block of README.md runs as written, so a renamed public name cannot
+    drift from the docs. The library block reads id/manifest.json and ood/manifest.json:
+    per-split manifests of a synth tree, written beside each split's logs."""
+    out = _synth(tmp_path)
+    doc = json.loads((out / "manifest.json").read_text())
+    for split, name in (("synth_id", "id"), ("synth_ood", "ood")):
+        entries = [{**e, "path": os.path.basename(e["path"])} for e in doc["entries"]
+                   if e["split_id"] == split]
+        (out / name / "manifest.json").write_text(json.dumps({**doc, "entries": entries}))
+    monkeypatch.chdir(out)
+    with open(README) as fh:
+        text = fh.read()
+    blocks = list(re.finditer(r"^```python\n(.*?)^```", text, re.S | re.M))
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        lines_before = text.count("\n", 0, block.start(1))  # tracebacks name README lines
+        exec(compile("\n" * lines_before + block[1], README, "exec"), {})
 
 
 def test_validate_missing_manifest(tmp_path):
@@ -529,6 +571,9 @@ def test_estimate_rejects_bad_report_options_up_front(tmp_path, capsys, flag, va
                  "stored prediction disagrees with logit argmax at example 4", id="argmax"),
     pytest.param(lambda rec, k: {**rec, "gold": k},
                  "index out of range at example 4: gold 4 not in [0, 4)", id="range"),
+    # 257 reads 1 as int8, the labels' dtype at 4 classes: it is caught before the cast
+    pytest.param(lambda rec, k: {**rec, "predicted": 257},
+                 "index out of range at example 4: predicted 257 not in [0, 4)", id="range-257"),
 ])
 def test_an_error_in_a_log_names_its_file_and_line(tmp_path, capsys, edit, error):
     out = _synth(tmp_path)

@@ -329,17 +329,17 @@ def test_export_scatter_axis_ticks_equal_scalar_probits():
 
 def test_report_transforms_each_rate_once(monkeypatch):
     """An evaluated report transforms ID performance, both agreements and the
-    truth once each; a scatter adds only the truth and one call for the ticks,
-    because it reads the rates' probits the fits were made from."""
+    truth once each; a scatter adds only one call for the ticks, because it
+    reads the probits the fits were made from, the truth's included."""
     calls = [_counting(monkeypatch, module, "probit") for module in (aglkit.aline, aglkit.report)]
     pair, _ = _synth_pair(n_models=4)
     report = build_report(pair, options=ReportOptions(evaluation_mode=True))
     assert not report.method_errors
     assert sum(map(len, calls)) == 4
     first = export_scatter(report)
-    assert sum(map(len, calls)) == 6
+    assert sum(map(len, calls)) == 5
     assert export_scatter(report) == first
-    assert sum(map(len, calls)) == 8
+    assert sum(map(len, calls)) == 6
 
 
 def test_export_scatter_clamps_at_the_report_eps():

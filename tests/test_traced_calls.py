@@ -36,8 +36,8 @@ def test_traced_call_counts(tmp_path, name):
     expected = {
         "datamodel.load_log": 2 * N_MODELS,  # one per model and split
         "aline.agreement_line": 2,
-        # ID performance, ID and OOD agreement, OOD truth; the scatter adds two
-        "probit.probit": 6 if workload.scatter else 4,
+        # ID performance, ID and OOD agreement, OOD truth; the scatter adds its axis ticks
+        "probit.probit": 5 if workload.scatter else 4,
         "baselines.fit_temperature": N_MODELS if logits else 0,  # once per ID log
         "baselines.confidence": 4 * N_MODELS if logits else 0,  # raw and scaled, ID and OOD
     }
