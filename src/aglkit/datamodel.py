@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -59,7 +60,8 @@ class ClassificationLog:
     ``logits`` is either None or an (n_examples, n_classes) float array;
     ``gold`` and ``predicted`` are int arrays of length n_examples. ``load_log``
     holds them in ``np.min_scalar_type(-n_classes)``, the narrowest signed dtype
-    that holds n_classes - 1; a log built in memory keeps the dtype it was given.
+    that holds n_classes - 1; a log built in memory keeps the dtype it was given,
+    and lists become arrays.
     """
     model_id: str
     split_id: str
@@ -68,6 +70,10 @@ class ClassificationLog:
     predicted: np.ndarray
     logits: np.ndarray | None = None
     task = TASK_CLASSIFICATION  # a class attribute, not a field: the class is the task
+
+    def __post_init__(self):
+        self.gold, self.predicted = np.asarray(self.gold), np.asarray(self.predicted)
+        self.logits = None if self.logits is None else np.asarray(self.logits)
 
     def __len__(self):
         return len(self.gold)
@@ -92,13 +98,17 @@ class SpanExample:
     pred_end: int
 
 
+class _SpanColumns(tuple):
+    """``SpanExample``'s fields as columns, each logit column flattened to (values,
+    row lengths): the form in which ``load_log`` hands a ``SpanLog`` its examples."""
+
+
 @dataclass
 class SpanLog:
     """One model's span predictions on one extractive-QA split.
 
-    Built from a list of ``SpanExample`` records, or (from ``load_log``) a
-    tuple of their fields as columns, each logit column flattened to (values,
-    row lengths). Either is packed once:
+    Built from any iterable of ``SpanExample`` records, or from ``load_log``'s
+    ``_SpanColumns``. Either is packed once:
     ``start_logits`` and ``end_logits`` are (n_examples, longest) float
     matrices whose row i holds ``n_tokens[i]`` logits and then -inf padding
     (it survives positive scaling and gets softmax weight exp(-inf) = 0);
@@ -108,7 +118,7 @@ class SpanLog:
     """
     model_id: str
     split_id: str
-    examples: InitVar[list[SpanExample] | tuple]
+    examples: InitVar[Iterable[SpanExample] | _SpanColumns]
     start_logits: np.ndarray = field(init=False)
     end_logits: np.ndarray = field(init=False)
     n_tokens: np.ndarray = field(init=False)
@@ -117,7 +127,8 @@ class SpanLog:
     task = TASK_EXTRACTIVE_QA
 
     def __post_init__(self, examples):
-        if not isinstance(examples, tuple):  # SpanExample records
+        if not isinstance(examples, _SpanColumns):  # SpanExample records
+            examples = list(examples)
             examples = [[getattr(ex, f.name) for ex in examples] for f in fields(SpanExample)]
             for i in (1, 2):
                 examples[i] = np.concatenate(examples[i] or [[]]), list(map(len, examples[i]))
@@ -358,6 +369,12 @@ def _int64(value) -> int:
     return value
 
 
+def _str(value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def _ints(column) -> np.ndarray:
     """int64 array of a column of JSON integers; one value at a time only if some is not an int."""
     if set(map(type, column)) != {int}:
@@ -413,8 +430,8 @@ def load_log(path):
         raise bad or MalformedRecord(path, 1, "empty file")
     head_no, header = linenos.pop(0), records.pop(0)
     task = _require(header, "task", path, head_no)
-    model_id = _require(header, "model_id", path, head_no)
-    split_id = _require(header, "split_id", path, head_no)
+    model_id, split_id = (_require(header, key, path, head_no, _str)
+                          for key in ("model_id", "split_id"))
     try:
         if task == TASK_CLASSIFICATION:
             k = _require(header, "n_classes", path, head_no, _int64)
@@ -430,7 +447,7 @@ def load_log(path):
                       for f in fields(SpanExample)]
             columns = _columns(path, linenos, records, builds, bad)
             del records  # packed from the columns
-            log = SpanLog(model_id=model_id, split_id=split_id, examples=columns)
+            log = SpanLog(model_id=model_id, split_id=split_id, examples=_SpanColumns(columns))
         else:
             raise MalformedRecord(path, head_no, f"unknown task {task!r}")
         validate_log(log)
@@ -461,7 +478,8 @@ _SEPARATORS = re.compile(r"[ \t\n\r,:]*")  # JSON whitespace and the marks betwe
 def _starts(text, i) -> dict:
     """{key, or list position: index at which its value starts} of the object or list
     whose text opens at ``i``; a repeated key keeps its last start, as ``json.loads``
-    keeps its last value. Each value is stepped over by the C scanner."""
+    keeps its last value. Each value is stepped over by the C scanner; the walk stops
+    at a value the scanner refuses, whose start is then the greatest."""
     starts, is_object = {}, text[i] == "{"
     i += 1
     while text[i := _SEPARATORS.match(text, i).end()] not in "]}":
@@ -471,7 +489,10 @@ def _starts(text, i) -> dict:
         else:
             name = len(starts)
         starts[name] = i
-        i = _scan(text, i)[1]
+        try:
+            i = _scan(text, i)[1]
+        except ValueError:  # an integer of too many digits in it
+            break
     return starts
 
 
@@ -485,22 +506,6 @@ def _line_of(text, *keys) -> int:
     return text.count("\n", 0, i) + 1
 
 
-# a JSON string, or a JSON number as its integer part (1), fraction (2) and exponent (3)
-_STRING_OR_NUMBER = re.compile(r'"(?:\\.|[^"\\])*"|(-?[0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?')
-
-
-def _line_of_long_int(text) -> int:
-    """Line on which the first JSON integer that ``int`` refuses (too many digits)
-    starts. The text before it decoded, so each string there is matched whole."""
-    for m in _STRING_OR_NUMBER.finditer(text):
-        if m[1] is not None and m[2] is None and m[3] is None:
-            try:
-                int(m[1])
-            except ValueError:
-                return text.count("\n", 0, m.start()) + 1
-    return 1
-
-
 def read_manifest(path) -> Manifest:
     """Parse a manifest file without loading the logs it references."""
     text = _read_text(path)
@@ -508,9 +513,13 @@ def read_manifest(path) -> Manifest:
         doc = json.loads(text)
     except RecursionError as exc:  # nesting too deep to decode, or to walk
         raise MalformedRecord(path, 1, str(exc)) from exc
-    except ValueError as exc:  # bad JSON, or an integer of more digits than int takes
-        line = exc.lineno if isinstance(exc, json.JSONDecodeError) else _line_of_long_int(text)
-        raise MalformedRecord(path, line, str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(path, exc.lineno, str(exc)) from exc
+    except ValueError as exc:  # an integer of more digits than int takes, at no line:
+        i = _SEPARATORS.match(text).end()  # walk into each value the scanner refuses
+        while text[i] in "[{":
+            i = max(_starts(text, i).values())
+        raise MalformedRecord(path, text.count("\n", 0, i) + 1, str(exc)) from exc
     if not isinstance(doc, dict):
         raise MalformedRecord(path, _line_of(text), "manifest must be a JSON object")
     version, task, metric, listed = (_require(doc, key, path, _line_of(text))

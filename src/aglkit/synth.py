@@ -78,6 +78,14 @@ class SynthConfig:
             raise InvalidConfig("example counts must be >= 1")
         if self.n_classes < 2:
             raise InvalidConfig(f"n_classes {self.n_classes} < 2")
+        # generate's largest arrays: (n_models,) skills, (n_examples, n_classes) per split
+        limit, most = np.iinfo(np.intp).max // 8, "the most float64 values a numpy array holds"
+        if self.n_models > limit:
+            raise InvalidConfig(f"n_models {self.n_models} > {limit}, {most}")
+        for name in ("n_examples_id", "n_examples_ood"):
+            if getattr(self, name) * self.n_classes > limit:
+                raise InvalidConfig(f"{name} {getattr(self, name)} x n_classes "
+                                    f"{self.n_classes} > {limit}, {most}")
         if not math.isfinite(self.skill_min) or not math.isfinite(self.skill_max):
             raise InvalidConfig("skill_min/skill_max must be finite")
         if self.skill_min > self.skill_max:

@@ -533,6 +533,28 @@ def test_synth_rejects_a_count_beyond_int64(tmp_path, capsys, key, value):
     assert not (out / "truth.json").exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("n_models = 4611686018427387904",
+     "n_models 4611686018427387904 > 1152921504606846975"),
+    ("n_examples_id = 4611686018427387904",
+     "n_examples_id 4611686018427387904 x n_classes 4 > 1152921504606846975"),
+    ("n_examples_ood = 4611686018427387904",
+     "n_examples_ood 4611686018427387904 x n_classes 4 > 1152921504606846975"),
+    ("n_classes = 4611686018427387904\nn_examples_id = 2",
+     "n_examples_id 2 x n_classes 4611686018427387904 > 1152921504606846975"),
+], ids=["n_models", "n_examples_id", "n_examples_ood", "n_classes"])
+def test_synth_rejects_a_count_beyond_numpy_array_size(tmp_path, capsys, lines, message):
+    """Counts of 2**62, whose arrays numpy refuses before it allocates: exit 2, not 1."""
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(lines + "\n")
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(cfg), "--seed", "1",
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (f"error: {message}, "
+                                       "the most float64 values a numpy array holds\n")
+    assert not (out / "truth.json").exists()
+
+
 @pytest.mark.parametrize("target", ["id/m01.jsonl", "manifest.json"])
 def test_validate_input_not_utf8(tmp_path, capsys, target):
     out = _synth(tmp_path)

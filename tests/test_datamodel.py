@@ -397,6 +397,33 @@ def test_validate_span_matches_loop(rng, corruptions):
         validate_log(log)
 
 
+def test_span_log_takes_any_iterable_of_records(rng):
+    """A list, a tuple and an iterator of the same records give one log; no iterable
+    of records is taken for load_log's columns, so () is the empty log, as [] is."""
+    records = _span_records(rng, 6)
+    from_list = SpanLog(model_id="m", split_id="s", examples=records)
+    for examples in (tuple(records), iter(records), (ex for ex in records)):
+        _assert_same_log(SpanLog(model_id="m", split_id="s", examples=examples), from_list)
+    empty = SpanLog(model_id="m", split_id="s", examples=())
+    _assert_same_log(empty, SpanLog(model_id="m", split_id="s", examples=[]))
+    assert len(empty) == 0
+
+
+def test_classification_log_turns_lists_into_arrays_and_keeps_array_dtypes():
+    log = ClassificationLog(model_id="m", split_id="s", n_classes=3, gold=[0, 2, 1],
+                            predicted=[0, 1, 1], logits=[[2.0, 0, 0], [0, 1, 0], [0, 3, 1]])
+    assert (log.gold.dtype, log.predicted.dtype, log.logits.dtype) == (
+        np.int64, np.int64, np.float64)
+    assert log.logits.shape == (3, 3)
+    validate_log(log)
+    assert ClassificationLog(model_id="m", split_id="s", n_classes=3, gold=[0, 2, 1],
+                             predicted=[0, 1, 1]).logits is None
+    gold, logits = np.array([0, 2], np.int8), np.zeros((2, 3), np.float32)
+    log = ClassificationLog(model_id="m", split_id="s", n_classes=3, gold=gold,
+                            predicted=gold, logits=logits)
+    assert log.gold is gold and log.predicted is gold and log.logits is logits
+
+
 def test_span_log_rejects_vectors_of_the_wrong_length(tmp_path, rng):
     """The padded layout holds n_tokens logits per row; any other count is an
     error when the log is built, and at its example when a file is loaded."""
@@ -535,6 +562,20 @@ def test_load_log_bad_field_type_reports_position(tmp_path, header, record, line
     assert exc.value.line_number == line_number
 
 
+@pytest.mark.parametrize("key", ["model_id", "split_id"])
+@pytest.mark.parametrize("value", [3, None, ["m"]], ids=["int", "null", "list"])
+def test_load_log_header_ids_must_be_strings(tmp_path, key, value):
+    """A header id of another type is a MalformedRecord at the header's line."""
+    head = {"task": "classification", "model_id": "m", "split_id": "s", "n_classes": 2}
+    head[key] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n" + json.dumps(head) + '\n{"gold": 0, "predicted": 1}\n')
+    with pytest.raises(MalformedRecord) as exc:
+        load_log(path)
+    assert str(exc.value) == (f"malformed record at {path}:2 "
+                              f"(bad {key!r}: {value!r} is not a string)")
+
+
 def test_load_log_accepts_integral_floats(tmp_path):
     path = tmp_path / "floats.jsonl"
     path.write_text(json.dumps({"task": "classification", "model_id": "m", "split_id": "s",
@@ -597,6 +638,7 @@ def test_manifest_duplicate_entry(tmp_path):
 
 
 _GOOD_ENTRY = '{"model_id": "m0", "split_id": "a", "path": "x.jsonl"}'
+_LONG_INT = "9" * 5000  # more digits than int takes, so json.loads names no line
 
 
 @pytest.mark.parametrize("entries, line, detail", [
@@ -617,6 +659,17 @@ _GOOD_ENTRY = '{"model_id": "m0", "split_id": "a", "path": "x.jsonl"}'
     # a value nested 600 deep inside the entry does not hide the line it opens on
     pytest.param('\n{"model_id": ' + "[" * 600 + "]" * 600 + ', "split_id": "a", "path": "x"}',
                  4, "entry 0: model_id must be a string", id="too-deep-to-locate"),
+    # an integer of more digits than int takes names its own line wherever it sits
+    pytest.param(f'\n  {_GOOD_ENTRY},\n  {{"model_id": "m1", "split_id": "a",\n   "path": "y",'
+                 f' "n": {_LONG_INT}}}', 6, "Exceeds the limit", id="long-integer-in-entry"),
+    pytest.param('\n {"model_id": "m0", "meta": [1, "99", [],\n [2.5, {"k": 7},\n  '
+                 + _LONG_INT + '], 3], "split_id": "a", "path": "x"}',
+                 6, "Exceeds the limit", id="long-integer-in-nested-list"),
+    pytest.param('\n {"model_id": "m0", "split_id": "a", "path": "x",\n "model_id":\n '
+                 + _LONG_INT + '}', 6, "Exceeds the limit", id="long-integer-under-repeated-key"),
+    pytest.param('\n{"meta": ' + "[" * 600 + "]" * 600 + ', "model_id":\n ' + _LONG_INT
+                 + ', "split_id": "a", "path": "x"}',
+                 5, "Exceeds the limit", id="long-integer-after-deep-value"),
 ])
 def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
     path = tmp_path / "manifest.json"
@@ -626,7 +679,7 @@ def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
     with pytest.raises(MalformedRecord) as exc:
         read_manifest(path)
     assert exc.value.line_number == line
-    assert detail in str(exc.value)
+    assert str(exc.value).startswith(f"malformed record at {path}:{line} ({detail}")
 
 
 @pytest.mark.parametrize("text, line, detail", [
@@ -660,6 +713,16 @@ def test_manifest_entry_error_names_entry_line(tmp_path, entries, line, detail):
     pytest.param('{"task": "classification",\n "note": "' + "1" * 5000 + '",\n'
                  ' "skew": 0.' + "5" * 5000 + ', "metric": "accuracy", "entries": [],\n'
                  ' "version":\n ' + "9" * 5000 + "}", 5, "Exceeds the limit", id="long-integer"),
+    pytest.param('{"version": "1", "task": "classification",\n "metric": "accuracy",\n'
+                 ' "entries": [], "version":\n\n ' + _LONG_INT + "}",
+                 5, "Exceeds the limit", id="long-integer-under-repeated-key"),
+    pytest.param('{"extra": ' + "[" * 600 + "]" * 600 + ',\n "task": "classification",\n'
+                 ' "metric": "accuracy", "entries": [],\n\n "version": ' + _LONG_INT + "}",
+                 5, "Exceeds the limit", id="long-integer-after-deep-value"),
+    pytest.param('{"version": "1",\n "extra": ' + "[" * 600 + "\n" + _LONG_INT + "]" * 600 + "}",
+                 3, "Exceeds the limit", id="long-integer-inside-deep-value"),
+    pytest.param('\n[1,\n ' + _LONG_INT + "]", 3, "Exceeds the limit",
+                 id="long-integer-in-top-level-list"),
 ])
 def test_manifest_document_error_names_value_line(tmp_path, text, line, detail):
     path = tmp_path / "bad.json"

@@ -9,7 +9,14 @@ import pytest
 import aglkit.aline
 import aglkit.baselines
 import aglkit.report
-from aglkit.datamodel import METRIC_ACCURACY, METRIC_F1, SpanExample, SpanLog, SplitPair
+from aglkit.datamodel import (
+    METRIC_ACCURACY,
+    METRIC_F1,
+    ClassificationLog,
+    SpanExample,
+    SpanLog,
+    SplitPair,
+)
 from aglkit.errors import LengthMismatch, ToolkitError, ZeroTruth
 from aglkit.probit import LineFit, clamp_rate, probit
 from aglkit.report import (
@@ -371,3 +378,25 @@ def test_scatter_csv_round_trip():
     assert tuple(parsed[0].keys()) == SCATTER_COLUMNS
     for raw, back in zip(rows, parsed):
         assert float(back["x_probit"]) == raw["x_probit"]  # %.17g is lossless
+
+
+def test_logs_built_from_lists_report_as_logs_built_from_arrays():
+    """List labels and logits become arrays, so each model scores as it does from
+    arrays rather than as one ``list == list`` bool."""
+    id_logs, ood_logs, _ = generate(SynthConfig(n_models=4, n_examples_id=6,
+                                                n_examples_ood=6, seed=3))
+
+    def as_lists(logs):
+        return [ClassificationLog(model_id=log.model_id, split_id=log.split_id,
+                                  n_classes=log.n_classes, gold=log.gold.tolist(),
+                                  predicted=log.predicted.tolist(), logits=log.logits.tolist())
+                for log in logs]
+
+    options = ReportOptions(evaluation_mode=True)
+    from_arrays, from_lists = (
+        build_report(SplitPair(ids, oods, METRIC_ACCURACY), options=options).to_json()
+        for ids, oods in ((id_logs, ood_logs), (as_lists(id_logs), as_lists(ood_logs))))
+    assert from_lists == from_arrays
+    report = json.loads(from_arrays)
+    assert len({row["id_perf"] for row in report["per_model"]}) > 1
+    assert not report["method_errors"]

@@ -494,6 +494,26 @@ def test_config_accepts_the_largest_philox_key():
     SynthConfig(seed=2**128 - 1).validate()
 
 
+_MOST_FLOAT64 = np.iinfo(np.intp).max // 8  # values in numpy's largest float64 array
+
+
+@pytest.mark.parametrize("name, largest, others", [
+    ("n_models", _MOST_FLOAT64, {}),
+    ("n_examples_id", _MOST_FLOAT64 // 4, {}),  # an (n, n_classes) array, 4 classes
+    ("n_examples_ood", _MOST_FLOAT64 // 4, {}),
+    ("n_classes", _MOST_FLOAT64 // 2, {"n_examples_id": 2, "n_examples_ood": 2}),
+], ids=["n_models", "n_examples_id", "n_examples_ood", "n_classes"])
+def test_config_counts_stop_at_numpy_array_size_limit(name, largest, others):
+    """validate allocates nothing, so it can be called at the bound itself: the largest
+    count whose arrays numpy can make passes, one more is refused by name. Numpy itself
+    refuses one value more than the bound before it allocates anything."""
+    with pytest.raises(ValueError, match="array is too big"):
+        np.empty(_MOST_FLOAT64 + 1)
+    SynthConfig(**others, **{name: largest}).validate()
+    with pytest.raises(InvalidConfig, match=f"{name} {largest + 1} "):
+        SynthConfig(**others, **{name: largest + 1}).validate()
+
+
 def test_write_ensemble_round_trip(tmp_path):
     config = SynthConfig(n_models=3, n_examples_id=120, n_examples_ood=100, seed=21)
     paths = write_ensemble(config, tmp_path / "out")
