@@ -61,7 +61,8 @@ class ClassificationLog:
     ``gold`` and ``predicted`` are int arrays of length n_examples. ``load_log``
     holds them in ``np.min_scalar_type(-n_classes)``, the narrowest signed dtype
     that holds n_classes - 1; a log built in memory keeps the dtype it was given,
-    and lists become arrays.
+    and lists become arrays. ``validate_log`` takes labels of an integer dtype, or of a
+    float dtype with integral values; lists of unequal rows raise LengthViolation.
     """
     model_id: str
     split_id: str
@@ -72,8 +73,11 @@ class ClassificationLog:
     task = TASK_CLASSIFICATION  # a class attribute, not a field: the class is the task
 
     def __post_init__(self):
-        self.gold, self.predicted = np.asarray(self.gold), np.asarray(self.predicted)
-        self.logits = None if self.logits is None else np.asarray(self.logits)
+        try:
+            self.gold, self.predicted = np.asarray(self.gold), np.asarray(self.predicted)
+            self.logits = None if self.logits is None else np.asarray(self.logits)
+        except ValueError as exc:  # nested lists of unequal length
+            raise LengthViolation(-1, "ragged rows") from exc
 
     def __len__(self):
         return len(self.gold)
@@ -113,8 +117,9 @@ class SpanLog:
     matrices whose row i holds ``n_tokens[i]`` logits and then -inf padding
     (it survives positive scaling and gets softmax weight exp(-inf) = 0);
     ``gold`` and ``predicted`` are (n_examples, 2) int [start, end] arrays.
-    A record whose logit vectors do not have ``n_tokens`` entries raises
-    LengthViolation.
+    A record whose ``n_tokens`` or span value is not an int (numpy's too) or an
+    integral float, within int64, raises RangeViolation; one whose logit vectors do
+    not have ``n_tokens`` entries, LengthViolation.
     """
     model_id: str
     split_id: str
@@ -130,6 +135,14 @@ class SpanLog:
         if not isinstance(examples, _SpanColumns):  # SpanExample records
             examples = list(examples)
             examples = [[getattr(ex, f.name) for ex in examples] for f in fields(SpanExample)]
+            for i, record in enumerate(zip(*examples)):  # the loader's rule: no silent cast
+                for f, value in zip(fields(SpanExample), record):
+                    if f.name.endswith("_logits"):
+                        continue
+                    try:
+                        _int64(value.item() if isinstance(value, np.generic) else value)
+                    except (ValueError, OverflowError) as exc:
+                        raise RangeViolation(i, f"{f.name}: {exc}") from None
             for i in (1, 2):
                 examples[i] = np.concatenate(examples[i] or [[]]), list(map(len, examples[i]))
         n_tok, (start, start_len), (end, end_len), *spans = examples
@@ -209,11 +222,18 @@ def validate_log(log) -> None:
         n = len(gold)
         if k < 2:
             raise RangeViolation(-1, f"n_classes {k} < 2")
+        for name, labels in (("gold", gold), ("predicted", pred)):
+            if labels.dtype.kind not in "iuf":  # a bool, string or object array
+                raise RangeViolation(-1, f"{name} of dtype {labels.dtype} is not integral")
         if len(pred) != n:
             raise LengthViolation(-1, "gold/predicted length mismatch")
         if logits is not None and logits.shape != (n, k):
             raise LengthViolation(-1, f"logits shape {logits.shape} != ({n}, {k})")
-        checks = [
+        checks = [  # floor(x) != x for a fraction or NaN, never for an integer
+            (np.floor(gold) != gold,
+             lambda i: RangeViolation(i, f"gold {gold[i]} is not an integer")),
+            (np.floor(pred) != pred,
+             lambda i: RangeViolation(i, f"predicted {pred[i]} is not an integer")),
             ((gold < 0) | (gold >= k),
              lambda i: RangeViolation(i, f"gold {gold[i]} not in [0, {k})")),
             ((pred < 0) | (pred >= k),

@@ -424,6 +424,68 @@ def test_classification_log_turns_lists_into_arrays_and_keeps_array_dtypes():
     assert log.gold is gold and log.predicted is gold and log.logits is logits
 
 
+@pytest.mark.parametrize("gold, predicted, index, detail", [
+    ([0.5, 1], [0, 1], 0, "gold 0.5 is not an integer"),
+    ([0, 1], [0, 1.5], 1, "predicted 1.5 is not an integer"),
+    ([0, float("nan")], [0, 1], 1, "gold nan is not an integer"),
+    # integrality comes before the range rules within an example, not across examples
+    ([2.5, 0], [0, 1], 0, "gold 2.5 is not an integer"),
+    ([0, 0.5], [3, 1], 0, "predicted 3 not in [0, 2)"),
+    (["0", "1"], [0, 1], -1, "gold of dtype <U1 is not integral"),
+    ([True, False], [0, 1], -1, "gold of dtype bool is not integral"),
+    ([0, 1], np.array([0, 1], dtype=object), -1, "predicted of dtype object is not integral"),
+    ([0.0, 1.0], [1, 0], None, None),
+    (np.array([1, 0], np.uint8), np.array([1.0, 0.0], np.float32), None, None),
+])
+def test_validate_log_takes_only_integral_labels(gold, predicted, index, detail):
+    """The loader's integer rule for labels built in memory: an integer dtype, or a float
+    dtype whose values are integral; a whole-log error for any other dtype."""
+    log = ClassificationLog(model_id="m", split_id="s", n_classes=2, gold=gold,
+                            predicted=predicted)
+    if index is None:
+        validate_log(log)
+        return
+    with pytest.raises(RangeViolation) as exc:
+        validate_log(log)
+    assert exc.value.example_index == index
+    assert str(exc.value) == str(RangeViolation(index, detail))
+
+
+def test_classification_log_rejects_ragged_logits():
+    with pytest.raises(LengthViolation) as exc:
+        ClassificationLog(model_id="m", split_id="s", n_classes=2, gold=[0, 1],
+                          predicted=[0, 1], logits=[[1.0, 0.0], [0.0]])
+    assert exc.value.example_index == -1
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("gold_start", 1.5, "gold_start: 1.5 is not an integer"),
+    ("pred_end", "1", "pred_end: '1' is not an integer"),
+    ("gold_start", True, "gold_start: True is not an integer"),
+    ("n_tokens", np.bool_(True), "n_tokens: True is not an integer"),
+    ("gold_end", 2**63, f"gold_end: {2**63} does not fit in int64"),
+    ("gold_end", 2.0, None),
+    ("pred_start", np.int32(2), None),
+    ("n_tokens", np.float64(4.0), None),
+])
+def test_span_log_from_records_takes_only_integral_values(field, value, error):
+    """A records-built log applies the loader's integer rule to n_tokens and every span
+    value instead of casting 1.5, "1" or True to 1."""
+    start, end = np.array([0.0, 0.0, 2.0, 0.0]), np.array([0.0, 0.0, 0.0, 2.0])
+    valid = dict(n_tokens=4, start_logits=start, end_logits=end, gold_start=1,
+                   gold_end=2, pred_start=2, pred_end=3)
+    records = [SpanExample(**valid), SpanExample(**{**valid, field: value})]
+    if error is None:
+        as_int = [SpanExample(**valid), SpanExample(**{**valid, field: int(value)})]
+        _assert_same_log(SpanLog(model_id="m", split_id="s", examples=records),
+                         SpanLog(model_id="m", split_id="s", examples=as_int))
+        return
+    with pytest.raises(RangeViolation) as exc:
+        SpanLog(model_id="m", split_id="s", examples=records)
+    assert exc.value.example_index == 1
+    assert str(exc.value) == str(RangeViolation(1, error))
+
+
 def test_span_log_rejects_vectors_of_the_wrong_length(tmp_path, rng):
     """The padded layout holds n_tokens logits per row; any other count is an
     error when the log is built, and at its example when a file is loaded."""
@@ -1477,7 +1539,7 @@ def test_load_log_corruption_matches_per_line_loader(tmp_path, name):
 
 # --- every loaded log owns its labels ---
 
-def _ensemble(tmp_path):
+def _synth_manifest(tmp_path):
     config = SynthConfig(n_models=3, n_examples_id=60, n_examples_ood=40, seed=5)
     return write_ensemble(config, tmp_path / "ens")["manifest"]
 
@@ -1513,7 +1575,7 @@ def _split_manifests(manifest, keeps):
 @pytest.mark.parametrize("task", ["classification", "qa"])
 def test_every_loaded_log_owns_a_writable_gold(tmp_path, rng, task, per_split):
     if task == "classification":
-        manifest, splits = _ensemble(tmp_path), ("synth_id", "synth_ood")
+        manifest, splits = _synth_manifest(tmp_path), ("synth_id", "synth_ood")
     else:
         manifest, splits = _qa_manifest(tmp_path, rng), ("qa_id", "qa_ood")
     paths = [manifest, manifest]
