@@ -12,30 +12,22 @@ import sys
 
 from .datamodel import load_entries, load_split_pair
 from .errors import InvalidConfig, ToolkitError
-from .report import ReportOptions, build_report, export_scatter, scatter_to_csv
+from .report import METHODS, ReportOptions, build_report, export_scatter, scatter_to_csv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_ESTIMATION_FAILURE = 3
 
-_METHOD_FLAGS = {
-    "aline-s": "aline_s",
-    "aline-d": "aline_d",
-    "ac": "ac",
-    "atc": "atc",
-    "doc-feat": "doc_feat",
-    "naive": "naive_agreement",
-}
-
 
 def cmd_estimate(args) -> int:
+    by_flag = {flag: method for method, (flag, _) in METHODS.items()}
     try:
         # in order, once each: exit code 3 compares failures with this count
-        methods = list(dict.fromkeys(_METHOD_FLAGS[m.strip()]
+        methods = list(dict.fromkeys(by_flag[m.strip()]
                                      for m in args.methods.split(",") if m.strip()))
     except KeyError as exc:
         raise InvalidConfig(f"unknown method {exc.args[0]!r} "
-                            f"(choose from {', '.join(_METHOD_FLAGS)})") from None
+                            f"(choose from {', '.join(by_flag)})") from None
     if not methods:
         raise InvalidConfig("no methods requested")
     options = ReportOptions(gate_threshold=args.gate_threshold, clamp_eps=args.clamp_eps,
@@ -85,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="run estimators over a split pair")
     est.add_argument("--id-manifest", required=True)
     est.add_argument("--ood-manifest", required=True)
-    est.add_argument("--methods", default=",".join(k for k in _METHOD_FLAGS))
+    est.add_argument("--methods", default=",".join(flag for flag, _ in METHODS.values()))
     est.add_argument("--out", required=True)
     est.add_argument("--metric", default=None)
     est.add_argument("--gate-threshold", type=float, default=ReportOptions.gate_threshold)

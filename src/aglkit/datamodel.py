@@ -219,6 +219,8 @@ def validate_log(log) -> None:
     (ties to lowest index) and compared with the stored ones."""
     if isinstance(log, ClassificationLog):
         k, gold, pred, logits = log.n_classes, log.gold, log.predicted, log.logits
+        if gold.ndim != 1 or pred.ndim != 1:
+            raise LengthViolation(-1, f"gold/predicted shapes {gold.shape}/{pred.shape} not 1-D")
         n = len(gold)
         if k < 2:
             raise RangeViolation(-1, f"n_classes {k} < 2")

@@ -26,9 +26,16 @@ from .errors import InvalidConfig, LengthMismatch, ToolkitError, ZeroTruth
 from .metrics import agreement_matrix, performance
 from .probit import CLAMP_EPS, LineFit, clamp_rate, fit_line, normal_cdf, probit
 
+# Every method, in report order: name -> (its --methods flag, whether it reads logits).
+# It holds no estimator: _build calls each through this module's globals, at call time.
+METHODS = {
+    METHOD_ALINE_S: ("aline-s", False), METHOD_ALINE_D: ("aline-d", False),
+    METHOD_AC: ("ac", True), METHOD_ATC: ("atc", True), METHOD_DOC_FEAT: ("doc-feat", True),
+    METHOD_NAIVE_AGREEMENT: ("naive", False),
+}
 ALINE_METHODS = (METHOD_ALINE_S, METHOD_ALINE_D)
-CONFIDENCE_METHODS = (METHOD_AC, METHOD_ATC, METHOD_DOC_FEAT)
-ALL_METHODS = ALINE_METHODS + CONFIDENCE_METHODS + (METHOD_NAIVE_AGREEMENT,)
+CONFIDENCE_METHODS = tuple(m for m, (_, reads_logits) in METHODS.items() if reads_logits)
+ALL_METHODS = tuple(METHODS)
 
 SCATTER_COLUMNS = ("kind", "tag", "x_raw", "y_raw", "x_probit", "y_probit")
 
@@ -118,21 +125,21 @@ def _build(model_ids, metric, splits, inputs: AlineInput, true_ood, methods,
     scores = None  # one temperature fit and four confidence vectors per model
     for method in methods:
         try:
-            if method in ALINE_METHODS:
-                estimator = aline_s if method == METHOD_ALINE_S else aline_d
-                report.estimates[method], report.agreement_fit = estimator(inputs)
-                report.gates[method] = gate(report.agreement_fit, options.gate_threshold)
-            elif method == METHOD_NAIVE_AGREEMENT:
-                report.estimates[method] = naive_agreement_estimate(inputs.agr_ood)
-            elif method in CONFIDENCE_METHODS:
+            if method not in METHODS:
+                raise ToolkitError(f"unknown method {method!r}")
+            if METHODS[method][1]:  # a confidence method: it reads the pair's logits
                 if scores is None:
                     scores = [confidence_scores(id_log, ood_log)
                               for id_log, ood_log in zip(pair.id_logs, pair.ood_logs)]
                 report.estimates[f"{method}.raw"], report.estimates[f"{method}.temp_scaled"] = \
                     np.array([with_and_without_temperature(method, perf, s)
                               for perf, s in zip(inputs.id_perf.tolist(), scores)]).T
+            elif method == METHOD_NAIVE_AGREEMENT:
+                report.estimates[method] = naive_agreement_estimate(inputs.agr_ood)
             else:
-                raise ToolkitError(f"unknown method {method!r}")
+                estimator = aline_s if method == METHOD_ALINE_S else aline_d
+                report.estimates[method], report.agreement_fit = estimator(inputs)
+                report.gates[method] = gate(report.agreement_fit, options.gate_threshold)
         except ToolkitError as exc:
             report.method_errors[method] = f"{type(exc).__name__}: {exc}"
 
@@ -170,9 +177,9 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
                                options: ReportOptions | None = None) -> EstimateReport:
     """Agreement-based report for precomputed performance/agreement matrices.
 
-    Covers the estimators that need no logits (ALine-S, ALine-D, naive
-    agreement); useful for closed-form fixtures and externally computed
-    summaries. Passing ``true_ood_perf`` turns on evaluation.
+    Runs every method of ``METHODS`` that reads no logits (ALine-S, ALine-D,
+    naive agreement), in table order; useful for closed-form fixtures and
+    externally computed summaries. Passing ``true_ood_perf`` turns on evaluation.
     """
     model_ids, options = list(model_ids), options or ReportOptions()
     if len(model_ids) != len(id_perf):
@@ -181,8 +188,8 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
     if true_ood is not None and true_ood.shape != (len(model_ids),):
         raise LengthMismatch(f"true_ood_perf shape {true_ood.shape} != ({len(model_ids)},)")
     return _build(model_ids, metric, ("id", "ood"),
-                  AlineInput(id_perf, agr_id_values, agr_ood_values, options.clamp_eps),
-                  true_ood, ALINE_METHODS + (METHOD_NAIVE_AGREEMENT,), options)
+                  AlineInput(id_perf, agr_id_values, agr_ood_values, options.clamp_eps), true_ood,
+                  [m for m, (_, reads_logits) in METHODS.items() if not reads_logits], options)
 
 
 def export_scatter(report: EstimateReport):

@@ -1,7 +1,25 @@
+import os
+
 import numpy as np
 import pytest
 
 from aglkit.datamodel import ClassificationLog, SpanExample, SpanLog
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_table(first_header):
+    """Body rows of the README.md table whose first header cell is ``first_header``,
+    each a list of its cells with backticks stripped."""
+    with open(README) as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {first_header} |"))
+    rows = []
+    for line in lines[start + 2:]:  # past the header and its |---| rule
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().replace("`", "") for cell in line.strip("|").split("|")])
+    return rows
 
 
 def make_classification_log(predicted, gold, n_classes=None, logits=None,

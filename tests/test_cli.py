@@ -12,7 +12,7 @@ import pytest
 import aglkit
 from aglkit.cli import EXIT_ESTIMATION_FAILURE, EXIT_INPUT_ERROR, EXIT_OK, main
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+from conftest import README
 
 
 def _synth(tmp_path, name="data", seed=3, extra_cfg=""):

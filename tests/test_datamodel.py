@@ -458,6 +458,24 @@ def test_classification_log_rejects_ragged_logits():
     assert exc.value.example_index == -1
 
 
+@pytest.mark.parametrize("gold, predicted", [
+    ([[0], [1]], [0, 1]),
+    (1, [0, 1]),
+    ([0, 1], [[0], [1]]),
+    ([[0], [1]], [[0], [1]]),
+    ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+], ids=["gold-column", "gold-scalar", "predicted-column", "both-columns", "both-2x2"])
+def test_validate_log_takes_only_one_dimensional_labels(gold, predicted):
+    """Labels that are not 1-D, even of matching shapes, are a whole-log LengthViolation
+    before any per-example rule reads them."""
+    log = ClassificationLog(model_id="m", split_id="s", n_classes=2, gold=gold,
+                            predicted=predicted)
+    with pytest.raises(LengthViolation) as exc:
+        validate_log(log)
+    assert str(exc.value) == str(LengthViolation(
+        -1, f"gold/predicted shapes {np.shape(gold)}/{np.shape(predicted)} not 1-D"))
+
+
 @pytest.mark.parametrize("field, value, error", [
     ("gold_start", 1.5, "gold_start: 1.5 is not an integer"),
     ("pred_end", "1", "pred_end: '1' is not an integer"),

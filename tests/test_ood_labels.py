@@ -25,6 +25,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "perfbench"))
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
+from conftest import readme_table  # noqa: E402
+
 # Every field of report.json and scatter.csv, and whether it reads OOD labels:
 # per-model and fit keys by name, scatter rows by kind.
 READS_OOD_LABELS = {
@@ -98,3 +100,9 @@ def test_ood_gold_labels_reach_only_the_ood_scores(tmp_path, name):
     assert set(before) == set(after) == set(READS_OOD_LABELS)
     changed = {field for field in READS_OOD_LABELS if before[field] != after[field]}
     assert changed == {field for field, reads in READS_OOD_LABELS.items() if reads}
+
+
+def test_readme_field_table_is_reads_ood_labels():
+    """README "Report format" marks the same fields, in the same order."""
+    assert [(name, reads) for name, reads in readme_table("Field")] == \
+        [(name, "yes" if reads else "no") for name, reads in READS_OOD_LABELS.items()]

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from aglkit.report import (
     ALINE_METHODS,
     ALL_METHODS,
     CONFIDENCE_METHODS,
+    METHODS,
     SCATTER_COLUMNS,
     ReportOptions,
     build_report,
@@ -34,7 +36,7 @@ from aglkit.report import (
 from aglkit.closed_form import exact_agl_inputs
 from aglkit.synth import SynthConfig, generate
 
-from conftest import calibrated_span_log
+from conftest import calibrated_span_log, readme_table
 
 # every estimate a full report holds: each confidence method once per variant
 ESTIMATE_NAMES = ({m for m in ALL_METHODS if m not in CONFIDENCE_METHODS}
@@ -168,6 +170,33 @@ def test_build_report_records_method_errors():
     assert "naive_agreement" in report.estimates
 
 
+def test_readme_method_table_is_report_methods():
+    """README "Report format" lists the methods as ``METHODS`` does, row by row and in
+    order, with the estimate names each fills: a literal copy that also pins the derived
+    tuples and ESTIMATE_NAMES."""
+    rows = readme_table("Flag")
+    assert [(flag, name, reads) for flag, name, _, reads in rows] == \
+        [(flag, name, "yes" if reads_logits else "no")
+         for name, (flag, reads_logits) in METHODS.items()]
+    assert ALL_METHODS == tuple(name for _, name, _, _ in rows)
+    assert CONFIDENCE_METHODS == tuple(name for _, name, _, reads in rows if reads == "yes")
+    for _, name, names, reads in rows:
+        assert names.split(", ") == ([f"{name}.raw", f"{name}.temp_scaled"]
+                                     if reads == "yes" else [name])
+    assert {n for _, _, names, _ in rows for n in names.split(", ")} == ESTIMATE_NAMES
+
+
+def test_methods_that_read_logits_fail_on_logs_without_them():
+    """One MissingLogits error per confidence method, and no estimate."""
+    pair, _ = _synth_pair()
+    bare = SplitPair(*([replace(log, logits=None) for log in logs]
+                       for logs in (pair.id_logs, pair.ood_logs)), pair.metric)
+    report = build_report(bare, methods=CONFIDENCE_METHODS)
+    assert list(report.method_errors) == list(CONFIDENCE_METHODS)
+    assert all(msg.startswith("MissingLogits: ") for msg in report.method_errors.values())
+    assert not report.estimates
+
+
 def test_build_report_records_an_unknown_method():
     pair, _ = _synth_pair()
     report = build_report(pair, methods=["bogus", "naive_agreement"])
@@ -234,7 +263,9 @@ def test_matrix_report_on_exact_fixture():
                                         true_ood_perf=true_ood)
     assert report.mape_by_method["aline_s"] < 0.1
     assert report.mape_by_method["aline_d"] < 0.1
-    assert "naive_agreement" in report.estimates
+    # every method that reads no logits, in table order
+    assert list(report.estimates) == [m for m, (_, reads_logits) in METHODS.items()
+                                      if not reads_logits]
     assert report.agreement_fit.slope == pytest.approx(0.7, abs=1e-8)
 
 
