@@ -6,8 +6,8 @@ d = logits - rowmax, taken once per fit, the CE is convex in beta with
 exact derivatives mean(E_p[d] - d_gold) and mean(Var_p[d]). The fit
 returns a box edge when the derivative there points out of the box (so a
 CE that underflows to a flat tail goes to the upper edge); otherwise
-safeguarded Newton steps in t alternate with bisection until the bracket
-is narrower than ``TEMP_TOL``. Each softmax head that a log's ``heads()``
+safeguarded Newton steps in t alternate with bisection until a step moves
+t by less than ``TEMP_TOL``. Each softmax head that a log's ``heads()``
 lists is fitted on its own: the one head of a classification log, or the
 start and end heads of a QA log (-inf padded matrices). A report fits the
 temperatures of each ID log once and shares them with AC, ATC and DOC-Feat
@@ -63,7 +63,7 @@ def _fit_coordinate(logits: np.ndarray, golds: np.ndarray) -> float:
         return lo
     t = 0.5 * (lo + hi)
     step = older = hi - lo  # the last two moves of t
-    while True:
+    while step >= TEMP_TOL:
         g, dg = slope(t)
         if g == 0.0:
             return t
@@ -72,17 +72,12 @@ def _fit_coordinate(logits: np.ndarray, golds: np.ndarray) -> float:
         else:
             hi = t
         newton = t - g / dg if dg > 0.0 else math.nan  # NaN fails every comparison
-        if hi - lo < TEMP_TOL:
-            return newton if lo < newton < hi else 0.5 * (lo + hi)
         # Newton must stay in the bracket and at least halve the move before last
         if not (lo < newton < hi and abs(newton - t) <= 0.5 * older):
             t, step, older = 0.5 * (lo + hi), 0.5 * (hi - lo), step  # bisect
-        elif abs(newton - t) < 0.5 * TEMP_TOL:
-            # Newton nears the root from one side: step just past it to close
-            # the other end of the bracket, and bisect next if that fails
-            t, step, older = newton - math.copysign(0.5 * TEMP_TOL, g), 0.0, 0.0
         else:
             t, step, older = newton, abs(newton - t), step
+    return t
 
 
 def fit_temperature(id_log) -> tuple[float, ...]:

@@ -170,7 +170,7 @@ class SpanLog:
 class SplitPair:
     """Aligned ID and OOD logs for one ensemble, plus the scoring metric. Construction
     checks, in order: the metric fits every log's task, at least two models, the OOD logs
-    in the ID logs' model order, one length per split and one ``n_classes``."""
+    in the ID logs' model order, one length per split, one ``n_classes``, ``validate_log``."""
     id_logs: list
     ood_logs: list
     metric: str
@@ -191,6 +191,8 @@ class SplitPair:
         ks = {getattr(log, "n_classes", None) for log in logs}
         if len(ks) != 1:
             raise ShapeMismatch("*", f"inconsistent n_classes {sorted(ks)}")
+        for log in logs:  # the ID logs, then the OOD logs
+            validate_log(log)
 
     @property
     def model_ids(self):

@@ -187,6 +187,8 @@ def build_report_from_matrices(id_perf, agr_id_values, agr_ood_values, model_ids
     true_ood = None if true_ood_perf is None else np.asarray(true_ood_perf)
     if true_ood is not None and true_ood.shape != (len(model_ids),):
         raise LengthMismatch(f"true_ood_perf shape {true_ood.shape} != ({len(model_ids)},)")
+    if true_ood is not None:
+        clamp_rate(true_ood)  # DomainError for NaN or a rate outside [0, 1]
     return _build(model_ids, metric, ("id", "ood"),
                   AlineInput(id_perf, agr_id_values, agr_ood_values, options.clamp_eps), true_ood,
                   [m for m, (_, reads_logits) in METHODS.items() if not reads_logits], options)

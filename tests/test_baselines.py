@@ -270,10 +270,38 @@ def _grid_golden_minimize(objective, lo=TEMP_BOX[0], hi=TEMP_BOX[1], tol=TEMP_TO
     return (a + b) / 2.0
 
 
+def _ce_slope(logits, gold, t):
+    """dCE/dbeta at beta = e^t, mean(E_p[x] - x_gold), from a softmax computed here."""
+    x = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(math.exp(t) * x)
+    p /= p.sum(axis=1, keepdims=True)
+    x = np.where(np.isfinite(x), x, 0.0)  # -inf padding, where p is 0
+    return float(np.mean((p * x).sum(axis=1) - x[np.arange(len(gold)), gold]))
+
+
+def _slope_root(logits, gold, tol=1e-12):
+    """The t where dCE/dbeta (rising in t) crosses 0, bisected to ``tol``; the
+    ``TEMP_BOX`` edge when the crossing lies beyond it."""
+    lo, hi = TEMP_BOX
+    if _ce_slope(logits, gold, hi) <= 0.0:
+        return hi
+    if _ce_slope(logits, gold, lo) >= 0.0:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _ce_slope(logits, gold, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _assert_matches_oracle(logits, gold, t_new):
     t_old = _grid_golden_minimize(lambda t: _mean_ce(logits, gold, t))
     assert abs(t_new - t_old) <= 1e-5
     assert _mean_ce(logits, gold, t_new) <= _mean_ce(logits, gold, t_old) + 1e-12
+    # the CE minimum itself, from this file's own derivative: 1,000 times inside TEMP_TOL
+    assert abs(t_new - _slope_root(logits, gold)) <= 1e-9
     return t_old
 
 

@@ -1156,6 +1156,33 @@ def test_split_pair_checks_each_ensemble_rule(tmp_path, id_logs, ood_logs, metri
         assert str(loaded.value) == message
 
 
+def _bad_gold_pair(bad_splits):
+    """Two-model logs per split whose gold 5 is out of range in the ``bad_splits``."""
+    return [[ClassificationLog(model_id=m, split_id=split, n_classes=2,
+                               gold=[0, 5] if split in bad_splits else [0, 1], predicted=[0, 1])
+             for m in ("m0", "m1")] for split in ("id", "ood")]
+
+
+@pytest.mark.parametrize("id_logs, ood_logs, metric, message", [
+    pytest.param(*_bad_gold_pair({"id", "ood"}), METRIC_ACCURACY,
+                 "index out of range at example 1: gold 5 not in [0, 2)",
+                 id="gold-out-of-range"),
+    pytest.param(*_bad_gold_pair({"ood"}), METRIC_ACCURACY,
+                 "index out of range at example 1: gold 5 not in [0, 2)",
+                 id="ood-gold-out-of-range"),
+    pytest.param(*([make_span_log([(0, 1)], [(3, 2)], model_id=m, split_id=split)
+                    for m in ("m0", "m1")] for split in ("id", "ood")), METRIC_F1,
+                 "index out of range at example 0: gold span out of range",
+                 id="qa-gold-span-inverted"),
+])
+def test_split_pair_validates_every_log(id_logs, ood_logs, metric, message):
+    """A pair built in memory runs validate_log on each log, as the loader does, so an
+    invalid label is never scored."""
+    with pytest.raises(RangeViolation) as exc:
+        SplitPair(id_logs=id_logs, ood_logs=ood_logs, metric=metric)
+    assert str(exc.value) == message
+
+
 def test_log_is_read_once_when_the_one_decode_fails(tmp_path, monkeypatch):
     """A blank line after the header fails the one decode of a short-line log; the
     per-line loop then parses the text already read, not the file a second time."""

@@ -18,7 +18,7 @@ from aglkit.datamodel import (
     SpanLog,
     SplitPair,
 )
-from aglkit.errors import LengthMismatch, ToolkitError, ZeroTruth
+from aglkit.errors import DomainError, LengthMismatch, ToolkitError, ZeroTruth
 from aglkit.probit import LineFit, clamp_rate, probit
 from aglkit.report import (
     ALINE_METHODS,
@@ -113,6 +113,8 @@ def _qa_pair():
                for m in range(3)]
     ood_logs = [calibrated_span_log(60, 10, 0.5 + 0.5 * m, seed=50 + m, model_id=f"m{m}",
                                     split_id="ood") for m in range(3)]
+    for log in id_logs + ood_logs:  # gold start and end are drawn apart: order each span
+        log.gold.sort(axis=1)
     return SplitPair(id_logs=id_logs, ood_logs=ood_logs, metric=METRIC_F1)
 
 
@@ -295,6 +297,17 @@ def test_matrix_report_rejects_misshapen_true_ood_perf(truth):
     with pytest.raises(LengthMismatch, match=r"true_ood_perf shape \(.*\) != \(5,\)"):
         build_report_from_matrices(id_acc, agr_id, agr_ood, [f"m{i}" for i in range(5)],
                                    true_ood_perf=truth)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+def test_matrix_report_rejects_true_ood_perf_that_is_not_a_rate(bad):
+    """A NaN truth would give every estimate a NaN MAPE (and a bare NaN in the JSON),
+    and one below 0 a negative MAPE: the report refuses either, as clamp_rate does."""
+    id_acc, agr_id, agr_ood, true_ood = exact_agl_inputs(SynthConfig(n_models=3))
+    true_ood[1] = bad
+    with pytest.raises(DomainError, match=rf"^rate {bad} outside \[0, 1\]$"):
+        build_report_from_matrices(id_acc, agr_id, agr_ood, ["a", "b", "c"],
+                                   true_ood_perf=true_ood)
 
 
 def test_matrix_report_out_of_range_agreement_fails_only_aline():
