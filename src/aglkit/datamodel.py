@@ -4,8 +4,8 @@ Log files are JSON Lines: one header object followed by one object per
 example. ``save_log`` writes sorted keys, ", " and ": " separators, floats in
 Python's shortest round-trip repr and NaN/Infinity as ``json`` does, so
 save -> load is bit-for-bit; the loader takes keys in any order. It decodes a
-file of short lines with no ``null`` in one ``json.loads`` call and any other
-file line by line, with the same result. Every input file, a ``synth`` config
+file of short lines with no ``null`` in one ``json.loads`` call, each distinct
+line once, and any other file line by line, with the same result. Every input file, a ``synth`` config
 too, is read by ``_read_text``, and a bad manifest value is located by stepping
 over the values before it with the C scanner that decoded them. Example identity
 is positional: logs compared across models must have equal length.
@@ -319,33 +319,45 @@ def _read_text(path, line_end=rb"\n") -> str:
 _scan = json.JSONDecoder().scan_once  # the C scanner: one JSON value from an index
 
 # Files whose mean line is this many characters or more are read line by line. One
-# json.loads of the whole file pays only where the fixed cost of each record dominates:
-# an in-process sweep of _records (min of 31 runs) timed it at 0.68-0.71 of the
-# per-line loop at 28 B per line, 0.92 at 102 B, 1.01 at 164 B, and 1.05-1.25 from
-# 1.3 to 20 KB, where the extra passes over the text cost time and memory.
+# json.loads of a file's distinct lines pays where lines repeat, or where the fixed cost
+# of each record dominates: an in-process sweep of _records (min of 31 runs, 2 CPUs)
+# timed it at 0.27 of the per-line loop on 4,000 labels-only lines of 28 B at 4 classes
+# (16 distinct), 0.94 on 2,000 lines of 123 B with logits (1,669 distinct), 1.06-1.08
+# on all-distinct lines of 32 to 163 B, and 1.14-1.15 from 1.4 to 19 KB, where the
+# extra passes over the text cost time and memory.
 _ONE_DECODE_MAX_MEAN_LINE = 1024
 
 
 def _records(path):
-    """Line numbers and objects of the non-blank lines up to the first that is not
-    one JSON object, and that line's MalformedRecord (or None) to raise after them.
+    """Line numbers of the non-blank lines up to the first that is not one JSON
+    object; the first line's object, then the other lines' objects; the ``np.intp``
+    index that gives each other line its object among those; and the bad line's
+    MalformedRecord (or None) to raise after them.
 
     A file of short lines with no ``null`` in it is decoded in one ``json.loads``
-    call, with ``,null,`` put before every line break but a final one. JSON strings
-    hold no raw line break and the text no ``null`` of its own, so n - 1 top-level
-    ``None`` between n objects means each line held exactly one object. Any other
-    outcome falls back to the per-line loop over the same text, which alone reports errors."""
+    call of its first line and of each distinct other line, once each, with
+    ``,null,`` put between them before their line breaks. JSON strings hold no raw
+    line break and the text no ``null`` of its own, so m - 1 top-level ``None``
+    between m objects means each line held exactly one object. The first line (the
+    header) is kept out of the distinct lines, so an example line equal to it is an
+    object of its own. Any other outcome falls back to the per-line loop over the
+    same text, which decodes every line, gives the identity index, and alone
+    reports errors."""
     text = _read_text(path)
     n = text.count("\n") + (not text.endswith("\n"))  # a final "\n" ends the last line
     if len(text) < _ONE_DECODE_MAX_MEAN_LINE * n and "null" not in text:
+        head, *lines = text.split("\n")[:n]
+        distinct = {line: i for i, line in enumerate(dict.fromkeys(lines))}
         try:
-            records = json.loads("[" + text.replace("\n", ",null,\n", n - 1) + "]")
+            records = json.loads("[" + ",null,\n".join([head, *distinct]) + "]")
         except (ValueError, RecursionError):
             records = []
-        if (len(records) == 2 * n - 1 and records[1::2] == [None] * (n - 1)
+        m = len(distinct) + 1
+        if (len(records) == 2 * m - 1 and records[1::2] == [None] * (m - 1)
                 and set(map(type, records[::2])) == {dict}):
-            return list(range(1, n + 1)), records[::2], None
-    linenos, records = [], []
+            rows = np.fromiter(map(distinct.__getitem__, lines), np.intp, n - 1)
+            return list(range(1, n + 1)), records[::2], rows, None
+    linenos, records, bad = [], [], None
     # split on "\n" only: JSON strings may hold other line breaks such as U+2028
     lines = text.split("\n")[::-1]  # popped, so a line is freed once parsed
     del text
@@ -363,8 +375,9 @@ def _records(path):
             linenos.append(lineno)
             records.append(rec)
         elif line.strip():
-            return linenos, records, MalformedRecord(path, lineno, detail)
-    return linenos, records, None
+            bad = MalformedRecord(path, lineno, detail)
+            break
+    return linenos, records, np.arange(max(len(records) - 1, 0), dtype=np.intp), bad
 
 
 def _require(obj, key, path, lineno, convert=None):
@@ -418,10 +431,11 @@ def _floats(rows, width=None):
     return values, lengths
 
 
-def _columns(path, linenos, records, builds, bad):
-    """The records' fields, each checked and converted as a whole column by ``build``
-    (a key whose ``build`` is None must be in no record). When a build fails, each
-    record's fields are checked in turn, so the first bad line raises, then ``bad``."""
+def _columns(path, linenos, records, rows, builds, bad):
+    """The fields of ``records``, each checked and converted as a whole column by
+    ``build`` (a key whose ``build`` is None must be in no record). When a build
+    fails, the record ``rows`` gives each line is checked in turn, lines in file
+    order, so the first bad line raises, then ``bad``."""
     try:
         columns = []
         for key, build in builds:
@@ -429,12 +443,12 @@ def _columns(path, linenos, records, builds, bad):
                 raise KeyError(key)
             columns.append(None if build is None else build([rec[key] for rec in records]))
     except (KeyError, TypeError, ValueError, OverflowError):
-        for rec, lineno in zip(records, linenos):
+        for row, lineno in zip(rows.tolist(), linenos):
             for key, build in builds:
-                if build is None and key in rec:
+                if build is None and key in records[row]:
                     raise MalformedRecord(path, lineno, f"inconsistent presence of {key}") from None
                 if build is not None:
-                    _require(rec, key, path, lineno, lambda value: build([value]))
+                    _require(records[row], key, path, lineno, lambda value: build([value]))
         raise
     if bad is not None:
         raise bad
@@ -449,7 +463,7 @@ def load_log(path):
     names the file and the line of its example (the header's for the whole log).
     Validated classification labels are then cast to ``np.min_scalar_type(-n_classes)``
     (int8 up to 128 classes); QA spans stay int64."""
-    linenos, records, bad = _records(path)
+    linenos, records, rows, bad = _records(path)
     if not records:
         raise bad or MalformedRecord(path, 1, "empty file")
     head_no, header = linenos.pop(0), records.pop(0)
@@ -462,14 +476,16 @@ def load_log(path):
             # logits in the first record, then in every record, or in none
             logits = partial(_floats, width=k) if records and "logits" in records[0] else None
             builds = (("gold", _ints), ("predicted", _ints), ("logits", logits))
-            gold, predicted, logits = _columns(path, linenos, records, builds, bad)
-            log = ClassificationLog(
-                model_id=model_id, split_id=split_id, n_classes=k, gold=gold, predicted=predicted,
-                logits=None if logits is None else logits[0].reshape(len(gold), k))
-        elif task == TASK_EXTRACTIVE_QA:
+            gold, predicted, logits = _columns(path, linenos, records, rows, builds, bad)
+            log = ClassificationLog(  # the distinct records' columns, one row per line
+                model_id=model_id, split_id=split_id, n_classes=k, gold=gold[rows],
+                predicted=predicted[rows],
+                logits=None if logits is None else logits[0].reshape(len(gold), k)[rows])
+        elif task == TASK_EXTRACTIVE_QA:  # each line's record, as SpanLog packs ragged rows
+            records, rows = [records[row] for row in rows.tolist()], np.arange(len(rows))
             builds = [(f.name, _floats if f.name.endswith("_logits") else _ints)
                       for f in fields(SpanExample)]
-            columns = _columns(path, linenos, records, builds, bad)
+            columns = _columns(path, linenos, records, rows, builds, bad)
             del records  # packed from the columns
             log = SpanLog(model_id=model_id, split_id=split_id, examples=_SpanColumns(columns))
         else:

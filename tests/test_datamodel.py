@@ -1448,21 +1448,24 @@ def _assert_loads_like_per_line_loader(path):
 
 # pieces of records that a one-decode guard could misread as one object per line
 _FRAGMENTS = ["{", "}", "[[", "]]", ",", " ", "null", '"x": ', '"gold": 1', '"predicted": 1',
-              '"x": "a,null,b"', '{"gold": 0, "predicted": 0}']
-_FRAGMENT_LINES = st.one_of(st.sampled_from(["", " ", "\t", " \r"]),
+              '"x": "a,null,b"', '{"gold": 0, "predicted": 0}', '{"predicted": 2, "gold": 0}']
+_FRAGMENT_LINES = st.one_of(st.sampled_from(["", " ", "\t", " \r", _HEADER]),
                             st.lists(st.sampled_from(_FRAGMENTS), min_size=1,
                                      max_size=8).map("".join))
+# lines drawn from a pool of one to three, so that most lines repeat an earlier one
+_REPEATED_LINES = st.lists(_FRAGMENT_LINES, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=8))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(_FRAGMENT_LINES, max_size=6), st.booleans())
+@given(st.one_of(st.lists(_FRAGMENT_LINES, max_size=6), _REPEATED_LINES), st.booleans())
 def test_load_log_of_fragment_lines_matches_per_line_loader(lines, final_newline):
-    """Lines built from pieces of records load as the per-line loader loads them."""
-    header = '{"task": "classification", "model_id": "m", "split_id": "s", "n_classes": 2}'
+    """Lines built from pieces of records, fresh or repeated, load as the per-line
+    loader loads them."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.jsonl")
         with open(path, "wb") as fh:
-            fh.write(("\n".join([header, *lines]) + "\n" * final_newline).encode())
+            fh.write(("\n".join([_HEADER, *lines]) + "\n" * final_newline).encode())
         _assert_loads_like_per_line_loader(path)
 
 
@@ -1484,6 +1487,118 @@ def test_long_line_log_is_read_line_by_line(tmp_path, monkeypatch, rng):
     save_log(saved, tmp_path / "qa.jsonl")
     monkeypatch.setattr(datamodel.json, "loads", _must_not_run)
     _assert_same_log(load_log(tmp_path / "qa.jsonl"), saved)
+
+
+# --- each distinct short line is decoded once ---
+
+_HEADER_K = '{"model_id": "m", "n_classes": %d, "split_id": "s", "task": "classification"}'
+
+
+def _write_lines(tmp_path, lines, k=4):
+    """A classification log of ``k`` classes: save_log's header, then ``lines``."""
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join([_HEADER_K % k, *lines]) + "\n")
+    return path
+
+
+def _labels_lines(rng, n, k):
+    """``n`` labels-only lines in save_log's layout, in random order, on which each
+    of the k * k (gold, predicted) pairs is written at least twice."""
+    pairs = [(g, p) for g in range(k) for p in range(k)] * 2
+    pairs += [pairs[i] for i in rng.integers(0, len(pairs), n - len(pairs))]
+    return ['{"gold": %d, "predicted": %d}' % pairs[i] for i in rng.permutation(n)]
+
+
+@pytest.mark.parametrize("k", [2, 4, 11])
+def test_load_log_of_repeated_labels_matches_per_line_loader(tmp_path, rng, k):
+    path = _write_lines(tmp_path, _labels_lines(rng, 300, k), k)
+    _assert_same_log(load_log(path), _oracle_load_log(path))
+
+
+@pytest.mark.parametrize("bad, error", [
+    ('{"gold": 1, "predicted": 257}', RangeViolation),
+    ('{"gold": "1", "predicted": 1}', MalformedRecord),
+])
+def test_a_repeated_bad_record_raises_at_its_first_line(tmp_path, bad, error):
+    """The bad record on lines 9, 12 and 30 raises at line 9 (example 7), though it is
+    the third distinct record."""
+    lines = ['{"gold": 0, "predicted": 0}', '{"gold": 1, "predicted": 1}'] * 20
+    for i in (7, 10, 28):
+        lines[i] = bad
+    path = _write_lines(tmp_path, lines)
+    with pytest.raises(error) as exc:
+        load_log(path)
+    if error is MalformedRecord:
+        assert exc.value.line_number == 9
+    else:
+        assert exc.value.example_index == 7 and str(exc.value).endswith(f"(line 9 of {path})")
+    _assert_loads_like_per_line_loader(path)
+
+
+def test_an_argmax_mismatch_on_a_repeated_row_is_named_at_its_own_line(tmp_path):
+    """The mismatched record is the second distinct one but the fourth example: the
+    error names example 3 at line 5."""
+    good = '{"gold": 0, "logits": [2.0, 0.0, 0.0, 0.0], "predicted": 0}'
+    bad = '{"gold": 0, "logits": [0.0, 2.0, 0.0, 0.0], "predicted": 0}'
+    path = _write_lines(tmp_path, [good, good, good, bad, good, bad])
+    with pytest.raises(ArgmaxMismatch) as exc:
+        load_log(path)
+    assert exc.value.example_index == 3 and str(exc.value).endswith(f"(line 5 of {path})")
+    _assert_loads_like_per_line_loader(path)
+
+
+def test_an_example_line_equal_to_the_header_fails_at_its_own_line(tmp_path):
+    path = _write_lines(tmp_path, ['{"gold": 0, "predicted": 0}', _HEADER_K % 4,
+                                   '{"gold": 0, "predicted": 0}', _HEADER_K % 4])
+    with pytest.raises(MalformedRecord) as exc:
+        load_log(path)
+    assert exc.value.line_number == 3
+    _assert_loads_like_per_line_loader(path)
+
+
+def test_one_record_in_many_spellings_matches_per_line_loader(tmp_path):
+    """Other key orders, spacing and a trailing carriage return: distinct texts of
+    one record, each repeated."""
+    spellings = ['{"gold": 2, "predicted": 3}', '{"predicted": 3, "gold": 2}',
+                 '{"gold":2,"predicted":3}', ' {"gold": 2 ,  "predicted": 3}\t',
+                 '{"gold": 2, "predicted": 3}\r', '{"gold": 2.0, "predicted": 3}']
+    path = _write_lines(tmp_path, spellings * 3 + spellings[::-1])
+    log = load_log(path)
+    _assert_same_log(log, _oracle_load_log(path))
+    assert log.gold.tolist() == [2] * 24 and log.predicted.tolist() == [3] * 24
+
+
+def test_repeated_saturated_logit_rows_match_per_line_loader(tmp_path, rng):
+    """Rows at the float range's edges, ties and signed zeros, each on many lines,
+    load bit for bit."""
+    rows = [([1e308, -1e308, 0.0, -0.0], 0), ([5e-324, -5e-324, 0.0, -0.0], 0),
+            ([-0.0, 0.0, 0.0, -1.7976931348623157e308], 0), ([3.0, 3.0, 3.0, 3.0], 0),
+            ([-1000.0, 1000.0, 999.9999999999999, -1e-300], 1),
+            ([1.7976931348623157e308] * 3 + [2.2250738585072014e-308], 0)]
+    lines = [json.dumps({"gold": int(g), "logits": rows[i][0], "predicted": rows[i][1]},
+                        sort_keys=True)
+             for i, g in zip(rng.integers(0, len(rows), 200), rng.integers(0, 4, 200))]
+    path = _write_lines(tmp_path, lines)
+    _assert_same_log(load_log(path), _oracle_load_log(path))
+
+
+def test_each_distinct_short_line_is_decoded_once(tmp_path, monkeypatch, rng):
+    """A 1,000-line labels-only log at k = 4 has at most k * k + 1 distinct lines, and
+    one decode of them and their separators yields at most 2 (k * k + 1) - 1 values."""
+    k = 4
+    path = _write_lines(tmp_path, _labels_lines(rng, 1000, k), k)
+    expected = _oracle_load_log(path)
+    decoded, loads = [], json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        value = loads(text, *args, **kwargs)
+        decoded.append(len(value) if isinstance(value, list) else 1)
+        return value
+
+    monkeypatch.setattr(datamodel.json, "loads", counting_loads)
+    monkeypatch.setattr(datamodel, "_scan", _must_not_run)  # nor line by line
+    _assert_same_log(load_log(path), expected)
+    assert 0 < sum(decoded) <= 2 * (k * k + 1) - 1
 
 
 def _set(line, **fields):
