@@ -11,7 +11,10 @@ t by less than ``TEMP_TOL``. Each softmax head that a log's ``heads()``
 lists is fitted on its own: the one head of a classification log, or the
 start and end heads of a QA log (-inf padded matrices). A report fits the
 temperatures of each ID log once and shares them with AC, ATC and DOC-Feat
-(``confidence_scores``).
+(``confidence_scores``). The fit and the confidences read each row's max at
+its argmax and take its sum as one BLAS matrix-vector product: on rows a few
+classes wide, numpy's ``max`` and ``sum`` over axis 1 cost several times the
+softmax's own arithmetic.
 """
 
 from __future__ import annotations
@@ -39,9 +42,19 @@ def _mean_ce(logits: np.ndarray, golds: np.ndarray, t: float) -> float:
     return float(np.mean(lse - shifted[np.arange(len(golds)), golds]))
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)``, value for value (NaN too): the entry at each row's argmax."""
+    return x[np.arange(len(x)), x.argmax(axis=1)]
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` up to summation order: one BLAS matrix-vector product."""
+    return x @ np.ones(x.shape[1], x.dtype)
+
+
 def _fit_coordinate(logits: np.ndarray, golds: np.ndarray) -> float:
     """The t in ``TEMP_BOX`` minimising ``_mean_ce``; -inf entries are padding."""
-    d = logits - logits.max(axis=1, keepdims=True)
+    d = logits - _row_max(logits)[:, None]
     d_fin = np.where(np.isfinite(d), d, 0.0)  # d * e^(beta d) is NaN on the padding
     mean_gold = float(np.mean(d_fin[np.arange(len(golds)), golds]))
 
@@ -49,10 +62,10 @@ def _fit_coordinate(logits: np.ndarray, golds: np.ndarray) -> float:
         """dCE/dbeta at beta = e^t, and its derivative in t."""
         beta = math.exp(t)
         w = np.exp(beta * d)
-        z = w.sum(axis=1)
+        z = _row_sum(w)
         wd = w * d_fin
-        m1 = wd.sum(axis=1) / z
-        m2 = (wd * d_fin).sum(axis=1) / z
+        m1 = _row_sum(wd) / z
+        m2 = _row_sum(wd * d_fin) / z
         return float(np.mean(m1)) - mean_gold, beta * float(np.mean(m2 - m1 * m1))
 
     lo, hi = TEMP_BOX
@@ -92,7 +105,7 @@ def fit_temperature(id_log) -> tuple[float, ...]:
 def _max_prob(logits: np.ndarray, t: float) -> np.ndarray:
     """Row-wise largest softmax probability of exp(t) * logits."""
     scaled = logits * math.exp(t)
-    return 1.0 / np.exp(scaled - scaled.max(axis=1, keepdims=True)).sum(axis=1)
+    return 1.0 / _row_sum(np.exp(scaled - _row_max(scaled)[:, None]))
 
 
 def confidence(log, temperature: tuple[float, ...] | None = None) -> np.ndarray:

@@ -63,6 +63,8 @@ class ClassificationLog:
     that holds n_classes - 1; a log built in memory keeps the dtype it was given,
     and lists become arrays. ``validate_log`` takes labels of an integer dtype, or of a
     float dtype with integral values; lists of unequal rows raise LengthViolation.
+    ``n_classes`` follows the loader's integer rule: a numpy integer or integral
+    float becomes an int, and a fraction, bool or string raises RangeViolation.
     """
     model_id: str
     split_id: str
@@ -73,6 +75,7 @@ class ClassificationLog:
     task = TASK_CLASSIFICATION  # a class attribute, not a field: the class is the task
 
     def __post_init__(self):
+        self.n_classes = _in_memory_int(self.n_classes, -1, "n_classes")
         try:
             self.gold, self.predicted = np.asarray(self.gold), np.asarray(self.predicted)
             self.logits = None if self.logits is None else np.asarray(self.logits)
@@ -137,12 +140,8 @@ class SpanLog:
             examples = [[getattr(ex, f.name) for ex in examples] for f in fields(SpanExample)]
             for i, record in enumerate(zip(*examples)):  # the loader's rule: no silent cast
                 for f, value in zip(fields(SpanExample), record):
-                    if f.name.endswith("_logits"):
-                        continue
-                    try:
-                        _int64(value.item() if isinstance(value, np.generic) else value)
-                    except (ValueError, OverflowError) as exc:
-                        raise RangeViolation(i, f"{f.name}: {exc}") from None
+                    if not f.name.endswith("_logits"):
+                        _in_memory_int(value, i, f.name)
             for i in (1, 2):
                 examples[i] = np.concatenate(examples[i] or [[]]), list(map(len, examples[i]))
         n_tok, (start, start_len), (end, end_len), *spans = examples
@@ -404,6 +403,14 @@ def _int64(value) -> int:
     if not _INT64_MIN <= value <= _INT64_MAX:
         raise OverflowError(f"{value} does not fit in int64")
     return value
+
+
+def _in_memory_int(value, example_index: int, name: str) -> int:
+    """``_int64`` of a value built in memory, a numpy scalar too; RangeViolation otherwise."""
+    try:
+        return _int64(value.item() if isinstance(value, np.generic) else value)
+    except (ValueError, OverflowError) as exc:
+        raise RangeViolation(example_index, f"{name}: {exc}") from None
 
 
 def _str(value) -> str:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aglkit import baselines
 from aglkit.baselines import (
     METHOD_AC,
     METHOD_ATC,
@@ -387,3 +388,85 @@ def test_confidence_qa_ragged_matches_per_example_loop():
             s = np.exp(ex.start_logits * math.exp(t[0] if t else 0.0))
             e = np.exp(ex.end_logits * math.exp(t[1] if t else 0.0))
             assert conf[idx] == pytest.approx(s.max() / s.sum() * e.max() / e.sum(), rel=1e-12)
+
+
+# --- the row reductions against numpy's max and sum over axis 1 ---
+
+_WIDTHS = (2, 3, 4, 7, 8, 9, 128, 400)
+
+
+def _numpy_reductions(monkeypatch, fn, *args):
+    """``fn(*args)`` with ``_row_max`` and ``_row_sum`` swapped back to numpy's reductions."""
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_row_max", lambda x: x.max(axis=1))
+        patch.setattr(baselines, "_row_sum", lambda x: x.sum(axis=1))
+        return fn(*args)
+
+
+def _edge_log(k):
+    """A calibrated log of width k whose first rows are edge cases, each with its argmax
+    as gold: all tied, a tie at the max, signed zeros, +-1e308 entries, all 1e308."""
+    log = calibrated_classification_log(300, k, 2.0, seed=k)
+    edge = np.tile(np.linspace(-1.0, 1.0, k), (7, 1))
+    edge[0] = 1.5
+    edge[1, [0, -1]] = 2.0
+    edge[2] = 0.0
+    edge[2, ::2] = -0.0
+    edge[3] = -0.0
+    edge[4, [0, -1]] = 1e308, -1e308
+    edge[5] = -1e308
+    edge[5, k // 2] = 1e308
+    edge[6] = 1e308
+    logits, gold = log.logits.copy(), log.gold.copy()
+    logits[:len(edge)], gold[:len(edge)] = edge, edge.argmax(axis=1)
+    return make_classification_log(logits.argmax(axis=1), gold, k, logits=logits)
+
+
+def _with_nan_row(log):
+    logits = np.vstack([log.logits, log.logits[-1]])
+    logits[-1, 1] = np.nan
+    return make_classification_log(logits.argmax(axis=1), np.append(log.gold, 0),
+                                   log.n_classes, logits=logits)
+
+
+def _qa_log():
+    """A QA log whose -inf padded rows hold 1 to 40 tokens."""
+    return SpanLog(model_id="q", split_id="id", examples=_ragged_examples(300, 40, 2.0, 9))
+
+
+_CASES = {f"k={k}": lambda k=k: _edge_log(k) for k in _WIDTHS} | {"qa-ragged": _qa_log}
+
+
+@pytest.mark.parametrize("name", list(_CASES))
+def test_row_reductions_equal_numpy(name):
+    """The max equals numpy's by == (NaN where numpy's is NaN); the sum is within
+    1e-13 of the row's absolute sum, a bound that holds for any summation order up
+    to 400 terms, wherever that absolute sum is finite."""
+    log = _CASES[name]()
+    matrices = [log.start_logits, log.end_logits] if name == "qa-ragged" else [
+        _with_nan_row(log).logits]
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of 1e308s and -infs
+        for x in matrices:
+            assert np.array_equal(baselines._row_max(x), x.max(axis=1), equal_nan=True)
+            new, ref = baselines._row_sum(x), x.sum(axis=1)
+            bound = 1e-13 * np.abs(x).sum(axis=1)
+            assert np.array_equal(np.isnan(new), np.isnan(ref))
+            assert np.all((np.abs(new - ref) <= bound) | ~np.isfinite(bound))
+
+
+@pytest.mark.parametrize("name", list(_CASES))
+def test_confidence_and_fit_agree_with_numpy_reductions(monkeypatch, name):
+    """Confidences within 1e-13 relative of those from numpy's reductions (NaN and inf
+    where theirs are), and each fitted t within TEMP_TOL of theirs. The fit runs without
+    the NaN row, which makes every slope NaN and sends both fits down the same bisection."""
+    log = _CASES[name]()
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 * e^t overflows to inf
+        fitted = fit_temperature(log)
+        ref_fit = _numpy_reductions(monkeypatch, fit_temperature, log)
+        assert np.all(np.abs(np.subtract(fitted, ref_fit)) <= TEMP_TOL)
+        if name != "qa-ragged":
+            log = _with_nan_row(log)
+        for t in (None, fitted, tuple(-0.4 for _ in fitted), tuple(0.7 for _ in fitted)):
+            np.testing.assert_allclose(confidence(log, t),
+                                       _numpy_reductions(monkeypatch, confidence, log, t),
+                                       rtol=1e-13, atol=0.0, equal_nan=True)

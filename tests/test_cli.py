@@ -11,8 +11,17 @@ import pytest
 
 import aglkit
 from aglkit.cli import EXIT_ESTIMATION_FAILURE, EXIT_INPUT_ERROR, EXIT_OK, main
+from aglkit.datamodel import (
+    FORMAT_VERSION,
+    METRIC_ACCURACY,
+    TASK_CLASSIFICATION,
+    Manifest,
+    ManifestEntry,
+    save_log,
+    save_manifest,
+)
 
-from conftest import README
+from conftest import README, random_classification_logs
 
 
 def _synth(tmp_path, name="data", seed=3, extra_cfg=""):
@@ -27,10 +36,12 @@ def _synth(tmp_path, name="data", seed=3, extra_cfg=""):
     return out
 
 
-def _python(*args):
-    """A fresh interpreter run on ``args`` that imports this checkout's aglkit."""
+def _python(*args, **env):
+    """A fresh interpreter run on ``args`` that imports this checkout's aglkit, with
+    ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(aglkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               **env)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
 
@@ -265,6 +276,34 @@ def test_estimate_deterministic_reports(tmp_path):
                      "--eval"]) == EXIT_OK
     assert (tmp_path / "r1" / "report.json").read_bytes() == \
         (tmp_path / "r2" / "report.json").read_bytes()
+
+
+def test_estimate_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The confidence baselines sum logit rows by BLAS matrix-vector products, which
+    OpenBLAS splits over threads at 2,000 x 64 logits (far above its single-thread
+    size): runs with one and two BLAS threads, each in a fresh process, and two
+    in-process runs write the same report.json and scatter.csv bytes."""
+    entries = []
+    for split, seed in (("id", 11), ("ood", 12)):
+        for log in random_classification_logs(3, 2000, 64, seed, split, with_logits=True):
+            path = tmp_path / split / f"{log.model_id}.jsonl"
+            path.parent.mkdir(exist_ok=True)
+            save_log(log, path)
+            entries.append(ManifestEntry(log.model_id, split, str(path.relative_to(tmp_path))))
+    manifest = str(tmp_path / "manifest.json")
+    save_manifest(Manifest(FORMAT_VERSION, TASK_CLASSIFICATION, METRIC_ACCURACY, entries),
+                  manifest)
+    argv = ["estimate", "--id-manifest", manifest, "--ood-manifest", manifest, "--eval",
+            "--scatter", "--out"]
+    for threads in ("1", "2"):
+        run = _python("-m", "aglkit.cli", *argv, str(tmp_path / f"threads-{threads}"),
+                      OPENBLAS_NUM_THREADS=threads)
+        assert run.returncode == EXIT_OK, run.stderr
+    for out in ("in-process-1", "in-process-2"):
+        assert main([*argv, str(tmp_path / out)]) == EXIT_OK
+    outs = ("threads-1", "threads-2", "in-process-1", "in-process-2")
+    for output in ("report.json", "scatter.csv"):
+        assert len({(tmp_path / out / output).read_bytes() for out in outs}) == 1
 
 
 def test_estimate_subset_of_methods(tmp_path):

@@ -458,6 +458,37 @@ def test_classification_log_rejects_ragged_logits():
     assert exc.value.example_index == -1
 
 
+@pytest.mark.parametrize("n_classes, error", [
+    (np.int64(3), None),
+    (3.0, None),
+    (2.5, "n_classes: 2.5 is not an integer"),
+    (np.float64(2.5), "n_classes: 2.5 is not an integer"),
+    (True, "n_classes: True is not an integer"),
+    ("3", "n_classes: '3' is not an integer"),
+    (2**63, f"n_classes: {2**63} does not fit in int64"),
+], ids=["numpy-int", "integral-float", "fraction", "numpy-fraction", "bool", "string",
+        "beyond-int64"])
+def test_classification_log_n_classes_follows_the_loader_integer_rule(tmp_path, n_classes,
+                                                                      error):
+    """An in-memory n_classes that the loader would read as 3 becomes the int 3, which
+    ``save_log`` writes and ``load_log`` reads back; one the loader rejects raises the
+    whole-log RangeViolation that ``load_log`` would, instead of a header it cannot read."""
+    def build():
+        return ClassificationLog(model_id="m", split_id="s", n_classes=n_classes,
+                                 gold=[0, 2], predicted=[0, 1])
+    if error is None:
+        log = build()
+        assert type(log.n_classes) is int and log.n_classes == 3
+        validate_log(log)
+        save_log(log, tmp_path / "m.jsonl")
+        assert load_log(tmp_path / "m.jsonl").n_classes == 3
+        return
+    with pytest.raises(RangeViolation) as exc:
+        build()
+    assert exc.value.example_index == -1
+    assert str(exc.value) == str(RangeViolation(-1, error))
+
+
 @pytest.mark.parametrize("gold, predicted", [
     ([[0], [1]], [0, 1]),
     (1, [0, 1]),
