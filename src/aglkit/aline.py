@@ -7,10 +7,10 @@ least-squares system whose row for pair (i, j) constrains the average of
 the two models' probit OOD performances by their OOD agreement plus a
 slope-corrected ID term. With every pair present the normal matrix is
 A^T A = ((n-2) I + 1 1^T) / 4, so the system is solved in closed form by
-Sherman-Morrison, without building A. An input's ``id_probit`` and
-``pairs`` are computed on first use, once for both estimators and the
-report's fits and scatter: build a new ``AlineInput`` rather than edit one
-that has been read.
+Sherman-Morrison, without building A. An input's ``id_probit``, ``pairs``
+and agreement ``line`` are computed on first use, once for both estimators
+and the report's fits and scatter: build a new ``AlineInput`` rather than
+edit one that has been read.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ class AlineInput:
         x, y = (probit(clamp_rate(a[i, j], self.clamp_eps)) for a in (self.agr_id, self.agr_ood))
         return i, j, x, y
 
+    @cached_property
+    def line(self) -> LineFit:
+        """OLS fit over the upper-triangle probit agreement pairs."""
+        return fit_line(*self.pairs[2:])
+
 
 def gate(fit: LineFit, threshold: float) -> bool:
     """True iff the agreement line's R^2 strictly exceeds the threshold."""
@@ -69,8 +74,8 @@ def gate(fit: LineFit, threshold: float) -> bool:
 
 
 def agreement_line(inp: AlineInput) -> LineFit:
-    """OLS fit over the upper-triangle probit agreement pairs."""
-    return fit_line(*inp.pairs[2:])
+    """The input's agreement ``line``, fitted on first use."""
+    return inp.line
 
 
 def aline_s(inp: AlineInput) -> tuple[np.ndarray, LineFit]:

@@ -54,6 +54,8 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 
 def _fit_coordinate(logits: np.ndarray, golds: np.ndarray) -> float:
     """The t in ``TEMP_BOX`` minimising ``_mean_ce``; -inf entries are padding."""
+    if logits.dtype.kind != "f":  # int logits, as the loader reads them: d must not wrap
+        logits = logits.astype(np.float64)
     d = logits - _row_max(logits)[:, None]
     d_fin = np.where(np.isfinite(d), d, 0.0)  # d * e^(beta d) is NaN on the padding
     mean_gold = float(np.mean(d_fin[np.arange(len(golds)), golds]))

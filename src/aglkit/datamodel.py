@@ -57,12 +57,13 @@ METRICS_BY_TASK = {
 class ClassificationLog:
     """One model's predictions on one classification split.
 
-    ``logits`` is either None or an (n_examples, n_classes) float array;
-    ``gold`` and ``predicted`` are int arrays of length n_examples. ``load_log``
+    ``logits`` is either None or an (n_examples, n_classes) array of an int, uint or
+    float dtype; ``gold`` and ``predicted`` are int arrays of length n_examples. ``load_log``
     holds them in ``np.min_scalar_type(-n_classes)``, the narrowest signed dtype
     that holds n_classes - 1; a log built in memory keeps the dtype it was given,
-    and lists become arrays. ``validate_log`` takes labels of an integer dtype, or of a
-    float dtype with integral values; lists of unequal rows raise LengthViolation.
+    and lists become arrays (a bool among a list's numbers raises RangeViolation at
+    it). ``validate_log`` takes labels of an integer dtype, or of a float dtype with
+    integral values; lists of unequal rows raise LengthViolation.
     ``n_classes`` follows the loader's integer rule: a numpy integer or integral
     float becomes an int, and a fraction, bool or string raises RangeViolation.
     """
@@ -77,7 +78,8 @@ class ClassificationLog:
     def __post_init__(self):
         self.n_classes = _in_memory_int(self.n_classes, -1, "n_classes")
         try:
-            self.gold, self.predicted = np.asarray(self.gold), np.asarray(self.predicted)
+            self.gold = _labels(self.gold, "gold")
+            self.predicted = _labels(self.predicted, "predicted")
             self.logits = None if self.logits is None else np.asarray(self.logits)
         except ValueError as exc:  # nested lists of unequal length
             raise LengthViolation(-1, "ragged rows") from exc
@@ -121,8 +123,9 @@ class SpanLog:
     (it survives positive scaling and gets softmax weight exp(-inf) = 0);
     ``gold`` and ``predicted`` are (n_examples, 2) int [start, end] arrays.
     A record whose ``n_tokens`` or span value is not an int (numpy's too) or an
-    integral float, within int64, raises RangeViolation; one whose logit vectors do
-    not have ``n_tokens`` entries, LengthViolation.
+    integral float, within int64, or whose logits are not of an int, uint or float dtype,
+    raises RangeViolation; one whose logit vectors do not have ``n_tokens`` entries,
+    LengthViolation.
     """
     model_id: str
     split_id: str
@@ -142,6 +145,8 @@ class SpanLog:
                 for f, value in zip(fields(SpanExample), record):
                     if not f.name.endswith("_logits"):
                         _in_memory_int(value, i, f.name)
+                    elif np.asarray(value).dtype.kind not in "iuf":  # a bool, string or None
+                        raise RangeViolation(i, f"{f.name} are not numbers")
             for i in (1, 2):
                 examples[i] = np.concatenate(examples[i] or [[]]), list(map(len, examples[i]))
         n_tok, (start, start_len), (end, end_len), *spans = examples
@@ -213,6 +218,12 @@ class Manifest:
     entries: list[ManifestEntry] = field(default_factory=list)
 
 
+def _bad_rows(finite) -> np.ndarray:
+    """Rows of the 2-D bool ``finite`` holding a False. The whole array is tested
+    first: numpy's per-row ``all`` costs many times the elementwise ``isfinite``."""
+    return np.zeros(len(finite), bool) if finite.all() else ~finite.all(axis=1)
+
+
 def validate_log(log) -> None:
     """Check every type invariant: first the whole log's (``example_index`` -1), then
     the per-example rules in ``checks`` order, raising the first broken rule of the
@@ -232,6 +243,8 @@ def validate_log(log) -> None:
             raise LengthViolation(-1, "gold/predicted length mismatch")
         if logits is not None and logits.shape != (n, k):
             raise LengthViolation(-1, f"logits shape {logits.shape} != ({n}, {k})")
+        if logits is not None and logits.dtype.kind not in "iuf":
+            raise RangeViolation(-1, f"logits of dtype {logits.dtype} are not numbers")
         checks = [  # floor(x) != x for a fraction or NaN, never for an integer
             (np.floor(gold) != gold,
              lambda i: RangeViolation(i, f"gold {gold[i]} is not an integer")),
@@ -243,7 +256,7 @@ def validate_log(log) -> None:
              lambda i: RangeViolation(i, f"predicted {pred[i]} not in [0, {k})")),
         ]
         if logits is not None:  # np.argmax breaks ties to the lowest index
-            checks += [(~np.isfinite(logits).all(axis=1),
+            checks += [(_bad_rows(np.isfinite(logits)),
                         lambda i: RangeViolation(i, "non-finite logit")),
                        (np.argmax(logits, axis=1) != pred, ArgmaxMismatch)]
     elif isinstance(log, SpanLog):
@@ -253,7 +266,7 @@ def validate_log(log) -> None:
         finite = np.isfinite(log.start_logits) & np.isfinite(log.end_logits) | padding
         checks = [
             (n_tok < 1, lambda i: RangeViolation(i, f"n_tokens {n_tok[i]} < 1")),
-            (~finite.all(axis=1), lambda i: RangeViolation(i, "non-finite logit")),
+            (_bad_rows(finite), lambda i: RangeViolation(i, "non-finite logit")),
             (~((0 <= gs) & (gs <= ge) & (ge < n_tok)),
              lambda i: RangeViolation(i, "gold span out of range")),
             (~((0 <= ps) & (ps < n_tok) & (0 <= pe) & (pe < n_tok)),
@@ -411,6 +424,17 @@ def _in_memory_int(value, example_index: int, name: str) -> int:
         return _int64(value.item() if isinstance(value, np.generic) else value)
     except (ValueError, OverflowError) as exc:
         raise RangeViolation(example_index, f"{name}: {exc}") from None
+
+
+def _labels(values, name) -> np.ndarray:
+    """``values`` as an array; a bool among a list's numbers raises RangeViolation at
+    its example, as the loader rejects ``true``."""
+    labels = np.asarray(values)
+    if not isinstance(values, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iuf":
+        for i, value in enumerate(values):
+            if isinstance(value, (bool, np.bool_)):
+                _in_memory_int(value, i, name)
+    return labels
 
 
 def _str(value) -> str:

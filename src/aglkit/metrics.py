@@ -43,16 +43,6 @@ def performance(log, metric: str) -> float:
     return float(np.mean(_scores(metric, log.predicted, log.gold)))
 
 
-def _check_compatible(a, b, metric):
-    if a.task != b.task:
-        raise ShapeMismatch(b.model_id, f"task {b.task!r} != {a.task!r}")
-    if len(a) != len(b):
-        raise ShapeMismatch(b.model_id, f"length {len(b)} != {len(a)}")
-    _check_metric(a, metric)
-    if len(a) == 0:
-        raise EmptyLog("cannot compute agreement on empty logs")
-
-
 def agreement(a, b, metric: str) -> float:
     """Mean per-example metric between two models' predictions."""
     return float(agreement_matrix([a, b], metric)[0, 1])
@@ -66,8 +56,15 @@ def agreement_matrix(logs, metric: str) -> np.ndarray:
     n = len(logs)
     if n < 2:
         raise InsufficientModels(f"need at least 2 models, got {n}")
+    first = logs[0]
+    _check_metric(first, metric)
+    if len(first) == 0:
+        raise EmptyLog("cannot compute agreement on empty logs")
     for log in logs[1:]:
-        _check_compatible(logs[0], log, metric)
+        if log.task != first.task:
+            raise ShapeMismatch(log.model_id, f"task {log.task!r} != {first.task!r}")
+        if len(log) != len(first):
+            raise ShapeMismatch(log.model_id, f"length {len(log)} != {len(first)}")
     preds = np.stack([log.predicted for log in logs])
     values = np.ones((n, n), dtype=np.float64)
     for i in range(n - 1):  # one row of pairs at a time keeps memory at n x examples

@@ -115,6 +115,27 @@ def calibrated_classification_log(n_examples: int, n_classes: int,
                              predicted=predicted.astype(np.int64), logits=logits)
 
 
+def gaussian_elimination(A, b):
+    """Solution of the square system A x = b by row reduction with partial pivoting,
+    written independently of numpy's and aglkit's solvers."""
+    A = [list(map(float, row)) for row in A]
+    b = list(map(float, b))
+    n = len(b)
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(A[r][col]))
+        A[col], A[pivot] = A[pivot], A[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, n):
+            f = A[r][col] / A[col][col]
+            for c in range(col, n):
+                A[r][c] -= f * A[col][c]
+            b[r] -= f * b[col]
+    x = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))) / A[r][r]
+    return x
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -36,6 +36,7 @@ from aglkit.synth import SynthConfig, generate
 from conftest import (
     calibrated_classification_log,
     calibrated_span_log,
+    gaussian_elimination,
     make_classification_log,
     make_span_log,
 )
@@ -80,25 +81,6 @@ def test_criterion_2_exact_agl_recovery():
           f"{worst:.2e} in {elapsed:.2f}s")
 
 
-def _gaussian_elimination(A, b):
-    A = [list(map(float, row)) for row in A]
-    b = list(map(float, b))
-    n = len(b)
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(A[r][col]))
-        A[col], A[pivot] = A[pivot], A[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, n):
-            f = A[r][col] / A[col][col]
-            for c in range(col, n):
-                A[r][c] -= f * A[col][c]
-            b[r] -= f * b[col]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        x[r] = (b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))) / A[r][r]
-    return x
-
-
 def test_criterion_3_aline_d_elimination_oracle():
     start = time.perf_counter()
     worst = 0.0
@@ -126,7 +108,7 @@ def test_criterion_3_aline_d_elimination_oracle():
                 rows.append(coeff)
                 rhs.append(probit(agr_ood[i, j])
                            + fit.slope * ((idp[i] + idp[j]) / 2 - probit(agr_id[i, j])))
-        oracle = np.array(_gaussian_elimination(rows, rhs))
+        oracle = np.array(gaussian_elimination(rows, rhs))
         estimates, _ = aline_d(inp)
         solved = np.array([probit(v) for v in estimates])
         worst = max(worst, float(np.max(np.abs(solved - oracle))))

@@ -14,6 +14,8 @@ from aglkit.probit import LineFit, fit_line, normal_cdf, probit
 from aglkit.closed_form import exact_agl_inputs
 from aglkit.synth import SynthConfig
 
+from conftest import gaussian_elimination
+
 
 def _random_input(rng, n=5, slope=0.8, bias=-0.2, noise=0.0):
     agr_id = np.ones((n, n))
@@ -70,27 +72,6 @@ def test_aline_s_identity_line(rng):
     np.testing.assert_allclose(estimates, id_perf, atol=1e-9)
 
 
-def _gaussian_elimination(A, b):
-    """Row-reduction solver for square systems, written independently."""
-    A = [list(map(float, row)) for row in A]
-    b = list(map(float, b))
-    n = len(b)
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(A[r][col]))
-        A[col], A[pivot] = A[pivot], A[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, n):
-            f = A[r][col] / A[col][col]
-            for c in range(col, n):
-                A[r][c] -= f * A[col][c]
-            b[r] -= f * b[col]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        s = b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = s / A[r][r]
-    return x
-
-
 def test_aline_d_matches_elimination_oracle_3_models(rng):
     """For 3 models the pair system is square; compare against a hand solver."""
     for _ in range(100):
@@ -107,7 +88,7 @@ def test_aline_d_matches_elimination_oracle_3_models(rng):
                 rhs.append(probit(inp.agr_ood[i, j])
                            + fit.slope * ((idp[i] + idp[j]) / 2
                                           - probit(inp.agr_id[i, j])))
-        oracle = [normal_cdf(z) for z in _gaussian_elimination(rows, rhs)]
+        oracle = [normal_cdf(z) for z in gaussian_elimination(rows, rhs)]
         estimates, _ = aline_d(inp)
         np.testing.assert_allclose(estimates, oracle, atol=1e-9)
 
@@ -206,6 +187,22 @@ def test_aline_transforms_each_rate_once(monkeypatch):
         assert got.tobytes() == est.tobytes()
         assert got_fit == fit
     assert len(calls) == 3
+
+
+def test_aline_fits_the_agreement_line_once(monkeypatch, rng):
+    """ALine-S then ALine-D on one input fit the agreement line once: the input's
+    ``line``, equal to fit_line on its probit pairs."""
+    inp = _random_input(rng, n=5, noise=0.1)
+    calls = []
+
+    def counted(xs, ys):
+        calls.append(1)
+        return fit_line(xs, ys)
+
+    monkeypatch.setattr(aglkit.aline, "fit_line", counted)
+    assert aline_s(inp)[1] is aline_d(inp)[1] is agreement_line(inp) is inp.line
+    assert len(calls) == 1
+    assert inp.line == fit_line(*inp.pairs[2:])
 
 
 def _fit_with_r2(r2):

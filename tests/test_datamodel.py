@@ -458,6 +458,62 @@ def test_classification_log_rejects_ragged_logits():
     assert exc.value.example_index == -1
 
 
+def _pair_with_logits(logits):
+    """Two models' ID and OOD logs of two examples, each holding ``logits``."""
+    return [[ClassificationLog(model_id=m, split_id=split, n_classes=2, gold=[0, 1],
+                               predicted=[0, 1], logits=logits) for m in ("m0", "m1")]
+            for split in ("id", "ood")]
+
+
+@pytest.mark.parametrize("logits, dtype", [
+    ([["2", "0"], ["0", "1"]], "<U1"),
+    ([[2.0, None], [0.0, 1.0]], "object"),
+    ([[True, False], [False, True]], "bool"),
+    (np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex), "complex128"),
+], ids=["string", "none", "bool", "complex"])
+def test_in_memory_logits_must_be_numbers(logits, dtype):
+    """The loader's rule that logits are numbers, for logs built in memory: logits of
+    any but an int, uint or float dtype are a whole-log RangeViolation when the pair is
+    built, not a raw TypeError in validation or in the temperature fit."""
+    with pytest.raises(RangeViolation) as exc:
+        SplitPair(*_pair_with_logits(logits), METRIC_ACCURACY)
+    assert exc.value.example_index == -1
+    assert str(exc.value) == str(RangeViolation(-1, f"logits of dtype {dtype} are not numbers"))
+
+
+@pytest.mark.parametrize("dtype, logits", [
+    (np.int64, [[3, 0], [0, 2]]),
+    (np.int8, [[100, -100], [-100, 90]]),
+    (np.uint8, [[200, 0], [0, 190]]),
+    (np.uint64, [[3, 0], [0, 2]]),
+])
+def test_integer_logits_are_scored_as_their_float_values(dtype, logits):
+    """Integer logits, which the loader reads from JSON integers as floats, give the
+    report of their float64 copy: the fit's logits - row max does not wrap."""
+    logits = np.array(logits)
+    options = ReportOptions(evaluation_mode=True)
+    got, expected = (build_report(SplitPair(*_pair_with_logits(logits.astype(dt)),
+                                            METRIC_ACCURACY), options=options)
+                     for dt in (dtype, np.float64))
+    assert got.to_json() == expected.to_json()
+
+
+@pytest.mark.parametrize("gold, predicted, index, detail", [
+    ([True, 0, 1], [0, 0, 1], 0, "gold: True is not an integer"),
+    ([0, 0, 1], [1.0, True, 0], 1, "predicted: True is not an integer"),
+    ([0, 1, np.True_], [0, 1, 1], 2, "gold: True is not an integer"),
+    ((0, False, 1), [0, 0, 1], 1, "gold: False is not an integer"),
+], ids=["gold-int-list", "predicted-float-list", "numpy-bool", "tuple"])
+def test_a_bool_among_in_memory_labels_raises_at_its_example(gold, predicted, index, detail):
+    """A bool in a list of numbers is not scored as class 1 or 0: it raises the
+    RangeViolation that a bool span raises in a SpanLog, as load_log rejects ``true``."""
+    with pytest.raises(RangeViolation) as exc:
+        ClassificationLog(model_id="m", split_id="s", n_classes=2, gold=gold,
+                          predicted=predicted)
+    assert exc.value.example_index == index
+    assert str(exc.value) == str(RangeViolation(index, detail))
+
+
 @pytest.mark.parametrize("n_classes, error", [
     (np.int64(3), None),
     (3.0, None),
@@ -516,10 +572,15 @@ def test_validate_log_takes_only_one_dimensional_labels(gold, predicted):
     ("gold_end", 2.0, None),
     ("pred_start", np.int32(2), None),
     ("n_tokens", np.float64(4.0), None),
+    ("start_logits", np.array(["0", "0", "2", "0"]), "start_logits are not numbers"),
+    ("end_logits", [0.0, None, 0.0, 2.0], "end_logits are not numbers"),
+    ("start_logits", [False, False, True, False], "start_logits are not numbers"),
+    ("end_logits", np.array(["0", "0", "0", "2"]), "end_logits are not numbers"),
 ])
 def test_span_log_from_records_takes_only_integral_values(field, value, error):
     """A records-built log applies the loader's integer rule to n_tokens and every span
-    value instead of casting 1.5, "1" or True to 1."""
+    value instead of casting 1.5, "1" or True to 1, and its rule that logits are numbers
+    instead of parsing strings or casting bools into floats."""
     start, end = np.array([0.0, 0.0, 2.0, 0.0]), np.array([0.0, 0.0, 0.0, 2.0])
     valid = dict(n_tokens=4, start_logits=start, end_logits=end, gold_start=1,
                    gold_end=2, pred_start=2, pred_end=3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aglkit import metrics
 from aglkit.datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1, load_log, save_log
 from aglkit.errors import EmptyLog, InsufficientModels, MetricTaskMismatch, ShapeMismatch
 from aglkit.metrics import _scores, agreement, agreement_matrix, performance
@@ -349,3 +350,37 @@ def test_agreement_matrix_of_loaded_narrow_labels_equals_int64_reference(
     assert wide[0].predicted.dtype == np.int64
     got = agreement_matrix(logs, METRIC_ACCURACY)
     assert got.tobytes() == _plain_agreement_matrix(wide, METRIC_ACCURACY).tobytes()
+
+
+def test_agreement_matrix_checks_the_metric_on_the_first_log_only(monkeypatch):
+    """Every log shares the first log's task, so the metric is checked once per matrix,
+    not once per other log."""
+    checked = []
+    check = metrics._check_metric
+    monkeypatch.setattr(metrics, "_check_metric",
+                        lambda log, metric: checked.append(log) or check(log, metric))
+    logs = random_classification_logs(6, 20, 3, seed=1)
+    agreement_matrix(logs, METRIC_ACCURACY)
+    assert len(checked) == 1 and checked[0] is logs[0]
+
+
+def test_agreement_matrix_errors_name_the_log_at_fault(rng):
+    """One fault raises its own error; with several, the first log's metric or
+    emptiness comes before another log's task or length."""
+    clf = make_classification_log([0, 1], [0, 1], model_id="clf")
+    longer = make_classification_log([0, 1, 0], [0, 1, 1], model_id="longer")
+    qa = _random_span_log(rng, 2, 5, model_id="qa")
+    empty = make_classification_log([], [], n_classes=2, model_id="empty")
+    cases = [
+        ([clf, clf, longer], METRIC_ACCURACY, ShapeMismatch("longer", "length 3 != 2")),
+        ([clf, qa], METRIC_ACCURACY,
+         ShapeMismatch("qa", "task 'extractive_qa' != 'classification'")),
+        ([clf, clf], METRIC_F1, MetricTaskMismatch(METRIC_F1, "classification")),
+        ([empty, empty], METRIC_ACCURACY, EmptyLog("cannot compute agreement on empty logs")),
+        ([clf, qa], METRIC_F1, MetricTaskMismatch(METRIC_F1, "classification")),
+        ([empty, clf], METRIC_ACCURACY, EmptyLog("cannot compute agreement on empty logs")),
+    ]
+    for logs, metric, error in cases:
+        with pytest.raises(type(error)) as exc:
+            agreement_matrix(logs, metric)
+        assert str(exc.value) == str(error)

@@ -46,6 +46,7 @@ def test_traced_call_counts(tmp_path, name, full):
     expected = {
         "datamodel.load_log": 2 * n,  # one per model and split
         "aline.agreement_line": 2,
+        "probit.fit_line": 2,  # the agreement line, once for ALine-S and -D; the accuracy line
         # ID performance, ID and OOD agreement, OOD truth; the scatter adds its axis ticks
         "probit.probit": 5 if workload.scatter else 4,
         "baselines.fit_temperature": n if logits else 0,  # once per ID log
