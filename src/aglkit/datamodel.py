@@ -57,15 +57,12 @@ METRICS_BY_TASK = {
 class ClassificationLog:
     """One model's predictions on one classification split.
 
-    ``logits`` is either None or an (n_examples, n_classes) array of an int, uint or
-    float dtype; ``gold`` and ``predicted`` are int arrays of length n_examples. ``load_log``
-    holds them in ``np.min_scalar_type(-n_classes)``, the narrowest signed dtype
-    that holds n_classes - 1; a log built in memory keeps the dtype it was given,
-    and lists become arrays (a bool among a list's numbers raises RangeViolation at
-    it). ``validate_log`` takes labels of an integer dtype, or of a float dtype with
-    integral values; lists of unequal rows raise LengthViolation.
-    ``n_classes`` follows the loader's integer rule: a numpy integer or integral
-    float becomes an int, and a fraction, bool or string raises RangeViolation.
+    ``logits`` is None or an (n_examples, n_classes) int, uint or float array; ``gold`` and
+    ``predicted`` are int arrays of length n_examples, which ``load_log`` holds in
+    ``np.min_scalar_type(-n_classes)``, the narrowest signed dtype that holds n_classes - 1.
+    Lists become arrays by ``_array``'s rule; ``validate_log`` takes labels of an integer
+    dtype, or of a float dtype with integral values. ``n_classes`` follows the loader's integer
+    rule: a numpy integer or integral float becomes an int, any other value RangeViolation.
     """
     model_id: str
     split_id: str
@@ -77,12 +74,8 @@ class ClassificationLog:
 
     def __post_init__(self):
         self.n_classes = _in_memory_int(self.n_classes, -1, "n_classes")
-        try:
-            self.gold = _labels(self.gold, "gold")
-            self.predicted = _labels(self.predicted, "predicted")
-            self.logits = None if self.logits is None else np.asarray(self.logits)
-        except ValueError as exc:  # nested lists of unequal length
-            raise LengthViolation(-1, "ragged rows") from exc
+        self.gold, self.predicted = _array(self.gold, "gold"), _array(self.predicted, "predicted")
+        self.logits = None if self.logits is None else _array(self.logits, "logits")
 
     def __len__(self):
         return len(self.gold)
@@ -117,15 +110,14 @@ class SpanLog:
     """One model's span predictions on one extractive-QA split.
 
     Built from any iterable of ``SpanExample`` records, or from ``load_log``'s
-    ``_SpanColumns``. Either is packed once:
-    ``start_logits`` and ``end_logits`` are (n_examples, longest) float
-    matrices whose row i holds ``n_tokens[i]`` logits and then -inf padding
-    (it survives positive scaling and gets softmax weight exp(-inf) = 0);
-    ``gold`` and ``predicted`` are (n_examples, 2) int [start, end] arrays.
-    A record whose ``n_tokens`` or span value is not an int (numpy's too) or an
-    integral float, within int64, or whose logits are not of an int, uint or float dtype,
-    raises RangeViolation; one whose logit vectors do not have ``n_tokens`` entries,
-    LengthViolation.
+    ``_SpanColumns``. Either is packed once: ``start_logits`` and ``end_logits`` are
+    (n_examples, longest) float matrices whose row i holds ``n_tokens[i]`` logits and
+    then -inf padding (it survives positive scaling and gets softmax weight exp(-inf) = 0);
+    ``gold`` and ``predicted`` are (n_examples, 2) int [start, end] arrays. A record whose
+    ``n_tokens`` or span value is not an int (numpy's too) or an integral float, within
+    int64, or whose logits are not numbers (``_array``'s rule, then an int, uint or float
+    dtype), raises RangeViolation; one whose logit vectors do not have ``n_tokens``
+    entries, LengthViolation.
     """
     model_id: str
     split_id: str
@@ -145,7 +137,7 @@ class SpanLog:
                 for f, value in zip(fields(SpanExample), record):
                     if not f.name.endswith("_logits"):
                         _in_memory_int(value, i, f.name)
-                    elif np.asarray(value).dtype.kind not in "iuf":  # a bool, string or None
+                    elif _array(value, f.name, i).dtype.kind not in "iuf":  # a bool, string or None
                         raise RangeViolation(i, f"{f.name} are not numbers")
             for i in (1, 2):
                 examples[i] = np.concatenate(examples[i] or [[]]), list(map(len, examples[i]))
@@ -426,15 +418,23 @@ def _in_memory_int(value, example_index: int, name: str) -> int:
         raise RangeViolation(example_index, f"{name}: {exc}") from None
 
 
-def _labels(values, name) -> np.ndarray:
-    """``values`` as an array; a bool among a list's numbers raises RangeViolation at
-    its example, as the loader rejects ``true``."""
-    labels = np.asarray(values)
-    if not isinstance(values, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iuf":
-        for i, value in enumerate(values):
-            if isinstance(value, (bool, np.bool_)):
-                _in_memory_int(value, i, name)
-    return labels
+def _array(values, name, example=None) -> np.ndarray:
+    """An array unchanged; a list or tuple as an array. Unequal rows raise LengthViolation, a
+    bool among the numbers RangeViolation at ``example``, else at its entry or row."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # nested lists of unequal length
+        raise LengthViolation(-1, "ragged rows") from exc
+    bad = ([] if not isinstance(values, (list, tuple)) else  # an array in constant time
+           [*map({bool, np.bool_}.__contains__, map(type, values))] if array.ndim == 1 else
+           [row.dtype == bool if isinstance(row, np.ndarray)  # a row by its dtype or entries
+            else not {bool, np.bool_}.isdisjoint(map(type, row)) for row in values])
+    if True in bad and array.dtype.kind in "iuf":  # a list of bools alone stays a bool array
+        i = bad.index(True)
+        if not name.endswith("logits"):
+            _in_memory_int(values[i], i, name)
+        raise RangeViolation(i if example is None else example, f"{name} are not numbers")
+    return array
 
 
 def _str(value) -> str:

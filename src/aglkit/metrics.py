@@ -27,11 +27,10 @@ def _scores(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a == b
     if metric == METRIC_EXACT_MATCH:
         return (a == b).all(axis=-1)
-    len_a = np.maximum(a[..., 1] - a[..., 0] + 1, 0)
-    len_b = np.maximum(b[..., 1] - b[..., 0] + 1, 0)
-    overlap = np.maximum(np.minimum(a[..., 1], b[..., 1])
-                         - np.maximum(a[..., 0], b[..., 0]) + 1, 0)
-    total = len_a + len_b
+    def width(lo, hi):  # hi - lo + 1 as a float, or 0: in uint64, hi >= lo cannot wrap
+        return np.where(hi >= lo, (hi.astype(np.uint64) - lo.astype(np.uint64)) + 1.0, 0.0)
+    overlap = width(np.maximum(a[..., 0], b[..., 0]), np.minimum(a[..., 1], b[..., 1]))
+    total = width(a[..., 0], a[..., 1]) + width(b[..., 0], b[..., 1])
     return np.where(total == 0, 1.0, 2.0 * overlap / np.maximum(total, 1))
 
 

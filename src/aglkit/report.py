@@ -33,8 +33,6 @@ METHODS = {
     METHOD_AC: ("ac", True), METHOD_ATC: ("atc", True), METHOD_DOC_FEAT: ("doc-feat", True),
     METHOD_NAIVE_AGREEMENT: ("naive", False),
 }
-ALINE_METHODS = (METHOD_ALINE_S, METHOD_ALINE_D)
-CONFIDENCE_METHODS = tuple(m for m, (_, reads_logits) in METHODS.items() if reads_logits)
 ALL_METHODS = tuple(METHODS)
 
 SCATTER_COLUMNS = ("kind", "tag", "x_raw", "y_raw", "x_probit", "y_probit")

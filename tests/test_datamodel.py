@@ -514,6 +514,69 @@ def test_a_bool_among_in_memory_labels_raises_at_its_example(gold, predicted, in
     assert str(exc.value) == str(RangeViolation(index, detail))
 
 
+@pytest.mark.parametrize("row", [
+    [True, 0.0], [np.True_, 0.0], (0.0, False), np.array([False, True]), [False, True],
+], ids=["bool", "numpy-bool", "tuple", "bool-array", "all-bool-list"])
+def test_a_bool_among_in_memory_logits_raises_at_its_example(row):
+    """A bool in row 1 of list logits is not scored as the logit 1.0 or 0.0: it raises
+    at example 1, as load_log rejects a ``true`` logit and a SpanLog a bool logit."""
+    with pytest.raises(RangeViolation) as exc:
+        ClassificationLog(model_id="m", split_id="s", n_classes=2, gold=[0, 1, 0],
+                          predicted=[0, 1, 0], logits=[[2.0, 0.0], row, [1, 0]])
+    assert exc.value.example_index == 1
+    assert str(exc.value) == str(RangeViolation(1, "logits are not numbers"))
+
+
+_NUMBER = st.one_of(st.integers(-5, 5), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _valid_logs(draw):
+    """(kind, fields as nested lists of Python numbers) of a log that validates: each
+    prediction is its logit row's argmax, each gold label or span in range."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 5))
+        logits = [draw(st.lists(_NUMBER, min_size=k, max_size=k)) for _ in range(n)]
+        gold = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        return TASK_CLASSIFICATION, (k, gold, [argmax_lowest(row) for row in logits], logits)
+    records = []
+    for n_tok in draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)):
+        start, end = (draw(st.lists(_NUMBER, min_size=n_tok, max_size=n_tok)) for _ in range(2))
+        gs = draw(st.integers(0, n_tok - 1))
+        records.append(dict(n_tokens=n_tok, start_logits=start, end_logits=end, gold_start=gs,
+                            gold_end=draw(st.integers(gs, n_tok - 1)),
+                            pred_start=argmax_lowest(start), pred_end=argmax_lowest(end)))
+    return TASK_EXTRACTIVE_QA, records
+
+
+def _build(kind, values, as_array):
+    convert = np.array if as_array else (lambda value: value)
+    if kind == TASK_CLASSIFICATION:
+        k, gold, predicted, logits = values
+        return ClassificationLog(model_id="m", split_id="s", n_classes=k, gold=convert(gold),
+                                 predicted=convert(predicted), logits=convert(logits))
+    return SpanLog(model_id="m", split_id="s", examples=[
+        SpanExample(**{**r, "start_logits": convert(r["start_logits"]),
+                       "end_logits": convert(r["end_logits"])}) for r in values])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_valid_logs())
+def test_logs_from_lists_from_arrays_and_from_disk_hold_equal_values(case):
+    """One log built from nested lists, from arrays, and saved and loaded again: every
+    field holds the same values, whatever dtype each way chose."""
+    from_lists, from_arrays = (_build(*case, as_array) for as_array in (False, True))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_log(from_arrays, os.path.join(tmp, "m.jsonl"))
+        loaded = load_log(os.path.join(tmp, "m.jsonl"))
+    for log in (from_lists, from_arrays, loaded):
+        validate_log(log)
+        for name in _LOG_ARRAYS:
+            if hasattr(from_lists, name):
+                assert np.array_equal(getattr(log, name), getattr(from_lists, name)), name
+
+
 @pytest.mark.parametrize("n_classes, error", [
     (np.int64(3), None),
     (3.0, None),
@@ -576,6 +639,7 @@ def test_validate_log_takes_only_one_dimensional_labels(gold, predicted):
     ("end_logits", [0.0, None, 0.0, 2.0], "end_logits are not numbers"),
     ("start_logits", [False, False, True, False], "start_logits are not numbers"),
     ("end_logits", np.array(["0", "0", "0", "2"]), "end_logits are not numbers"),
+    ("start_logits", [0.0, 0.0, True, 2.0], "start_logits are not numbers"),
 ])
 def test_span_log_from_records_takes_only_integral_values(field, value, error):
     """A records-built log applies the loader's integer rule to n_tokens and every span

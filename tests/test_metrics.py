@@ -196,6 +196,20 @@ def test_interval_f1_matches_scalar_oracle():
     assert _scores(METRIC_F1, a, b).tolist() == expected
 
 
+def test_interval_f1_does_not_wrap_at_the_int64_ends():
+    """Every pair of spans with endpoints at and near the int64 ends, where a width or
+    overlap taken in int64 wraps: each F1 lies in [0, 1] and equals the Python-int rule
+    within the one rounding of a sum of widths beyond 2**53."""
+    edges = (0, 1, -1, 2**31, -2**31, 2**53, 2**53 + 1, 2**62, 2**63 - 2, 2**63 - 1,
+             -2**63, -2**63 + 1)
+    spans = list(itertools.product(edges, repeat=2))
+    a, b = np.array(list(itertools.product(spans, repeat=2))).transpose(1, 0, 2)
+    got = _scores(METRIC_F1, a, b)
+    expected = [_interval_f1(*sa, *sb) for sa, sb in zip(a.tolist(), b.tolist())]
+    assert ((0.0 <= got) & (got <= 1.0)).all()
+    np.testing.assert_allclose(got, expected, rtol=5e-16, atol=0)
+
+
 def _agreement_loop(a, b, metric):
     """Pairwise agreement as a loop over examples, as it was computed before."""
     if metric == METRIC_ACCURACY:
@@ -244,18 +258,6 @@ def test_metric_of_the_wrong_task_rejected(rng):
             agreement_matrix([log, log], metric)
 
 
-def _plain_agreement_matrix(logs, metric):
-    """The reference agreement matrix: the predictions stacked in their own dtype
-    and np.mean of each row of scores."""
-    n = len(logs)
-    preds = np.stack([log.predicted for log in logs])
-    values = np.ones((n, n), dtype=np.float64)
-    for i in range(n - 1):
-        values[i, i + 1:] = values[i + 1:, i] = np.mean(
-            _scores(metric, preds[i], preds[i + 1:]), axis=1)
-    return values
-
-
 # labels at the edges of each narrow integer dtype; pairs that wrap onto each other
 # in a dtype too narrow for them (128 and -128 in int8, -1 and 255 in uint8, ...)
 _EDGES = (0, 1, -1, 127, 128, -128, -129, 255, 256, 32767, 32768, -32768, -32769,
@@ -298,13 +300,14 @@ def _prediction_rows(draw, metric):
 @given(st.sampled_from([METRIC_ACCURACY, METRIC_EXACT_MATCH, METRIC_F1]).flatmap(
     lambda metric: st.tuples(st.just(metric), _prediction_rows(metric))))
 def test_narrow_agreement_matrix_equals_int64_mean_bitwise(case):
-    """Labels at the edges of every narrow dtype, held as int64, give the int64
-    np.mean matrix bit for bit under every metric."""
+    """Labels at the edges of every narrow dtype, held as int64, give the pair loop's
+    matrix bit for bit under every metric: one-token spans score F1 0 or 1, and
+    spans at the int64 ends do not wrap."""
     metric, rows = case
     logs = _unvalidated_logs(metric, rows)
     got = agreement_matrix(logs, metric)
     assert got.dtype == np.float64
-    assert got.tobytes() == _plain_agreement_matrix(logs, metric).tobytes()
+    assert got.tobytes() == _agreement_matrix_loop(logs, metric).tobytes()
 
 
 @pytest.mark.parametrize("metric", [METRIC_ACCURACY, METRIC_EXACT_MATCH])
@@ -331,7 +334,7 @@ def test_agreement_matrix_of_predictions_no_narrow_dtype_holds(metric, dtype, ro
         row = np.array(row, dtype=dtype)
         log.predicted = row if metric == METRIC_ACCURACY else np.stack([row, row], axis=1)
     got = agreement_matrix(logs, metric)
-    assert got.tobytes() == _plain_agreement_matrix(logs, metric).tobytes()
+    assert got.tobytes() == _agreement_matrix_loop(logs, metric).tobytes()
     assert got[0, 1] == 2 / 3
 
 
@@ -349,7 +352,7 @@ def test_agreement_matrix_of_loaded_narrow_labels_equals_int64_reference(
             for log in logs]
     assert wide[0].predicted.dtype == np.int64
     got = agreement_matrix(logs, METRIC_ACCURACY)
-    assert got.tobytes() == _plain_agreement_matrix(wide, METRIC_ACCURACY).tobytes()
+    assert got.tobytes() == _agreement_matrix_loop(wide, METRIC_ACCURACY).tobytes()
 
 
 def test_agreement_matrix_checks_the_metric_on_the_first_log_only(monkeypatch):

@@ -21,9 +21,7 @@ from aglkit.datamodel import (
 from aglkit.errors import DomainError, LengthMismatch, ToolkitError, ZeroTruth
 from aglkit.probit import LineFit, clamp_rate, probit
 from aglkit.report import (
-    ALINE_METHODS,
     ALL_METHODS,
-    CONFIDENCE_METHODS,
     METHODS,
     SCATTER_COLUMNS,
     ReportOptions,
@@ -37,6 +35,10 @@ from aglkit.closed_form import exact_agl_inputs
 from aglkit.synth import SynthConfig, generate
 
 from conftest import calibrated_span_log, readme_table
+
+# the methods of each kind, by their entries in the one table of methods
+ALINE_METHODS = tuple(m for m, (flag, _) in METHODS.items() if flag.startswith("aline-"))
+CONFIDENCE_METHODS = tuple(m for m, (_, reads_logits) in METHODS.items() if reads_logits)
 
 # every estimate a full report holds: each confidence method once per variant
 ESTIMATE_NAMES = ({m for m in ALL_METHODS if m not in CONFIDENCE_METHODS}
