@@ -53,6 +53,11 @@ METRICS_BY_TASK = {
 }
 
 
+def _check_metric(log, metric, where=""):
+    if metric not in METRICS_BY_TASK[log.task]:
+        raise MetricTaskMismatch(metric, log.task, where)
+
+
 @dataclass
 class ClassificationLog:
     """One model's predictions on one classification split.
@@ -117,7 +122,7 @@ class SpanLog:
     ``n_tokens`` or span value is not an int (numpy's too) or an integral float, within
     int64, or whose logits are not numbers (``_array``'s rule, then an int, uint or float
     dtype), raises RangeViolation; one whose logit vectors do not have ``n_tokens``
-    entries, LengthViolation.
+    entries, LengthViolation. ``validate_log`` takes spans and ``n_tokens`` as it takes labels.
     """
     model_id: str
     split_id: str
@@ -174,8 +179,7 @@ class SplitPair:
     def __post_init__(self):
         logs = [*self.id_logs, *self.ood_logs]
         for log in logs:  # no metric scores two tasks, so every log is of one task
-            if self.metric not in METRICS_BY_TASK[log.task]:
-                raise MetricTaskMismatch(self.metric, log.task)
+            _check_metric(log, self.metric)
         if len(self.id_logs) < 2:
             raise ShapeMismatch("*", f"need at least 2 models, got {len(self.id_logs)}")
         if [log.model_id for log in self.ood_logs] != self.model_ids:
@@ -216,6 +220,17 @@ def _bad_rows(finite) -> np.ndarray:
     return np.zeros(len(finite), bool) if finite.all() else ~finite.all(axis=1)
 
 
+def _integral_checks(**labels) -> list:
+    """``validate_log``'s checks for a fraction or NaN (floor(x) != x, never for an integer) in
+    an example, a row of a 2-D array; a dtype not int, uint or float is a whole-log error."""
+    for name, values in labels.items():
+        if values.dtype.kind not in "iuf":  # a bool, string or object array
+            raise RangeViolation(-1, f"{name} of dtype {values.dtype} is not integral")
+    return [(np.floor(v) != v if v.ndim == 1 else _bad_rows(np.floor(v) == v),
+             lambda i, name=name, v=v: RangeViolation(i, f"{name} {v[i]} is not an integer"))
+            for name, v in labels.items()]
+
+
 def validate_log(log) -> None:
     """Check every type invariant: first the whole log's (``example_index`` -1), then
     the per-example rules in ``checks`` order, raising the first broken rule of the
@@ -228,20 +243,14 @@ def validate_log(log) -> None:
         n = len(gold)
         if k < 2:
             raise RangeViolation(-1, f"n_classes {k} < 2")
-        for name, labels in (("gold", gold), ("predicted", pred)):
-            if labels.dtype.kind not in "iuf":  # a bool, string or object array
-                raise RangeViolation(-1, f"{name} of dtype {labels.dtype} is not integral")
+        checks = _integral_checks(gold=gold, predicted=pred)
         if len(pred) != n:
             raise LengthViolation(-1, "gold/predicted length mismatch")
         if logits is not None and logits.shape != (n, k):
             raise LengthViolation(-1, f"logits shape {logits.shape} != ({n}, {k})")
         if logits is not None and logits.dtype.kind not in "iuf":
             raise RangeViolation(-1, f"logits of dtype {logits.dtype} are not numbers")
-        checks = [  # floor(x) != x for a fraction or NaN, never for an integer
-            (np.floor(gold) != gold,
-             lambda i: RangeViolation(i, f"gold {gold[i]} is not an integer")),
-            (np.floor(pred) != pred,
-             lambda i: RangeViolation(i, f"predicted {pred[i]} is not an integer")),
+        checks += [
             ((gold < 0) | (gold >= k),
              lambda i: RangeViolation(i, f"gold {gold[i]} not in [0, {k})")),
             ((pred < 0) | (pred >= k),
@@ -253,10 +262,11 @@ def validate_log(log) -> None:
                        (np.argmax(logits, axis=1) != pred, ArgmaxMismatch)]
     elif isinstance(log, SpanLog):
         n_tok = log.n_tokens
+        checks = _integral_checks(n_tokens=n_tok, gold=log.gold, predicted=log.predicted)
         (gs, ge), (ps, pe) = log.gold.T, log.predicted.T
         padding = np.arange(log.start_logits.shape[1]) >= n_tok[:, None]
         finite = np.isfinite(log.start_logits) & np.isfinite(log.end_logits) | padding
-        checks = [
+        checks += [
             (n_tok < 1, lambda i: RangeViolation(i, f"n_tokens {n_tok[i]} < 1")),
             (_bad_rows(finite), lambda i: RangeViolation(i, "non-finite logit")),
             (~((0 <= gs) & (gs <= ge) & (ge < n_tok)),
@@ -636,8 +646,7 @@ def load_entries(path) -> tuple[Manifest, list]:
         log = load_log(log_path)
         if log.model_id != e.model_id or log.split_id != e.split_id:
             raise ShapeMismatch(e.model_id, f"log header at {log_path} does not match manifest entry")
-        if log.task != manifest.task:
-            raise MetricTaskMismatch(manifest.metric, log.task, log_path)
+        _check_metric(log, manifest.metric, log_path)  # the manifest's metric scores its task
         if len(log) == 0:
             raise EmptyLog(f"log {e.model_id!r} at {log_path} has no examples")
         logs.append(log)

@@ -9,13 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, METRICS_BY_TASK
-from .errors import EmptyLog, InsufficientModels, MetricTaskMismatch, ShapeMismatch
-
-
-def _check_metric(log, metric):
-    if metric not in METRICS_BY_TASK[log.task]:
-        raise MetricTaskMismatch(metric, log.task)
+from .datamodel import METRIC_ACCURACY, METRIC_EXACT_MATCH, _check_metric
+from .errors import EmptyLog, InsufficientModels, ShapeMismatch
 
 
 def _scores(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -28,6 +23,8 @@ def _scores(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if metric == METRIC_EXACT_MATCH:
         return (a == b).all(axis=-1)
     def width(lo, hi):  # hi - lo + 1 as a float, or 0: in uint64, hi >= lo cannot wrap
+        if lo.dtype.kind == "f":  # a fraction counts as it is, and NaN stays NaN
+            return np.maximum(hi.astype(np.float64) - lo + 1, 0)
         return np.where(hi >= lo, (hi.astype(np.uint64) - lo.astype(np.uint64)) + 1.0, 0.0)
     overlap = width(np.maximum(a[..., 0], b[..., 0]), np.minimum(a[..., 1], b[..., 1]))
     total = width(a[..., 0], a[..., 1]) + width(b[..., 0], b[..., 1])

@@ -302,6 +302,43 @@ def test_validate_span_invariants(rng):
         validate_log(bad2)
 
 
+@pytest.mark.parametrize("name, values, index, detail", [
+    ("gold", [[0, 1], [0.5, 2.0]], 1, "gold [0.5 2. ] is not an integer"),
+    ("predicted", [[0, 1], [np.nan, 2.0]], 1, "predicted [nan  2.] is not an integer"),
+    ("n_tokens", [4.0, 3.5], 1, "n_tokens 3.5 is not an integer"),
+    # integrality comes before the span range rules within an example
+    ("gold", [[0, 1], [-0.5, 2.0]], 1, "gold [-0.5  2. ] is not an integer"),
+    ("predicted", [[0, 1], [1.0, 9.5]], 1, "predicted [1.  9.5] is not an integer"),
+    ("gold", np.array([[0, 1], [0, 2]], bool), -1, "gold of dtype bool is not integral"),
+    ("n_tokens", np.array(["4", "4"]), -1, "n_tokens of dtype <U1 is not integral"),
+    ("predicted", np.array([[0, 1], [1, 2]], object), -1,
+     "predicted of dtype object is not integral"),
+])
+def test_validate_log_holds_span_values_to_the_label_rule(name, values, index, detail):
+    """Spans and ``n_tokens`` assigned by hand follow the label rule of a classification
+    log: a fraction or NaN is a RangeViolation at its example, any dtype other than int,
+    uint or float one of the whole log, and ``SplitPair`` refuses the log."""
+    logs = [make_span_log([(0, 1), (1, 2)], [(0, 1), (0, 2)], n_tokens=4, model_id=f"m{m}",
+                          split_id=split) for split in ("id", "ood") for m in range(2)]
+    setattr(logs[0], name, np.asarray(values))
+    for check in (lambda: validate_log(logs[0]),
+                  lambda: SplitPair(logs[:2], logs[2:], METRIC_F1)):
+        with pytest.raises(RangeViolation) as exc:
+            check()
+        assert str(exc.value) == str(RangeViolation(index, detail))
+
+
+@pytest.mark.parametrize("name, values", [
+    ("gold", np.array([[0.0, 1.0], [0.0, 2.0]])),
+    ("predicted", np.array([[0, 1], [1, 2]], np.uint8)),
+    ("n_tokens", np.array([4.0, 4.0], np.float32)),
+])
+def test_validate_log_takes_integral_span_values_of_any_number_dtype(name, values):
+    log = make_span_log([(0, 1), (1, 2)], [(0, 1), (0, 2)], n_tokens=4)
+    setattr(log, name, values)
+    validate_log(log)
+
+
 def _validate_span_loop(records):
     """The per-example loop validate_log ran on span logs before it checked whole arrays."""
     for i, ex in enumerate(records):
@@ -1185,6 +1222,13 @@ def test_manifest_metric_of_another_task_names_its_line(tmp_path, capsys):
     assert main(["validate", "--manifest", str(path)]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err == \
         f"error: metric 'f1' is incompatible with task 'classification' at {path}:4\n"
+
+
+def test_no_metric_scores_two_tasks():
+    """A metric names its task: ``load_entries`` checks each log against the manifest's
+    metric alone, and ``SplitPair`` takes the logs its metric scores as one task's."""
+    scored = [metric for metrics in datamodel.METRICS_BY_TASK.values() for metric in metrics]
+    assert len(scored) == len(set(scored))
 
 
 def test_split_pair_manifests_of_two_tasks(tmp_path, capsys):

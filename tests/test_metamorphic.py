@@ -5,12 +5,18 @@ neither an older implementation nor a reference one.
 ALine (Baek et al., 2022) reads only rates, and the confidence baselines read only
 each model's ID performance and its own per-example confidences, so renaming the
 models by a permutation permutes every per-model quantity and changes no value.
+Examples are positional and every rate is a mean over them, so permuting each split's
+examples, the same way for every model, changes no value either. Softmax is invariant
+under adding a constant to a row of logits, and every metric compares labels only for
+equality, so shifting each logit row and renaming the classes change no value.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
-from aglkit.datamodel import METRIC_ACCURACY, METRIC_F1, SplitPair
+from aglkit.datamodel import METRIC_ACCURACY, METRIC_F1, SpanExample, SpanLog, SplitPair
 from aglkit.report import ReportOptions, build_report
 from aglkit.synth import SynthConfig, generate
 
@@ -59,3 +65,93 @@ def test_permuting_the_models_permutes_the_matrices_and_every_estimate(task, see
     for name, values in base.estimates.items():
         np.testing.assert_allclose(permuted.estimates[name], np.asarray(values)[perm],
                                    rtol=RTOL, atol=0, err_msg=name)
+
+
+def _ragged_ensemble(task, seed):
+    """``_ensemble``, but on QA examples of 4 to 16 tokens, so that most rows of the
+    packed logits end in -inf padding."""
+    if task == "classification":
+        return _ensemble(task, seed)
+    rng = np.random.default_rng(seed)
+    id_logs, ood_logs = [], []
+    for logs, split, shift in ((id_logs, "id", 1.0), (ood_logs, "ood", 0.7)):
+        n_tokens = rng.integers(4, 17, 120)
+        gold = np.sort(rng.integers(0, n_tokens[:, None], (120, 2)), axis=1)
+        for m, skill in enumerate(np.linspace(0.4, 0.9, 5)):
+            guess = np.sort(rng.integers(0, n_tokens[:, None], (120, 2)), axis=1)
+            spans = np.where(rng.random((120, 1)) < shift * skill, gold, guess)
+            records = []
+            for n, (ps, pe), (gs, ge) in zip(n_tokens.tolist(), spans.tolist(), gold.tolist()):
+                start, end = 0.1 * rng.standard_normal((2, n))
+                start[ps] = end[pe] = 5.0
+                records.append(SpanExample(n, start, end, gs, ge, ps, pe))
+            logs.append(SpanLog(f"m{m}", split, records))
+    return id_logs, ood_logs, METRIC_F1
+
+
+def _replace(log, **arrays):
+    """A shallow copy of ``log`` that holds ``arrays`` in place of its own."""
+    log = copy.copy(log)
+    for name, values in arrays.items():
+        setattr(log, name, values)
+    return log
+
+
+def _assert_same_estimates(logs, base_logs, metric):
+    """The ``--eval`` reports of the two ensembles hold the same rates, truth and
+    estimates, model by model, within ``RTOL``."""
+    options = ReportOptions(evaluation_mode=True)
+    got, base = (build_report(SplitPair(id_logs, ood_logs, metric), options=options)
+                 for id_logs, ood_logs in (logs, base_logs))
+    assert got.model_ids == base.model_ids
+    assert base.method_errors == got.method_errors == {}
+    assert got.estimates.keys() == base.estimates.keys()
+    for name in ("id_perf", "agr_id", "agr_ood"):
+        np.testing.assert_allclose(getattr(got.inputs, name), getattr(base.inputs, name),
+                                   rtol=RTOL, atol=0, err_msg=name)
+    np.testing.assert_allclose(got.true_ood_perf, base.true_ood_perf, rtol=RTOL, atol=0)
+    for name, values in base.estimates.items():
+        np.testing.assert_allclose(got.estimates[name], values, rtol=RTOL, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("task", ["classification", "qa"])
+def test_permuting_each_splits_examples_changes_no_estimate(task, seed):
+    id_logs, ood_logs, metric = _ragged_ensemble(task, seed)
+    rng = np.random.default_rng(seed)
+    names = (("gold", "predicted", "logits") if task == "classification" else
+             ("gold", "predicted", "n_tokens", "start_logits", "end_logits"))
+    permuted = []
+    for logs in (id_logs, ood_logs):
+        perm = rng.permutation(len(logs[0]))  # one per split, the same for every model
+        assert (perm != np.arange(len(perm))).any()
+        permuted.append([_replace(log, **{name: getattr(log, name)[perm] for name in names})
+                         for log in logs])
+    _assert_same_estimates(permuted, (id_logs, ood_logs), metric)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("task", ["classification", "qa"])
+def test_adding_a_constant_to_each_logit_row_changes_no_estimate(task, seed):
+    id_logs, ood_logs, metric = _ragged_ensemble(task, seed)
+    rng = np.random.default_rng(seed)
+    heads = ("logits",) if task == "classification" else ("start_logits", "end_logits")
+    shifted = [[_replace(log, **{name: getattr(log, name) + rng.uniform(-10, 10, (len(log), 1))
+                                 for name in heads})  # -inf padding stays -inf
+                for log in logs] for logs in (id_logs, ood_logs)]
+    if task == "qa":
+        assert np.isneginf(shifted[0][0].start_logits).any()
+    _assert_same_estimates(shifted, (id_logs, ood_logs), metric)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_renaming_the_classes_changes_no_estimate(seed):
+    id_logs, ood_logs, metric = _ensemble("classification", seed)
+    k = id_logs[0].n_classes
+    rename = np.random.default_rng(seed).permutation(k)  # class c becomes rename[c]
+    assert (rename != np.arange(k)).any()
+    column = np.argsort(rename)  # the old column of each new class
+    renamed = [[_replace(log, gold=rename[log.gold], predicted=rename[log.predicted],
+                         logits=log.logits[:, column]) for log in logs]
+               for logs in (id_logs, ood_logs)]
+    _assert_same_estimates(renamed, (id_logs, ood_logs), metric)

@@ -210,6 +210,18 @@ def test_interval_f1_does_not_wrap_at_the_int64_ends():
     np.testing.assert_allclose(got, expected, rtol=5e-16, atol=0)
 
 
+def test_interval_f1_of_float_spans_counts_fractions_and_nan():
+    """Float endpoints are not cast to integers: a fractional span scores the scalar rule
+    ([0.5, 2.0] against [0, 2] scores 10/11, not 1), and a NaN endpoint scores NaN."""
+    spans = [(0.5, 2.0), (0.0, 2.0), (1.5, 1.0), (0.25, 3.75), (2.0, 2.0), (3.0, 1.0)]
+    a, b = np.array(list(itertools.product(spans, repeat=2))).transpose(1, 0, 2)
+    expected = [_interval_f1(*sa, *sb) for sa, sb in zip(a.tolist(), b.tolist())]
+    assert _scores(METRIC_F1, a, b).tolist() == expected
+    assert _scores(METRIC_F1, np.array([0.5, 2.0]), np.array([0, 2])) == 10 / 11
+    for nan_span in ([np.nan, 2.0], [0.0, np.nan]):
+        assert np.isnan(_scores(METRIC_F1, np.array(nan_span), np.array([0.0, 2.0])))
+
+
 def _agreement_loop(a, b, metric):
     """Pairwise agreement as a loop over examples, as it was computed before."""
     if metric == METRIC_ACCURACY:

@@ -1,4 +1,5 @@
-"""The package parses at the oldest Python that ``pyproject.toml`` declares.
+"""The package, and the tier-1 tests that must collect wherever it installs, parse at
+the oldest Python that ``pyproject.toml`` declares.
 
 CI runs one newer Python, so syntax that only a later release accepts would pass
 there and break every install at the floor. ``ast.parse`` with ``feature_version``
@@ -23,11 +24,22 @@ def _floor() -> tuple[int, int]:
     return int(found[1]), int(found[2])
 
 
+def _parse_at_floor(path):
+    with open(path, encoding="utf-8") as fh:
+        ast.parse(fh.read(), filename=path, feature_version=_floor())
+
+
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(ROOT, "src", "aglkit", "*.py"))),
                          ids=os.path.basename)
 def test_module_parses_at_the_declared_python_floor(path):
-    with open(path, encoding="utf-8") as fh:
-        ast.parse(fh.read(), filename=path, feature_version=_floor())
+    _parse_at_floor(path)
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(ROOT, "tests", "*.py"))
+                                        + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))),
+                         ids=lambda path: os.path.relpath(path, ROOT))
+def test_tier1_file_parses_at_the_declared_python_floor(path):
+    _parse_at_floor(path)
 
 
 @pytest.mark.parametrize("source", [
