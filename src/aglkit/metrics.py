@@ -2,7 +2,8 @@
 
 Agreement applies the same per-example metric with the second model's
 prediction in the gold slot; all three metrics are symmetric, so the
-orientation does not matter.
+orientation does not matter. Under accuracy, integer labels in [0, 8) are
+counted as bit rows, one AND and one popcount per pair, in exact integers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _scores(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(hi >= lo, (hi.astype(np.uint64) - lo.astype(np.uint64)) + 1.0, 0.0)
     overlap = width(np.maximum(a[..., 0], b[..., 0]), np.minimum(a[..., 1], b[..., 1]))
     total = width(a[..., 0], a[..., 1]) + width(b[..., 0], b[..., 1])
-    return np.where(total == 0, 1.0, 2.0 * overlap / np.maximum(total, 1))
+    return np.divide(2.0 * overlap, total, out=np.ones_like(total), where=total != 0)
 
 
 def performance(log, metric: str) -> float:
@@ -62,8 +63,26 @@ def agreement_matrix(logs, metric: str) -> np.ndarray:
         if len(log) != len(first):
             raise ShapeMismatch(log.model_id, f"length {len(log)} != {len(first)}")
     preds = np.stack([log.predicted for log in logs])
+    # below 8 classes a packed example takes at most 8 bits, no wider than an int8 label
+    if (metric == METRIC_ACCURACY and preds.dtype.kind in "iu"
+            and preds.min() >= 0 and preds.max() < 8):
+        words = _class_bits(preds)
+        row = lambda i: np.bitwise_count(words[i] & words[i + 1:]).sum(axis=1) / preds.shape[1]
+    else:
+        row = lambda i: np.mean(_scores(metric, preds[i], preds[i + 1:]), axis=1)
     values = np.ones((n, n), dtype=np.float64)
     for i in range(n - 1):  # one row of pairs at a time keeps memory at n x examples
-        values[i, i + 1:] = values[i + 1:, i] = np.mean(
-            _scores(metric, preds[i], preds[i + 1:]), axis=1)
+        values[i, i + 1:] = values[i + 1:, i] = row(i)
     return values
+
+
+def _class_bits(preds: np.ndarray) -> np.ndarray:
+    """Each row of labels in [0, 8) as uint64 words holding one bit per example and
+    class, classes side by side, zero-padded: two rows share a set bit exactly where
+    they agree. One class is packed at a time, so the transient is one bool stack."""
+    width = (preds.shape[1] + 7) // 8
+    k = int(preds.max()) + 1
+    packed = np.zeros((len(preds), (k * width + 7) // 8 * 8), dtype=np.uint8)
+    for c in range(k):
+        packed[:, c * width:(c + 1) * width] = np.packbits(preds == c, axis=1)
+    return packed.view(np.uint64)

@@ -212,8 +212,10 @@ def test_interval_f1_does_not_wrap_at_the_int64_ends():
 
 def test_interval_f1_of_float_spans_counts_fractions_and_nan():
     """Float endpoints are not cast to integers: a fractional span scores the scalar rule
-    ([0.5, 2.0] against [0, 2] scores 10/11, not 1), and a NaN endpoint scores NaN."""
-    spans = [(0.5, 2.0), (0.0, 2.0), (1.5, 1.0), (0.25, 3.75), (2.0, 2.0), (3.0, 1.0)]
+    ([0.5, 2.0] against [0, 2] scores 10/11, not 1; [1.0, 0.2], of width 0.2, scores 1
+    against itself), and a NaN endpoint scores NaN."""
+    spans = [(0.5, 2.0), (0.0, 2.0), (1.5, 1.0), (0.25, 3.75), (2.0, 2.0), (3.0, 1.0),
+             (1.0, 0.2)]
     a, b = np.array(list(itertools.product(spans, repeat=2))).transpose(1, 0, 2)
     expected = [_interval_f1(*sa, *sb) for sa, sb in zip(a.tolist(), b.tolist())]
     assert _scores(METRIC_F1, a, b).tolist() == expected
@@ -399,3 +401,63 @@ def test_agreement_matrix_errors_name_the_log_at_fault(rng):
         with pytest.raises(type(error)) as exc:
             agreement_matrix(logs, metric)
         assert str(exc.value) == str(error)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls to ``module.name`` while the test runs."""
+    calls = []
+    function = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or function(*args))
+    return calls
+
+
+def _logs_of(preds):
+    """Unvalidated in-memory logs holding the rows of ``preds`` in their own dtype."""
+    logs = _unvalidated_logs(METRIC_ACCURACY, np.zeros(preds.shape, dtype=np.int64))
+    for log, row in zip(logs, preds):
+        log.predicted = row
+    return logs
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int64])
+@pytest.mark.parametrize("max_label", range(1, 10))
+def test_packed_agreement_matrix_equals_the_loops_bitwise(monkeypatch, dtype, max_label):
+    """Labels in [0, 8) of an integer dtype take the packed path, and larger ones the
+    loop; either way every entry, and ``agreement``, equals the pair loop and the rows
+    of ``np.mean`` over element compares bit for bit, at every padding of the bit rows."""
+    rng = np.random.default_rng(max_label)
+    popcounts = _count_calls(monkeypatch, np, "bitwise_count")
+    for n_examples in (1, 7, 8, 63, 64, 65, 1000):
+        for n_models in (2, 3, 40):
+            preds = rng.integers(0, max_label + 1, (n_models, n_examples)).astype(dtype)
+            preds[:, 0] = max_label  # every stack reaches its max label
+            logs = _logs_of(preds)
+            before = len(popcounts)
+            got = agreement_matrix(logs, METRIC_ACCURACY)
+            assert (len(popcounts) > before) == (max_label < 8)
+            means = np.ones((n_models, n_models))
+            for i in range(n_models - 1):
+                means[i, i + 1:] = means[i + 1:, i] = np.mean(preds[i] == preds[i + 1:], axis=1)
+            assert got.tobytes() == means.tobytes()
+            assert got.tobytes() == _agreement_matrix_loop(logs, METRIC_ACCURACY).tobytes()
+            assert agreement(logs[0], logs[1], METRIC_ACCURACY) == _agreement_loop(
+                logs[0], logs[1], METRIC_ACCURACY)
+
+
+@pytest.mark.parametrize("dtype, label", [(np.int8, -1), (np.int16, -1), (np.int64, -1),
+                                          (np.int8, 8), (np.uint8, 8), (np.int64, 8)])
+def test_agreement_matrix_of_labels_outside_the_packed_range_takes_the_loop(
+        monkeypatch, dtype, label):
+    """One unvalidated label below 0 or above 7 sends the whole stack to the loop,
+    which counts it as a class of its own."""
+    rng = np.random.default_rng(8)
+    popcounts = _count_calls(monkeypatch, np, "bitwise_count")
+    for n_examples in (1, 64, 65):
+        preds = rng.integers(0, 8, (3, n_examples)).astype(dtype)
+        preds[0, -1] = preds[2, -1] = label
+        logs = _logs_of(preds)
+        got = agreement_matrix(logs, METRIC_ACCURACY)
+        assert got.tobytes() == _agreement_matrix_loop(logs, METRIC_ACCURACY).tobytes()
+        assert agreement(logs[0], logs[2], METRIC_ACCURACY) == _agreement_loop(
+            logs[0], logs[2], METRIC_ACCURACY)
+    assert popcounts == []
