@@ -80,8 +80,6 @@ def _fit_coordinate(logits: np.ndarray, golds: np.ndarray) -> float:
     step = older = hi - lo  # the last two moves of t
     while step >= TEMP_TOL:
         g, dg = slope(t)
-        if g == 0.0:
-            return t
         if g < 0.0:
             lo = t
         else:

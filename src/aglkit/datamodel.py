@@ -614,8 +614,7 @@ def read_manifest(path) -> Manifest:
         raise MetricTaskMismatch(metric, task, f"{path}:{_line_of(text, 'metric')}")
     if not isinstance(listed, list):
         raise MalformedRecord(path, _line_of(text, "entries"), "entries must be a list")
-    entries = []
-    seen = set()
+    entries = {}
     for k, e in enumerate(listed):
         if not (isinstance(e, dict) and {"model_id", "split_id", "path"} <= e.keys()):
             raise MalformedRecord(path, _line_of(text, "entries", k),
@@ -624,13 +623,11 @@ def read_manifest(path) -> Manifest:
             if not isinstance(e[key], str):
                 raise MalformedRecord(path, _line_of(text, "entries", k),
                                       f"entry {k}: {key} must be a string")
-        entry = ManifestEntry(model_id=e["model_id"], split_id=e["split_id"], path=e["path"])
-        key = (entry.model_id, entry.split_id)
-        if key in seen:
+        key = (e["model_id"], e["split_id"])
+        if key in entries:
             raise DuplicateEntry(*key)
-        seen.add(key)
-        entries.append(entry)
-    return Manifest(version=FORMAT_VERSION, task=task, metric=metric, entries=entries)
+        entries[key] = ManifestEntry(model_id=e["model_id"], split_id=e["split_id"], path=e["path"])
+    return Manifest(version=FORMAT_VERSION, task=task, metric=metric, entries=list(entries.values()))
 
 
 def load_entries(path) -> tuple[Manifest, list]:

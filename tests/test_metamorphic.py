@@ -1,6 +1,7 @@
 """Metamorphic relations of the whole estimate, checked through ``build_report`` on
-logs built in memory. Each relation follows from the maths alone, so it trusts
-neither an older implementation nor a reference one.
+logs built in memory, and through the CLI on logs written to disk. Each relation
+follows from the maths alone, so it trusts neither an older implementation nor a
+reference one.
 
 ALine (Baek et al., 2022) reads only rates, and the confidence baselines read only
 each model's ID performance and its own per-example confidences, so renaming the
@@ -9,16 +10,37 @@ Examples are positional and every rate is a mean over them, so permuting each sp
 examples, the same way for every model, changes no value either. Softmax is invariant
 under adding a constant to a row of logits, and every metric compares labels only for
 equality, so shifting each logit row and renaming the classes change no value.
+Repeating every example leaves every mean as it is. Each method reads only the
+report's shared inputs, so running it alone changes none of its values, and the
+model order of a manifest only orders the report's rows.
 """
 
 import copy
+import csv
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aglkit.datamodel import METRIC_ACCURACY, METRIC_F1, SpanExample, SpanLog, SplitPair
-from aglkit.report import ReportOptions, build_report
-from aglkit.synth import SynthConfig, generate
+from aglkit.aline import METHOD_ALINE_D, METHOD_ALINE_S
+from aglkit.cli import EXIT_OK, main
+from aglkit.datamodel import (
+    FORMAT_VERSION,
+    METRIC_ACCURACY,
+    METRIC_F1,
+    TASK_EXTRACTIVE_QA,
+    Manifest,
+    ManifestEntry,
+    SpanExample,
+    SpanLog,
+    SplitPair,
+    read_manifest,
+    save_log,
+    save_manifest,
+)
+from aglkit.report import METHODS, SCATTER_COLUMNS, ReportOptions, build_report
+from aglkit.synth import SynthConfig, generate, write_ensemble
 
 from conftest import make_span_log
 
@@ -97,9 +119,10 @@ def _replace(log, **arrays):
     return log
 
 
-def _assert_same_estimates(logs, base_logs, metric):
+def _assert_same_estimates(logs, base_logs, metric, skip=()):
     """The ``--eval`` reports of the two ensembles hold the same rates, truth and
-    estimates, model by model, within ``RTOL``."""
+    estimates, model by model, within ``RTOL``; the estimates named in ``skip`` go
+    unchecked."""
     options = ReportOptions(evaluation_mode=True)
     got, base = (build_report(SplitPair(id_logs, ood_logs, metric), options=options)
                  for id_logs, ood_logs in (logs, base_logs))
@@ -111,7 +134,9 @@ def _assert_same_estimates(logs, base_logs, metric):
                                    rtol=RTOL, atol=0, err_msg=name)
     np.testing.assert_allclose(got.true_ood_perf, base.true_ood_perf, rtol=RTOL, atol=0)
     for name, values in base.estimates.items():
-        np.testing.assert_allclose(got.estimates[name], values, rtol=RTOL, atol=0, err_msg=name)
+        if name not in skip:
+            np.testing.assert_allclose(got.estimates[name], values, rtol=RTOL, atol=0,
+                                       err_msg=name)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -155,3 +180,118 @@ def test_renaming_the_classes_changes_no_estimate(seed):
                          logits=log.logits[:, column]) for log in logs]
                for logs in (id_logs, ood_logs)]
     _assert_same_estimates(renamed, (id_logs, ood_logs), metric)
+
+
+def _repeat_examples(logs, names):
+    """Each log with every example repeated once, in place: example i at 2i and 2i + 1."""
+    return [_replace(log, **{name: np.repeat(getattr(log, name), 2, axis=0) for name in names})
+            for log in logs]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("task", ["classification", "qa"])
+def test_repeating_every_example_changes_no_estimate(task, seed):
+    id_logs, ood_logs, metric = _ragged_ensemble(task, seed)
+    names = (("gold", "predicted", "logits") if task == "classification" else
+             ("gold", "predicted", "n_tokens", "start_logits", "end_logits"))
+    repeated = [_repeat_examples(logs, names) for logs in (id_logs, ood_logs)]
+    assert len(repeated[0][0]) == 2 * len(id_logs[0])
+    # atc_threshold rounds id_perf * n to a whole count of examples. Under f1 that
+    # product is fractional, and once doubled it may round to an odd count, which moves
+    # the threshold one place among the sorted ID confidences; under accuracy it is
+    # whole, so ATC is held to the relation there.
+    skip = ("atc.raw", "atc.temp_scaled") if metric == METRIC_F1 else ()
+    _assert_same_estimates(repeated, (id_logs, ood_logs), metric, skip)
+
+
+@pytest.mark.parametrize("task", ["classification", "qa"])
+def test_each_method_alone_gives_the_estimates_of_the_full_run(task):
+    id_logs, ood_logs, metric = _ensemble(task, 3)
+    pair = SplitPair(id_logs, ood_logs, metric)
+    options = ReportOptions(evaluation_mode=True)
+    full = build_report(pair, options=options)
+    assert full.method_errors == {}
+    for method in METHODS:
+        alone = build_report(pair, [method], options)
+        assert alone.method_errors == {}
+        names = [name for name in full.estimates if name.split(".")[0] == method]
+        assert list(alone.estimates) == names
+        for name in names:
+            np.testing.assert_array_equal(alone.estimates[name], full.estimates[name])
+            assert alone.mape_by_method[name] == full.mape_by_method[name]
+        if method in (METHOD_ALINE_S, METHOD_ALINE_D):
+            assert alone.gates == {method: full.gates[method]}
+            assert alone.agreement_fit == full.agreement_fit
+
+
+def _write_ensemble(task, seed, out_dir):
+    """Write the toy ensemble of ``_ensemble`` under ``out_dir``; returns its manifest."""
+    if task == "classification":
+        config = SynthConfig(n_models=5, n_examples_id=300, n_examples_ood=300, seed=seed)
+        return write_ensemble(config, out_dir)["manifest"]
+    id_logs, ood_logs, metric = _ensemble(task, seed)
+    entries = []
+    for log in id_logs + ood_logs:  # every ID entry first
+        name = f"{log.model_id}.{log.split_id}.jsonl"
+        save_log(log, out_dir / name)
+        entries.append(ManifestEntry(log.model_id, log.split_id, name))
+    save_manifest(Manifest(FORMAT_VERSION, TASK_EXTRACTIVE_QA, metric, entries),
+                  out_dir / "manifest.json")
+    return out_dir / "manifest.json"
+
+
+def _assert_close(got, want, where="report"):
+    """Equal JSON values, each float within ``RTOL``."""
+    if isinstance(want, float):
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=0, err_msg=where)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key, value in want.items():
+            _assert_close(got[key], value, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{k}]")
+    else:
+        assert got == want, where
+
+
+def _scatter_rows(path):
+    """``[((kind, key), values)]`` of a scatter.csv, each agreement row keyed by the
+    unordered pair of its models."""
+    with open(path, newline="") as fh:
+        return [((row["kind"], frozenset(row["tag"].split("|")) if row["kind"] == "agreement"
+                  else row["tag"]), [float(row[c]) for c in SCATTER_COLUMNS[2:]])
+                for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("task", ["classification", "qa"])
+def test_reordering_a_manifests_models_reorders_the_cli_outputs(task, tmp_path):
+    (tmp_path / "in").mkdir()
+    path = _write_ensemble(task, 8, tmp_path / "in")
+    manifest = read_manifest(path)
+    entries = [manifest.entries[k]
+               for k in np.random.default_rng(8).permutation(len(manifest.entries))]
+    id_split = manifest.entries[0].split_id
+    entries.insert(0, entries.pop(next(k for k, e in enumerate(entries)
+                                       if e.split_id == id_split)))
+    reordered = tmp_path / "in" / "reordered.json"
+    save_manifest(replace(manifest, entries=entries), reordered)
+    order = list(dict.fromkeys(e.model_id for e in entries))  # the order of first appearance
+    assert order != list(dict.fromkeys(e.model_id for e in manifest.entries))
+    for name, manifest_path in (("base", path), ("reordered", reordered)):
+        assert main(["estimate", "--id-manifest", str(manifest_path), "--ood-manifest",
+                     str(manifest_path), "--out", str(tmp_path / name),
+                     "--eval", "--scatter"]) == EXIT_OK
+    base, got = (json.loads((tmp_path / name / "report.json").read_text())
+                 for name in ("base", "reordered"))
+    rows = {row["model_id"]: row for row in base.pop("per_model")}
+    assert [row["model_id"] for row in got["per_model"]] == order
+    _assert_close(got.pop("per_model"), [rows[m] for m in order], "per_model")
+    assert base["method_errors"] == {}
+    _assert_close(got, base)  # fits, gates, method errors, MAPE, metadata
+    base_rows, got_rows = (_scatter_rows(tmp_path / name / "scatter.csv")
+                           for name in ("base", "reordered"))
+    assert [key for (kind, key), _ in got_rows if kind == "accuracy"] == order
+    assert len(dict(got_rows)) == len(got_rows)  # no two rows share a key
+    _assert_close(dict(got_rows), dict(base_rows), "scatter")

@@ -190,6 +190,14 @@ def test_readme_method_table_is_report_methods():
     assert {n for _, _, names, _ in rows for n in names.split(", ")} == ESTIMATE_NAMES
 
 
+def test_the_methods_that_read_logits_are_the_score_methods():
+    """``with_and_without_temperature`` looks each logit-reading method up in
+    ``_SCORE_METHODS``, and its KeyError is no ``ToolkitError`` that ``_build`` records:
+    a method without a score function would fail raw, a score function without a
+    method would never run."""
+    assert set(CONFIDENCE_METHODS) == set(aglkit.baselines._SCORE_METHODS)
+
+
 def test_methods_that_read_logits_fail_on_logs_without_them():
     """One MissingLogits error per confidence method, and no estimate."""
     pair, _ = _synth_pair()

@@ -45,6 +45,8 @@ def test_traced_call_counts(tmp_path, name, full):
     logits = workload.kind != "agree"  # agree's logs carry none, and it runs no baseline
     expected = {
         "datamodel.load_log": 2 * n,  # one per model and split
+        # load_log validates each log it reads, and SplitPair every log it holds
+        "datamodel.validate_log": 4 * n,
         "aline.agreement_line": 2,
         "probit.fit_line": 2,  # the agreement line, once for ALine-S and -D; the accuracy line
         # ID performance, ID and OOD agreement, OOD truth; the scatter adds its axis ticks
