@@ -117,13 +117,14 @@ def confidence(log, temperature: tuple[float, ...] | None = None) -> np.ndarray:
 
 
 def atc_threshold(id_perf: float, id_conf: np.ndarray) -> float:
-    """Threshold whose ID coverage reproduces the ID performance."""
+    """Threshold whose ID coverage reproduces the ID performance; repeating examples keeps it."""
     conf = np.sort(id_conf)
     n = len(conf)
-    n_errors = n - int(round(id_perf * n))
-    if n_errors >= n:
+    # the slack keeps accuracy's near-integer products from dropping a place
+    k = math.floor(n * (1 - id_perf) + 1e-9 * n)
+    if k >= n:
         return math.inf
-    return float(conf[n_errors])
+    return float(conf[k])
 
 
 def _ac(id_perf, id_conf, ood_conf) -> float:

@@ -17,7 +17,7 @@ import json
 import os
 import re
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
 
@@ -490,7 +490,8 @@ def _columns(path, linenos, records, rows, builds, bad):
                     raise MalformedRecord(path, lineno, f"inconsistent presence of {key}") from None
                 if build is not None:
                     _require(records[row], key, path, lineno, lambda value: build([value]))
-        raise
+        # no input gets here: a build fails only at a row that fails alone, and a missing
+        raise  # or unwanted key is one record's fault, so the recheck raises first
     if bad is not None:
         raise bad
     return tuple(columns)
@@ -545,11 +546,8 @@ def load_log(path):
 # --- manifests ---
 
 def save_manifest(manifest: Manifest, path) -> None:
-    doc = {"version": manifest.version, "task": manifest.task, "metric": manifest.metric,
-           "entries": [{"model_id": e.model_id, "split_id": e.split_id, "path": e.path}
-                       for e in manifest.entries]}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

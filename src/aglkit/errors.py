@@ -20,21 +20,15 @@ class UnreadableFile(ToolkitError):
 
 
 class MalformedRecord(ToolkitError):
-    def __init__(self, path, line_number, detail=""):
-        msg = f"malformed record at {path}:{line_number}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+    def __init__(self, path, line_number, detail):
+        super().__init__(f"malformed record at {path}:{line_number} ({detail})")
         self.path = path
         self.line_number = line_number
 
 
 class ShapeMismatch(ToolkitError):
-    def __init__(self, model_id, detail=""):
-        msg = f"shape mismatch for model {model_id!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    def __init__(self, model_id, detail):
+        super().__init__(f"shape mismatch for model {model_id!r}: {detail}")
         self.model_id = model_id
 
 

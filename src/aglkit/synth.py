@@ -25,7 +25,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def write_ensemble(config: SynthConfig, out_dir) -> dict:
         json.dump({"model_ids": [log.model_id for log in id_logs],
                    "true_id_acc": [float(v) for v in true_id_acc],
                    "true_ood_acc": [float(v) for v in true_ood_acc],
-                   "config": {k: getattr(config, k) for k in config.__annotations__}},
+                   "config": asdict(config)},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
     return {"manifest": manifest_path, "truth": truth_path}

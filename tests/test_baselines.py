@@ -19,7 +19,7 @@ from aglkit.baselines import (
     with_and_without_temperature,
 )
 from aglkit.datamodel import METRIC_ACCURACY, ClassificationLog, SpanExample, SpanLog
-from aglkit.errors import EmptyLog, MissingLogits
+from aglkit.errors import EmptyLog, InsufficientModels, MissingLogits
 from aglkit.metrics import performance
 
 from conftest import (
@@ -197,6 +197,15 @@ def test_atc_threshold_matches_exhaustive_scan(rng):
         assert atc_threshold(acc, conf) == best
 
 
+@pytest.mark.parametrize("id_perf, k", [(0.795, 2), (0.8, 2), (0.805, 1)])
+def test_atc_index_is_the_floor_on_both_sides_of_an_integer(id_perf, k):
+    """k = floor(n * (1 - id_perf)) at n = 10, around 2. At accuracy 0.8 the product
+    is 1.9999999999999996, one rounding below 2, and the slack keeps it at 2."""
+    assert 10 * (1 - 0.8) < 2
+    conf = np.arange(10) / 10
+    assert atc_threshold(id_perf, conf[::-1]) == conf[k]
+
+
 def test_atc_identity_on_same_split(rng):
     for seed in range(5):
         r = np.random.default_rng(seed)
@@ -239,6 +248,11 @@ def test_naive_agreement_loop_oracle(rng):
     for i in range(4):
         manual = sum(vals[i, j] for j in range(4) if j != i) / 3
         assert est[i] == pytest.approx(manual, abs=1e-15)
+
+
+def test_naive_agreement_needs_two_models():
+    with pytest.raises(InsufficientModels, match="need at least 2 models, got 1"):
+        naive_agreement_estimate(np.ones((1, 1)))
 
 
 # --- the fit as it was before the safeguarded Newton solve, kept as an oracle ---
@@ -375,6 +389,21 @@ def test_newton_fit_matches_grid_golden_at_box_edges(name):
     (t,) = fit_temperature(log)
     assert t == edge
     assert _assert_matches_oracle(logits, gold, t) == pytest.approx(edge, abs=1e-3)
+
+
+def test_newton_fit_bisects_where_the_slope_derivative_underflows():
+    """Logits [0, 1000], gold 1 on all but 2 of 2,000 rows. At the first midpoint
+    t = 0, e^-1000 underflows to 0.0, so dCE/dbeta is 0 - (-1000 * 2 / 2000) = +1.0
+    and its derivative, a variance of d under a one-hot softmax, is exactly 0.0: the
+    Newton step is NaN and the fit bisects."""
+    logits = np.tile([0.0, 1000.0], (2000, 1))
+    gold = np.ones(2000, dtype=np.int64)
+    gold[:2] = 0
+    assert math.exp(-1000.0) == 0.0
+    (t,) = fit_temperature(make_classification_log(np.ones(2000, np.int64), gold, 2,
+                                                   logits=logits))
+    assert t == pytest.approx(-4.9753, abs=1e-4)  # the _mean_ce grid minimum
+    _assert_matches_oracle(logits, gold, t)
 
 
 def test_confidence_qa_ragged_matches_per_example_loop():

@@ -209,6 +209,15 @@ def test_save_log_rejects_columns_of_unequal_length():
         _written(save_log, log)
 
 
+def test_validate_log_and_save_log_refuse_what_is_not_a_log(tmp_path):
+    not_a_log = {"gold": [0], "predicted": [0]}
+    with pytest.raises(TypeError, match="unsupported log type"):
+        validate_log(not_a_log)
+    with pytest.raises(TypeError, match="unsupported log type"):
+        save_log(not_a_log, tmp_path / "log.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_catches_argmax_mismatch(rng):
     predicted = np.array([0, 1, 2])
     gold = np.array([0, 1, 2])

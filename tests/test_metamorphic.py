@@ -119,10 +119,9 @@ def _replace(log, **arrays):
     return log
 
 
-def _assert_same_estimates(logs, base_logs, metric, skip=()):
+def _assert_same_estimates(logs, base_logs, metric):
     """The ``--eval`` reports of the two ensembles hold the same rates, truth and
-    estimates, model by model, within ``RTOL``; the estimates named in ``skip`` go
-    unchecked."""
+    estimates, model by model, within ``RTOL``."""
     options = ReportOptions(evaluation_mode=True)
     got, base = (build_report(SplitPair(id_logs, ood_logs, metric), options=options)
                  for id_logs, ood_logs in (logs, base_logs))
@@ -134,9 +133,7 @@ def _assert_same_estimates(logs, base_logs, metric, skip=()):
                                    rtol=RTOL, atol=0, err_msg=name)
     np.testing.assert_allclose(got.true_ood_perf, base.true_ood_perf, rtol=RTOL, atol=0)
     for name, values in base.estimates.items():
-        if name not in skip:
-            np.testing.assert_allclose(got.estimates[name], values, rtol=RTOL, atol=0,
-                                       err_msg=name)
+        np.testing.assert_allclose(got.estimates[name], values, rtol=RTOL, atol=0, err_msg=name)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -196,12 +193,7 @@ def test_repeating_every_example_changes_no_estimate(task, seed):
              ("gold", "predicted", "n_tokens", "start_logits", "end_logits"))
     repeated = [_repeat_examples(logs, names) for logs in (id_logs, ood_logs)]
     assert len(repeated[0][0]) == 2 * len(id_logs[0])
-    # atc_threshold rounds id_perf * n to a whole count of examples. Under f1 that
-    # product is fractional, and once doubled it may round to an odd count, which moves
-    # the threshold one place among the sorted ID confidences; under accuracy it is
-    # whole, so ATC is held to the relation there.
-    skip = ("atc.raw", "atc.temp_scaled") if metric == METRIC_F1 else ()
-    _assert_same_estimates(repeated, (id_logs, ood_logs), metric, skip)
+    _assert_same_estimates(repeated, (id_logs, ood_logs), metric)
 
 
 @pytest.mark.parametrize("task", ["classification", "qa"])

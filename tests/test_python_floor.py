@@ -36,7 +36,8 @@ def test_module_parses_at_the_declared_python_floor(path):
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(ROOT, "tests", "*.py"))
-                                        + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))),
+                                        + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+                                        + glob.glob(os.path.join(ROOT, "bench", "*.py"))),
                          ids=lambda path: os.path.relpath(path, ROOT))
 def test_tier1_file_parses_at_the_declared_python_floor(path):
     _parse_at_floor(path)

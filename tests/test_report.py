@@ -110,6 +110,11 @@ def test_build_report_blind_mode():
         assert report.estimates[f"{method}.temp_scaled"].shape == (3,)
 
 
+def test_blind_report_has_no_true_ood_probit():
+    pair, _ = _synth_pair()
+    assert build_report(pair, options=ReportOptions(evaluation_mode=False)).true_ood_probit is None
+
+
 def _qa_pair():
     id_logs = [calibrated_span_log(60, 10, 1.0 + 0.5 * m, seed=m, model_id=f"m{m}")
                for m in range(3)]
@@ -154,10 +159,10 @@ def test_confidence_baselines_estimate_the_report_metric():
     def conf(peak):  # max start probability times max end probability
         return (math.exp(peak) / (math.exp(peak) + 3.0)) ** 2
     id_f1 = (1.0 + 2 * 2 / (3 + 2) + 2 * 1 / (1 + 4) + 0.0) / 4
-    # round(0.55 * 4) = 2 ID examples right: the threshold is the third-lowest ID confidence
-    atc = sum(conf(p) >= conf(id_peaks[2]) for p in ood_peaks) / 4
+    # index floor(4 * (1 - 0.55)) = 1: the threshold is the second-lowest ID confidence
+    atc = sum(conf(p) >= conf(id_peaks[1]) for p in ood_peaks) / 4
     doc = id_f1 - (sum(map(conf, id_peaks)) - sum(map(conf, ood_peaks))) / 4
-    assert (atc, round(doc, 3)) == (0.5, 0.596)
+    assert (atc, round(doc, 3)) == (0.75, 0.596)
     pair = SplitPair(*([_peaked_span_log(peaks, f"m{m}", split) for m in range(2)]
                        for split, peaks in (("id", id_peaks), ("ood", ood_peaks))), METRIC_F1)
     report = build_report(pair, methods=["atc", "doc_feat"])

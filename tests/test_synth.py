@@ -91,6 +91,11 @@ def test_truth_on_configured_line():
         assert probit(pood) == pytest.approx(0.6 * probit(pid) - 0.4, abs=1e-9)
 
 
+def test_threshold_of_an_unknown_split_is_invalid():
+    with pytest.raises(InvalidConfig, match="unknown split 'test'"):
+        SynthConfig().threshold(0, "test")
+
+
 def test_latent_correlation_endpoints_and_monotonicity():
     assert latent_correlation(0.0) == 1.0
     assert latent_correlation(1.0) == 0.0
